@@ -52,6 +52,10 @@ class RunConfig:
     mirror: bool = True
 
     def __post_init__(self):
+        for flag, value in (("--gamma", self.gamma), ("--epsilon", self.epsilon),
+                            ("--tol", self.tol)):
+            if not math.isfinite(value):
+                raise InputError(f"{flag} must be finite, got {value}")
         if self.gamma < 0:
             raise InputError("--gamma must be nonnegative")
         if self.epsilon <= 0:
@@ -261,7 +265,7 @@ def cmd_experiment(cfg: RunConfig, mode: str, edges_file: str | None,
         raise InputError("experiment needs --edges-file or --auto")
     rows_out = perturbation_experiment(
         net, edges, eps=cfg.epsilon, mode=mode, seed=cfg.seed,
-        mirror=cfg.mirror, tol=cfg.tol)
+        mirror=cfg.mirror, tol=cfg.tol, triple=t)
     report = {"rho": t.rho, "kappa": t.kappa, "mode": mode,
               "epsilon": cfg.epsilon, "seed": cfg.seed}
     cols = ["edge", "score", "rho_new", "random_edge", "random_rho_new", "note"]

@@ -13,6 +13,7 @@ kappa = 1 / (y^T x) = 1 / cos(theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,12 @@ def perron(op: SupraOperator, tol: float = DEFAULT_TOL,
         scale = max(1.0, abs(rho))
         res_r = float(np.linalg.norm(w - rho * u))
         res_l = float(np.linalg.norm(z - rho * v))
+        if not (math.isfinite(rho) and math.isfinite(res_r) and math.isfinite(res_l)):
+            raise ConvergenceError(
+                f"non-finite iterate at iteration {it} (rho = {rho}, "
+                f"residuals {res_r}/{res_l}): the operator or a start vector "
+                "holds inf or NaN, or its products overflow",
+                iterations=it, residuals=(res_r, res_l))
         if (res_r <= tol * scale and res_l <= tol * scale
                 and abs(rho - rho_prev) <= tol * scale):
             x = _fix_sign(u)

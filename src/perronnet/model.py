@@ -16,6 +16,7 @@ helpers return new values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +90,8 @@ class MultilayerNetwork:
 
     ``blocks[k][l]`` (0-based) holds w_ij of edges from node i in layer
     k+1 to node j in layer l+1; absent blocks are None.  All stored
-    weights are strictly positive.
+    weights are strictly positive and finite, and an undirected network's
+    supra matrix is symmetric.
     """
 
     N: int
@@ -108,8 +110,9 @@ class MultilayerNetwork:
                     continue
                 if blk.shape != (self.N, self.N):
                     raise InputError("every block must be N x N")
-                if blk.nnz and blk.data.min() <= 0:
-                    raise InputError("stored weights must be strictly positive")
+                _check_weights(blk)
+        if not self.directed:
+            _check_symmetric(assemble_sparse(self))
 
     @property
     def dim(self) -> int:
@@ -140,7 +143,8 @@ class MultilayerNetwork:
 @dataclass(frozen=True, eq=False)
 class MultiplexNetwork:
     """Multiplex network: L intra-layer adjacency matrices plus uniform
-    diagonal inter-layer coupling of weight gamma >= 0."""
+    diagonal inter-layer coupling of finite weight gamma >= 0.  Layers of
+    an undirected network are symmetric."""
 
     N: int
     L: int
@@ -151,15 +155,15 @@ class MultiplexNetwork:
     def __post_init__(self):
         if self.N < 1 or self.L < 1:
             raise InputError("N and L must be positive")
-        if self.gamma < 0:
-            raise InputError("gamma must be nonnegative")
+        _check_gamma(self.gamma)
         if len(self.layers) != self.L:
             raise InputError("layer list length must equal L")
         for A in self.layers:
             if A.shape != (self.N, self.N):
                 raise InputError("every layer matrix must be N x N")
-            if A.nnz and A.data.min() <= 0:
-                raise InputError("stored weights must be strictly positive")
+            _check_weights(A)
+            if not self.directed:
+                _check_symmetric(A)
 
     @property
     def dim(self) -> int:
@@ -186,6 +190,37 @@ class MultiplexNetwork:
 
 
 Network = MultilayerNetwork | MultiplexNetwork
+
+
+def _check_weights(m) -> None:
+    if m.nnz and not (np.isfinite(m.data).all() and m.data.min() > 0):
+        raise InputError("stored weights must be strictly positive and finite")
+
+
+def _check_symmetric(m) -> None:
+    # undirected edge semantics (one candidate per pair, mirrored edits)
+    # hold only for a symmetric matrix
+    if (m != m.T).nnz:
+        raise InputError("an undirected network needs a symmetric weight matrix")
+
+
+def _check_gamma(gamma) -> None:
+    if not (0 <= gamma < math.inf):
+        raise InputError(f"gamma must be finite and nonnegative, got {gamma}")
+
+
+def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Supra-indexed COO ``(rows, cols, weights)`` of the editable arcs.
+
+    These are all stored arcs of a general network, and the intra-layer
+    arcs of a multiplex, whose gamma coupling is fixed by the model.  On
+    undirected networks both arcs of each edge are listed.
+    """
+    if isinstance(net, MultiplexNetwork):
+        coo = sp.block_diag(net.layers, format="coo")
+    else:
+        coo = assemble_sparse(net).tocoo()
+    return coo.row, coo.col, coo.data
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +253,9 @@ def _parse_weight(tok, path, lineno):
         w = float(tok)
     except ValueError:
         raise ParseError(f"bad weight {tok!r}", path, lineno) from None
-    if not w > 0:
-        raise ParseError(f"weight must be positive, got {w}", path, lineno)
+    if not 0 < w < math.inf:
+        raise ParseError(f"weight must be positive and finite, got {w}",
+                         path, lineno)
     return w
 
 
@@ -236,8 +272,7 @@ def load_multiplex(path, gamma: float, directed: bool = False) -> MultiplexNetwo
     (j, i).  Duplicate edges are a hard error rather than being summed.
     """
     path = Path(path)
-    if gamma < 0:
-        raise InputError("gamma must be nonnegative")
+    _check_gamma(gamma)
     lines = _read_edge_lines(path)
     try:
         lineno, tokens = next(lines)

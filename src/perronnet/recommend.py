@@ -5,9 +5,13 @@ impact proportional to y_a * x_b, so the best candidates pair the
 largest entries of y with the largest entries of x.  Candidates are
 ranked as unordered position pairs scored by the larger of the two
 directional products, found lazily with a frontier heap over the two
-sorted vectors instead of forming all N^2 L^2 products.  Removal
-candidates are the existing edges scanned in increasing score order,
-optionally skipping any whose removal disconnects the supra graph.
+sorted vectors instead of forming all N^2 L^2 products.  Existing
+edges (removal candidates, strengthening candidates and the removal
+baseline pool) are scored and ordered with array operations over the
+supra-indexed arc arrays of :func:`~perronnet.model.editable_arcs`;
+an ``EdgeKey`` is built only for a row that is emitted or checked.
+Removal candidates are scanned in increasing score order, optionally
+skipping any whose removal disconnects the supra graph.
 
 The experiment harness re-solves the eigenproblem exactly for each
 perturbed network (the first-order score is only an estimate) and pairs
@@ -23,8 +27,12 @@ import numpy as np
 
 from .eigen import PerronTriple, perron
 from .errors import InfeasibleError, InputError
+# perfbench/spans.py times perron, supra_operator, is_strongly_connected,
+# apply_edge_delta and sensitivity_entry by replacing these names in this
+# module, so they stay imported by name
 from .model import (EdgeKey, MultiplexNetwork, Network, apply_edge_delta,
-                    is_strongly_connected, supra_operator, unflatten_index)
+                    editable_arcs, is_strongly_connected, supra_operator,
+                    unflatten_index)
 from .sensitivity import sensitivity_entry
 
 
@@ -63,6 +71,31 @@ def _has_any_arc(net: Network, e: EdgeKey) -> bool:
     return net.weight(e) > 0 or net.weight(e.reversed()) > 0
 
 
+def _edge_at(a, b, N: int) -> EdgeKey:
+    """EdgeKey of the arc from supra position a to supra position b."""
+    i, k = unflatten_index(a, N)
+    j, l = unflatten_index(b, N)
+    return EdgeKey(i, j, k, l)
+
+
+def _tie_order(a: np.ndarray, b: np.ndarray, N: int, score=None) -> np.ndarray:
+    """Permutation sorting arcs (a, b) by ascending ``score`` when given,
+    then by the tie key (k, l, i, j)."""
+    keys = (b % N, a % N, b // N, a // N)
+    return np.lexsort(keys if score is None else keys + (score,))
+
+
+def _removable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Supra positions (a, b) of the removable edges.  An undirected
+    network lists each edge once, as its arc with a <= b: intra-layer
+    edges then read i <= j, inter-layer ones run from the lower layer."""
+    a, b, _w = editable_arcs(net)
+    if not net.directed:
+        keep = a <= b
+        a, b = a[keep], b[keep]
+    return a, b
+
+
 def rank_insertions(t: PerronTriple, net: Network, top_k: int,
                     candidate_set: str = "all", eps: float = 0.3,
                     recompute: bool = False, tol: float = 1e-10) -> list[RankedEdge]:
@@ -82,20 +115,10 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
     if candidate_set not in ("all", "absent", "existing"):
         raise InputError("candidate_set must be 'all', 'absent' or 'existing'")
 
-    N = net.N
-    found: dict = {}
-
     if candidate_set == "existing":
-        # sparse candidate pool: enumerate the stored edges directly
-        for e, _w in net.edges():
-            s = sensitivity_entry(t, e, N)
-            disp = _canonical_display(e)
-            pair = e.pair_key()
-            cur = found.get(pair)
-            if (cur is None or s > cur[0]
-                    or (s == cur[0] and _tie_key(disp) < _tie_key(cur[1]))):
-                found[pair] = (s, disp)
+        ranked = _strongest_existing(t, net, top_k)
     else:
+        found: dict = {}
         for a, b, product in _descending_products(t, net):
             if len(found) >= top_k:
                 kth = sorted(found.values(),
@@ -103,17 +126,16 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
                 kth_score = kth[top_k - 1][0]
                 if t.kappa * product < kth_score:
                     break
-            i, k = unflatten_index(a, N)
-            j, l = unflatten_index(b, N)
-            e = EdgeKey(i, j, k, l)
+            e = _edge_at(a, b, net.N)
             pair = e.pair_key()
             if pair in found:
                 continue
             if candidate_set == "absent" and _has_any_arc(net, e):
                 continue
             found[pair] = (t.kappa * product, _canonical_display(e))
+        ranked = sorted(found.values(),
+                        key=lambda se: (-se[0], _tie_key(se[1])))[:top_k]
 
-    ranked = sorted(found.values(), key=lambda se: (-se[0], _tie_key(se[1])))[:top_k]
     out = []
     for score, e in ranked:
         rho_after = None
@@ -125,6 +147,24 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
         out.append(RankedEdge(edge=e, score=score, rho_before=t.rho,
                               rho_after=rho_after))
     return out
+
+
+def _strongest_existing(t: PerronTriple, net: Network, top_k: int):
+    """Top (score, display edge) over the stored arcs, one per unordered
+    pair: the pair's best arc direction, ties going to the smaller tie key
+    of the displayed edge."""
+    N = net.N
+    a, b, _w = editable_arcs(net)
+    score = t.kappa * t.y[a] * t.x[b]
+    # intra-layer pairs display with i <= j
+    flip = (a // N == b // N) & (a > b)
+    da, db = np.where(flip, b, a), np.where(flip, a, b)
+    order = _tie_order(da, db, N, -score)
+    lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
+    pair = (lo * net.dim + hi)[order]
+    _, first = np.unique(pair, return_index=True)
+    best = order[np.sort(first)[:top_k]]
+    return [(float(score[p]), _edge_at(da[p], db[p], N)) for p in best]
 
 
 def _descending_products(t: PerronTriple, net: Network):
@@ -190,15 +230,17 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     """
     if top_k < 1:
         raise InputError("top_k must be >= 1")
-    candidates = _existing_candidates(t, net)
-    if not candidates:
+    a, b = _removable_arcs(net)
+    if not a.size:
         raise InfeasibleError("network has no removable edges")
-    candidates.sort(key=lambda se: (se[0], _tie_key(se[1])))
+    score = t.kappa * t.y[a] * t.x[b]
+    order = _tie_order(a, b, net.N, score)
 
     out = []
-    for score, e, w in candidates:
+    for p in order:
         if len(out) >= top_k:
             break
+        e = _edge_at(a[p], b[p], net.N)
         connected = None
         rho_after = None
         if require_connected or recompute:
@@ -210,27 +252,11 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
             if recompute:
                 rho_after = perron(supra_operator(mutated), tol=tol,
                                    x0=t.x, y0=t.y).rho
-        out.append(RankedEdge(edge=e, score=score, rho_before=t.rho,
+        out.append(RankedEdge(edge=e, score=float(score[p]), rho_before=t.rho,
                               rho_after=rho_after, connected_after=connected))
     if require_connected and not out:
         raise InfeasibleError("no removal leaves the network strongly connected")
     return out
-
-
-def _existing_candidates(t: PerronTriple, net: Network):
-    """(score, display_edge, weight) for each removable edge, deduplicating
-    reverse arcs of undirected networks."""
-    rows = []
-    seen = set()
-    for e, w in net.edges():
-        if not net.directed:
-            pair = e.pair_key()
-            if pair in seen:
-                continue
-            seen.add(pair)
-            e = _canonical_display(e)
-        rows.append((sensitivity_entry(t, e, net.N), e, w))
-    return rows
 
 
 def _shift_group(net: Network, e: EdgeKey, delta: float, mirror: bool) -> Network:
@@ -270,7 +296,8 @@ def _remove_group(net: Network, e: EdgeKey, mirror: bool) -> Network:
 def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
                             mode: str, baseline_count: int | None = None,
                             seed: int = 42, mirror: bool = True,
-                            tol: float = 1e-10) -> list[ExperimentRow]:
+                            tol: float = 1e-10,
+                            triple: PerronTriple | None = None) -> list[ExperimentRow]:
     """Exact re-solved root shifts for a list of edge perturbations.
 
     mode 'increase' raises weights by eps (creating absent edges),
@@ -278,13 +305,14 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
     weight), 'remove' zeroes them.  Each row carries the first-order
     score and is paired with a seeded random baseline edge given the
     same treatment.  Rows whose precondition fails are flagged, not
-    dropped.
+    dropped.  ``triple`` is the Perron triple of ``net`` when the caller
+    has already solved it; otherwise it is solved here at ``tol``.
     """
     if eps <= 0:
         raise InputError("eps must be positive")
     if mode not in ("increase", "decrease", "remove"):
         raise InputError("mode must be 'increase', 'decrease' or 'remove'")
-    t = perron(supra_operator(net), tol=tol)
+    t = triple if triple is not None else perron(supra_operator(net), tol=tol)
     if baseline_count is None:
         baseline_count = len(edges)
     baselines = _draw_baselines(t, net, mode, baseline_count, seed)
@@ -339,12 +367,12 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
     rng = np.random.default_rng(seed)
 
     if mode != "increase":
-        pool = [e for _, e, _ in _existing_candidates(t, net)]
-        pool.sort(key=_tie_key)
-        if not pool:
+        a, b = _removable_arcs(net)
+        if not a.size:
             return []
+        pool = _tie_order(a, b, net.N)
         picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
-        return [pool[int(p)] for p in picks]
+        return [_edge_at(a[pool[p]], b[pool[p]], net.N) for p in picks]
 
     if net.dim < 2 or (isinstance(net, MultiplexNetwork) and net.N < 2):
         return []
@@ -362,9 +390,7 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
             a, b = (int(v) for v in rng.integers(0, net.dim, size=2))
             if a == b:
                 continue
-            i, k = unflatten_index(a, net.N)
-            j, l = unflatten_index(b, net.N)
-            e = _canonical_display(EdgeKey(i, j, k, l))
+            e = _canonical_display(_edge_at(a, b, net.N))
         pair = e.pair_key()
         if pair in seen:
             continue

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from .eigen import PerronTriple
 from .errors import InfeasibleError, InputError
 from .model import (DEFAULT_DENSE_CAP, EdgeKey, MultiplexNetwork, Network,
-                    SupraOperator, assemble_sparse, flat_index)
+                    SupraOperator, editable_arcs, flat_index)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +332,12 @@ def structured_sensitivity_matrix(t: PerronTriple,
 def spectral_impact(net: Network, t: PerronTriple) -> sp.csr_matrix:
     """Per-existing-edge first-order removal impact -(1/rho) B o S.
 
-    For multiplex networks the Hadamard mask covers intra-layer entries
-    only: the gamma coupling is structural and not removable.  All
-    entries are <= 0; the sparsity equals that of the (masked) supra
-    matrix.
+    Computed in one pass over the supra-indexed arc arrays of
+    :func:`~perronnet.model.editable_arcs`, so for multiplex networks the
+    Hadamard mask covers intra-layer entries only: the gamma coupling is
+    structural and not removable.  All entries are <= 0; the sparsity
+    equals that of the (masked) supra matrix.
     """
-    if isinstance(net, MultiplexNetwork):
-        mask = sp.block_diag(net.layers, format="csr")
-    else:
-        mask = assemble_sparse(net)
-    coo = mask.tocoo()
-    vals = -(t.kappa / t.rho) * coo.data * t.y[coo.row] * t.x[coo.col]
-    return sp.csr_matrix((vals, (coo.row, coo.col)), shape=mask.shape)
+    rows, cols, w = editable_arcs(net)
+    vals = -(t.kappa / t.rho) * w * t.y[rows] * t.x[cols]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(net.dim, net.dim))

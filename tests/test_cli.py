@@ -1,12 +1,13 @@
 """CLI subcommands: outputs, formats, determinism, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from perronnet import demo_network_path, load_multilayer
-from perronnet import cli
+from perronnet import cli, recommend
 from perronnet.cli import main
 from perronnet.errors import ConvergenceError
 
@@ -234,6 +235,44 @@ def test_structured_rank_add_on_multiplex(capsys, tmp_path):
     for r in rows:
         i, j, k, l = (int(v) for v in r["edge"].split("-"))
         assert net.weight(EdgeKey(i, j, k, l)) > 0
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "INF_WEIGHT"),
+    ("spectrum", DEMO, "--directed", "--gamma", "nan"),
+    ("spectrum", DEMO, "--directed", "--gamma", "inf"),
+    ("spectrum", DEMO, "--directed", "--tol", "nan"),
+    ("spectrum", DEMO, "--directed", "--tol", "inf"),
+    ("sensitivity", DEMO, "--directed", "--epsilon", "nan"),
+    ("experiment", DEMO, "--directed", "--auto", "--epsilon", "inf"),
+])
+def test_non_finite_input_exits_1_at_once(capsys, tmp_path, args):
+    p = tmp_path / "inf.edges"
+    p.write_text("2 1\n1 1 2 inf\n", encoding="utf-8")
+    args = [str(p) if a == "INF_WEIGHT" else a for a in args]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "finite" in err
+
+
+def test_experiment_solves_the_base_network_once(capsys, monkeypatch):
+    cold = []
+
+    def counting(solve):
+        def wrapper(op, *args, **kwargs):
+            if kwargs.get("x0") is None:
+                cold.append(op)
+            return solve(op, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "perron", counting(cli.perron))
+    monkeypatch.setattr(recommend, "perron", counting(recommend.perron))
+    code, _, _ = run_cli(capsys, "experiment", DEMO, "--directed", "--auto",
+                         "--mode", "remove", "--top-k", "3")
+    assert code == 0
+    assert len(cold) == 1
 
 
 def test_bad_flag_values_rejected(capsys):

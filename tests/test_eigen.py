@@ -164,3 +164,28 @@ def test_dense_oracle_rejects_nonsquare():
     from perronnet import InputError
     with pytest.raises(InputError):
         perron_dense_oracle(np.zeros((2, 3)))
+
+
+def test_non_finite_iterate_fails_at_once():
+    nan_op = SupraOperator(3, lambda v: np.full(3, np.nan),
+                           lambda v: np.full(3, np.nan))
+    with pytest.raises(ConvergenceError, match="iteration 1 ") as ei:
+        perron(nan_op)
+    assert ei.value.iterations == 1
+
+
+def test_non_finite_iterate_names_its_iteration():
+    # the two-cycle converges slowly from a skewed start; its products turn
+    # to NaN from the third iteration on (call 0 is the shift estimate)
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return B @ v if len(calls) < 4 else np.full(2, np.nan)
+
+    op = SupraOperator(2, matvec, lambda v: B.T @ v)
+    with pytest.raises(ConvergenceError, match="iteration 3 ") as ei:
+        perron(op, x0=np.array([1.0, 2.0]))
+    assert ei.value.iterations == 3
+    assert len(calls) == 4

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from perronnet import (EdgeKey, InputError, ParseError,
+from perronnet import (EdgeKey, InputError, MultilayerNetwork,
+                       MultiplexNetwork, ParseError,
                        apply_edge_delta, assemble_dense, authority_operator,
                        hub_operator, is_strongly_connected, load_multilayer,
                        load_multiplex, supra_operator)
@@ -52,10 +54,13 @@ def test_load_multiplex_out_of_range(tmp_path):
 
 
 def test_load_multiplex_rejects_bad_weight(tmp_path):
-    for bad in ("0.0", "-1.0", "abc"):
+    for bad in ("0.0", "-1.0", "abc", "inf", "nan", "-inf", "1e999"):
         p = write(tmp_path, f"2 1\n1 1 2 {bad}\n")
         with pytest.raises(ParseError):
             load_multiplex(p, gamma=0.0)
+    p = write(tmp_path, "2 1\n1 1 1 2 inf\n")
+    with pytest.raises(ParseError, match="finite"):
+        load_multilayer(p)
 
 
 def test_load_multiplex_rejects_duplicates(tmp_path):
@@ -77,8 +82,23 @@ def test_load_multiplex_rejects_self_loop(tmp_path):
 
 def test_load_multiplex_rejects_negative_gamma(tmp_path):
     p = write(tmp_path, "2 1\n1 1 2 1.0\n")
-    with pytest.raises(InputError):
-        load_multiplex(p, gamma=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            load_multiplex(p, gamma=bad)
+
+
+def test_constructors_reject_non_finite_values():
+    good = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="finite"):
+            MultiplexNetwork(N=2, L=1, layers=(good,), gamma=bad,
+                             directed=False)
+        blk = sp.csr_matrix(np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(InputError, match="finite"):
+            MultiplexNetwork(N=2, L=1, layers=(blk,), gamma=1.0,
+                             directed=False)
+        with pytest.raises(InputError, match="finite"):
+            MultilayerNetwork(N=2, L=1, blocks=((blk,),), directed=True)
 
 
 def test_load_multilayer_general(tmp_path):

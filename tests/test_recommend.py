@@ -249,6 +249,15 @@ def test_experiment_validates_mode_and_eps(demo_net):
         perturbation_experiment(demo_net, [], eps=0.3, mode="sideways")
 
 
+def test_experiment_reuses_a_given_triple(demo_net):
+    t = triple_of(demo_net, tol=1e-10)
+    edges = [EdgeKey(1, 2, 1, 1), EdgeKey(2, 4, 3, 2)]
+    for mode in ("increase", "remove"):
+        solved = perturbation_experiment(demo_net, edges, 0.3, mode)
+        given = perturbation_experiment(demo_net, edges, 0.3, mode, triple=t)
+        assert given == solved
+
+
 def test_experiment_baseline_count_zero(demo_net):
     rows = perturbation_experiment(demo_net, [EdgeKey(1, 2, 1, 1)], eps=0.3,
                                    mode="increase", baseline_count=0)
