@@ -27,8 +27,8 @@ from .eigen import perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      PerronNetError)
 from .model import (DEFAULT_DENSE_CAP, EdgeKey, MultiplexNetwork,
-                    is_strongly_connected, load_multilayer, load_multiplex,
-                    supra_operator)
+                    editable_arcs, is_strongly_connected, load_multilayer,
+                    load_multiplex, supra_operator)
 from .recommend import (perturbation_experiment, rank_insertions,
                         rank_removals)
 from .sensitivity import (first_order_delta_rho, sensitivity_matrix,
@@ -288,14 +288,15 @@ def cmd_convert(cfg: RunConfig, out_path: str | None):
     if cfg.input_format != "multiplex":
         raise InputError("convert expects a multiplex input file")
     net = load_multiplex(cfg.input_path, gamma=cfg.gamma, directed=cfg.directed)
+    a, b, w = editable_arcs(net)
+    if not net.directed:  # each edge once, as its arc with i < j
+        keep = a < b
+        a, b, w = a[keep], b[keep], w[keep]
+    (k, i), (l, j) = np.divmod(a, net.N), np.divmod(b, net.N)
+    order = np.lexsort((j, l, i, k))
+    cols = (v[order].tolist() for v in (k + 1, i + 1, l + 1, j + 1, w))
     lines = [f"{net.N} {net.L}"]
-    seen = set()
-    for e, w in sorted(net.edges(), key=lambda ew: (ew[0].k, ew[0].i, ew[0].l, ew[0].j)):
-        if not net.directed:
-            if e.pair_key() in seen:
-                continue
-            seen.add(e.pair_key())
-        lines.append(f"{e.k} {e.i} {e.l} {e.j} {w:.17g}")
+    lines += [f"{k} {i} {l} {j} {w:.17g}" for k, i, l, j, w in zip(*cols)]
     if net.gamma > 0:
         for k in range(1, net.L + 1):
             for l in range(1, net.L + 1):

@@ -16,8 +16,12 @@ helpers return new values.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -225,18 +229,34 @@ def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # file loading
+#
+# A data line holds whitespace-separated tokens: decimal integer ids and a
+# weight in any spelling Python's float() accepts; only whole-line '#'
+# comments are skipped.  A file is parsed in one numpy pass when numpy's
+# reader takes it, and line by line otherwise (ids such as '1_0' or
+# non-ASCII digits, an unparsable line).  Both feed the same array checks,
+# which name the first offending line in file order.
 
 def _read_edge_lines(path):
     """Yield (line_number, tokens) for data lines; '#' comments and blanks skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split()
+        yield from _data_lines(fh)
 
 
-def _parse_header(tokens, path, lineno):
+def _data_lines(lines):
+    """(line_number, tokens) of the data lines of an iterable of lines."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line.split()
+
+
+def _parse_header(lines, path):
+    try:
+        lineno, tokens = next(lines)
+    except StopIteration:
+        raise ParseError("empty file", path) from None
     if len(tokens) != 2:
         raise ParseError("header must be 'N L'", path, lineno)
     try:
@@ -245,24 +265,176 @@ def _parse_header(tokens, path, lineno):
         raise ParseError(f"bad header: {exc}", path, lineno) from None
     if N < 1 or L < 1:
         raise ParseError("N and L must be positive", path, lineno)
-    return N, L
+    return N, L, lineno
 
 
-def _parse_weight(tok, path, lineno):
+@dataclass
+class _EdgeRows:
+    """The data rows of an edge file, before any check.
+
+    ``ids`` holds the integer columns (int64, or object when an id does
+    not fit), ``w`` the weights, and ``lineno(r)`` the file line of row r.
+    A file read line by line ends at its first unparsable line: its
+    ``error`` is raised once the rows before it pass every check, and an
+    unparsable weight keeps its row, with ``weight_error`` as the fault of
+    its weight check.
+    """
+
+    N: int
+    L: int
+    ids: np.ndarray
+    w: np.ndarray
+    lineno: Callable[[int], int]
+    error: Exception | None = None
+    weight_error: str | None = None
+
+
+def _read_edge_rows(path, nids, usage) -> _EdgeRows:
+    """Header and rows of an edge file whose data lines hold ``nids`` ids
+    and a weight; ``usage`` is the error for a wrong token count."""
     try:
-        w = float(tok)
-    except ValueError:
-        raise ParseError(f"bad weight {tok!r}", path, lineno) from None
-    if not 0 < w < math.inf:
-        raise ParseError(f"weight must be positive and finite, got {w}",
-                         path, lineno)
-    return w
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return _read_per_line(path, nids, usage)
+    N, L, header_line = _parse_header(_data_lines(io.StringIO(text)), path)
+    if _has_inline_comment(text):
+        return _read_per_line(path, nids, usage)
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" on a header-only file
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(text), comments="#",
+                              skiprows=header_line, ndmin=1,
+                              dtype=[("ids", np.int64, (nids,)),
+                                     ("w", np.float64)])
+    except (ValueError, UserWarning):
+        return _read_per_line(path, nids, usage)
+
+    def lineno(r):
+        data = islice(_data_lines(io.StringIO(text)), r + 1, None)
+        return next(data)[0]
+
+    return _EdgeRows(N, L, rows["ids"], rows["w"], lineno)
 
 
-def _check_range(val, hi, what, path, lineno):
-    if not (1 <= val <= hi):
-        raise ParseError(f"{what} {val} out of range 1..{hi}", path, lineno)
-    return val
+def _has_inline_comment(text):
+    """True when a '#' follows data on its line: numpy's reader would drop
+    it as a comment, but it is an error here."""
+    p = text.find("#")
+    while p >= 0:
+        start = text.rfind("\n", 0, p) + 1
+        if text[start:p].strip():
+            return True
+        end = text.find("\n", p)
+        p = text.find("#", end) if end >= 0 else -1
+    return False
+
+
+def _read_per_line(path, nids, usage) -> _EdgeRows:
+    lines = _read_edge_lines(path)
+    N, L, _ = _parse_header(lines, path)
+    ids, w, linenos = [], [], []
+    error = weight_error = None
+    try:
+        for lineno, tokens in lines:
+            if len(tokens) != nids + 1:
+                raise ParseError(usage, path, lineno)
+            try:
+                ids.append([int(t) for t in tokens[:nids]])
+            except ValueError as exc:
+                raise ParseError(f"bad index: {exc}", path, lineno) from None
+            linenos.append(lineno)
+            try:
+                w.append(float(tokens[nids]))
+            except ValueError:
+                w.append(math.nan)
+                weight_error = f"bad weight {tokens[nids]!r}"
+                break
+    except (ParseError, UnicodeDecodeError) as exc:
+        error = exc
+    try:
+        ids = np.array(ids, dtype=np.int64).reshape(-1, nids)
+    except OverflowError:
+        ids = np.array(ids, dtype=object).reshape(-1, nids)
+    return _EdgeRows(N, L, ids, np.array(w, dtype=np.float64),
+                     linenos.__getitem__, error, weight_error)
+
+
+def _range_checks(t: _EdgeRows, columns):
+    """Range checks of the id columns, as ``(mask, message(row))`` pairs,
+    and the ids with every out-of-range id zeroed, as int64 where they fit.
+
+    ``columns`` lists ``(column, name, upper bound)`` in the order a line
+    is checked.
+    """
+    ids = t.ids
+    out_of_range = np.zeros(ids.shape, dtype=bool)
+    checks = []
+    for c, name, hi in columns:
+        out_of_range[:, c] = (ids[:, c] < 1) | (ids[:, c] > hi)
+        checks.append((out_of_range[:, c],
+                       lambda r, c=c, name=name, hi=hi:
+                           f"{name} {int(ids[r, c])} out of range 1..{hi}"))
+    safe = np.where(out_of_range, 0, ids)
+    try:
+        safe = safe.astype(np.int64)
+    except OverflowError:  # ids in range of a header N past int64
+        pass
+    return checks, safe
+
+
+def _weight_check(t: _EdgeRows):
+    w, last = t.w, len(t.w) - 1
+
+    def message(r):
+        if t.weight_error is not None and r == last:
+            return t.weight_error
+        return f"weight must be positive and finite, got {float(w[r])}"
+
+    return ~((w > 0) & (w < math.inf)), message
+
+
+def _repeats(cols, bounds):
+    """Mask of the rows whose key, one value per column, is on an earlier
+    row; column c holds values in 0..bounds[c]."""
+    size = math.prod(b + 1 for b in bounds)
+    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
+    key = np.zeros(len(cols[0]), dtype=dtype)
+    for c, b in zip(cols, bounds):
+        key = key * (b + 1) + c.astype(dtype)
+    order = np.argsort(key)
+    s = key[order]
+    mask = np.ones(key.size, dtype=bool)
+    if key.size:  # all but the earliest row of each run of equal keys
+        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+        mask[np.minimum.reduceat(order, starts)] = False
+    return mask
+
+
+def _raise_first_fault(t: _EdgeRows, path, checks):
+    """Raise the ParseError of the earliest row failing one of ``checks``,
+    ``(mask, message(row))`` pairs in the order a line is checked, so a
+    row failing several reports the first; else the error that ended the
+    rows, if any."""
+    fault = None
+    for mask, message in checks:
+        hit = np.flatnonzero(mask)
+        if hit.size and (fault is None or hit[0] < fault[0]):
+            fault = (int(hit[0]), message)
+    if fault is not None:
+        row, message = fault
+        raise ParseError(message(row), path, t.lineno(row))
+    if t.error is not None:
+        raise t.error
+
+
+def _csr_blocks(N, block, rows, cols, w) -> dict:
+    """N x N CSR matrix of the 0-based arcs of each nonempty block, keyed
+    by block id; ``block`` gives each arc's block."""
+    order = np.argsort(block, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+    return {int(block[g[0]]): sp.csr_matrix((w[g], (rows[g], cols[g])), shape=(N, N))
+            for g in groups if g.size}
 
 
 def load_multiplex(path, gamma: float, directed: bool = False) -> MultiplexNetwork:
@@ -273,35 +445,25 @@ def load_multiplex(path, gamma: float, directed: bool = False) -> MultiplexNetwo
     """
     path = Path(path)
     _check_gamma(gamma)
-    lines = _read_edge_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", path) from None
-    N, L = _parse_header(tokens, path, lineno)
+    t = _read_edge_rows(path, 3, "expected 'layer i j weight'")
+    N, L = t.N, t.L
+    checks, ids = _range_checks(
+        t, ((0, "layer id", L), (1, "node id", N), (2, "node id", N)))
+    l, i, j = ids.T
+    pair = (i, j) if directed else (np.minimum(i, j), np.maximum(i, j))
+    checks += [
+        (i == j, lambda r: "self-loops are not allowed in multiplex layers"),
+        _weight_check(t),
+        (_repeats((l, *pair), (L, N, N)),
+         lambda r: f"duplicate edge ({i[r]},{j[r]}) in layer {l[r]}"),
+    ]
+    _raise_first_fault(t, path, checks)
 
-    entries = [dict() for _ in range(L)]
-    for lineno, tokens in lines:
-        if len(tokens) != 4:
-            raise ParseError("expected 'layer i j weight'", path, lineno)
-        try:
-            l, i, j = (int(t) for t in tokens[:3])
-        except ValueError as exc:
-            raise ParseError(f"bad index: {exc}", path, lineno) from None
-        _check_range(l, L, "layer id", path, lineno)
-        _check_range(i, N, "node id", path, lineno)
-        _check_range(j, N, "node id", path, lineno)
-        if i == j:
-            raise ParseError("self-loops are not allowed in multiplex layers", path, lineno)
-        w = _parse_weight(tokens[3], path, lineno)
-        keys = [(i - 1, j - 1)] if directed else [(i - 1, j - 1), (j - 1, i - 1)]
-        for key in keys:
-            if key in entries[l - 1]:
-                raise ParseError(
-                    f"duplicate edge ({i},{j}) in layer {l}", path, lineno)
-            entries[l - 1][key] = w
-
-    layers = tuple(_dict_to_csr(d, N) for d in entries)
+    l, i, j, w = l - 1, i - 1, j - 1, t.w
+    if not directed:
+        l, i, j, w = (np.concatenate(p) for p in ((l, l), (i, j), (j, i), (w, w)))
+    blocks = _csr_blocks(N, l, i, j, w)
+    layers = tuple(blocks.get(k, sp.csr_matrix((N, N))) for k in range(L))
     return MultiplexNetwork(N=N, L=L, layers=layers, gamma=float(gamma),
                             directed=directed)
 
@@ -310,53 +472,31 @@ def load_multilayer(path, directed: bool = False) -> MultilayerNetwork:
     """Load a general multilayer edge list: header 'N L', then lines
     'k i l j weight' for the edge (node i, layer k) -> (node j, layer l)."""
     path = Path(path)
-    lines = _read_edge_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", path) from None
-    N, L = _parse_header(tokens, path, lineno)
+    t = _read_edge_rows(path, 4, "expected 'k i l j weight'")
+    N, L = t.N, t.L
+    checks, ids = _range_checks(t, ((0, "layer id", L), (2, "layer id", L),
+                                    (1, "node id", N), (3, "node id", N)))
+    k, i, l, j = ids.T
+    key = (k, i, l, j)
+    if not directed:  # the edge's node-layer pairs, smaller first
+        swap = (k > l) | ((k == l) & (i > j))
+        key = (np.where(swap, l, k), np.where(swap, j, i),
+               np.where(swap, k, l), np.where(swap, i, j))
+    checks += [
+        _weight_check(t),
+        (_repeats(key, (L, N, L, N)),
+         lambda r: f"duplicate edge ({i[r]},{k[r]})->({j[r]},{l[r]})"),
+    ]
+    _raise_first_fault(t, path, checks)
 
-    entries = {}
-    for lineno, tokens in lines:
-        if len(tokens) != 5:
-            raise ParseError("expected 'k i l j weight'", path, lineno)
-        try:
-            k, i, l, j = (int(t) for t in tokens[:4])
-        except ValueError as exc:
-            raise ParseError(f"bad index: {exc}", path, lineno) from None
-        _check_range(k, L, "layer id", path, lineno)
-        _check_range(l, L, "layer id", path, lineno)
-        _check_range(i, N, "node id", path, lineno)
-        _check_range(j, N, "node id", path, lineno)
-        w = _parse_weight(tokens[4], path, lineno)
-        key, rkey = (k, i, l, j), (l, j, k, i)
-        if key in entries or (not directed and rkey in entries):
-            raise ParseError(
-                f"duplicate edge ({i},{k})->({j},{l})", path, lineno)
-        entries[key] = w
-        if not directed and rkey != key:
-            entries[rkey] = w
-
-    return _multilayer_from_entries(N, L, entries, directed)
-
-
-def _dict_to_csr(d, N):
-    if not d:
-        return sp.csr_matrix((N, N))
-    rows, cols, vals = zip(*((r, c, w) for (r, c), w in d.items()))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
-
-
-def _multilayer_from_entries(N, L, entries, directed):
-    per_block = [[dict() for _ in range(L)] for _ in range(L)]
-    for (k, i, l, j), w in entries.items():
-        per_block[k - 1][l - 1][(i - 1, j - 1)] = w
-    blocks = tuple(
-        tuple(_dict_to_csr(d, N) if d else None for d in row)
-        for row in per_block
-    )
-    return MultilayerNetwork(N=N, L=L, blocks=blocks, directed=directed)
+    k, i, l, j, w = k - 1, i - 1, l - 1, j - 1, t.w
+    if not directed:
+        rev = (k != l) | (i != j)
+        k, i, l, j, w = (np.concatenate((a, b[rev]))
+                         for a, b in ((k, l), (i, j), (l, k), (j, i), (w, w)))
+    blocks = _csr_blocks(N, k * L + l, i, j, w)
+    grid = tuple(tuple(blocks.get(a * L + b) for b in range(L)) for a in range(L))
+    return MultilayerNetwork(N=N, L=L, blocks=grid, directed=directed)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +634,13 @@ def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
 
 def _bump(A, r, c, delta, mirror=False):
     """Return csr copy of A with entry (r, c) [and (c, r)] changed by delta."""
-    A = A.tolil(copy=True)
-    for rr, cc in ((r, c), (c, r)) if (mirror and r != c) else ((r, c),):
-        new = A[rr, cc] + delta
+    cells = ((r, c), (c, r)) if (mirror and r != c) else ((r, c),)
+    for rr, cc in cells:
+        new = float(A[rr, cc]) + delta
         if new < 0:
             raise InputError(
                 f"edge weight would become negative ({new}) at ({rr + 1},{cc + 1})")
-        A[rr, cc] = new
-    out = A.tocsr()
+    rows, cols = zip(*cells)
+    out = A + sp.csr_matrix(([delta] * len(cells), (rows, cols)), shape=A.shape)
     out.eliminate_zeros()
     return out

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import PerronTriple, perron
-from .errors import InfeasibleError, InputError
+from .errors import ConvergenceError, InfeasibleError, InputError
 # perfbench/spans.py times perron, supra_operator, is_strongly_connected,
 # apply_edge_delta and sensitivity_entry by replacing these names in this
 # module, so they stay imported by name
@@ -304,9 +304,10 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
     'decrease' lowers existing weights by eps (eps must stay below the
     weight), 'remove' zeroes them.  Each row carries the first-order
     score and is paired with a seeded random baseline edge given the
-    same treatment.  Rows whose precondition fails are flagged, not
-    dropped.  ``triple`` is the Perron triple of ``net`` when the caller
-    has already solved it; otherwise it is solved here at ``tol``.
+    same treatment.  Rows whose precondition fails, or whose re-solve
+    does not converge, are flagged, not dropped.  ``triple`` is the
+    Perron triple of ``net`` when the caller has already solved it;
+    otherwise it is solved here at ``tol``.
     """
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -350,7 +351,7 @@ def _resolve_row(net, e, eps, mode, mirror, tol, t):
                 mutated = _remove_group(net, e, mirror)
         # warm start from the unperturbed Perron pair
         return perron(supra_operator(mutated), tol=tol, x0=t.x, y0=t.y).rho, None
-    except InputError as exc:
+    except (InputError, ConvergenceError) as exc:
         return None, str(exc)
 
 

@@ -282,3 +282,23 @@ def test_bad_flag_values_rejected(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "spectrum", DEMO, "--top-k", "0")
     assert code == 1
+
+
+def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,
+                                                               monkeypatch):
+    def failing_warm(op, *args, x0=None, **kwargs):
+        if x0 is not None:
+            raise ConvergenceError("no convergence after 7 iterations",
+                                   iterations=7, residuals=(1.0,))
+        return cli.perron(op, *args, **kwargs)
+
+    monkeypatch.setattr(recommend, "perron", failing_warm)
+    code, out, _ = run_cli(capsys, "experiment", DEMO, "--directed", "--auto",
+                           "--mode", "remove", "--top-k", "2",
+                           "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["rho_new"] is None and row["random_rho_new"] is None
+        assert row["note"] == "no convergence after 7 iterations"

@@ -12,8 +12,9 @@ import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InfeasibleError, InputError,
                        MultilayerNetwork, MultiplexNetwork, assemble_sparse,
-                       is_strongly_connected, perron, rank_insertions,
-                       rank_removals, sensitivity_entry, supra_operator)
+                       cli, is_strongly_connected, load_multiplex, perron,
+                       rank_insertions, rank_removals, sensitivity_entry,
+                       supra_operator)
 from perronnet.model import editable_arcs
 from perronnet.recommend import _draw_baselines, _remove_group
 
@@ -230,3 +231,44 @@ def test_undirected_networks_must_be_symmetric():
                       directed=True)
     MultilayerNetwork(N=2, L=2, blocks=((None, blk), (blk.T.tocsr(), None)),
                       directed=False)
+
+
+# ---------------------------------------------------------------------------
+# convert
+
+def ref_convert_lines(net):
+    """Edge lines of ``convert``: stored edges sorted by (k, i, l, j), one
+    arc per pair on undirected networks."""
+    lines, seen = [], set()
+    for e, w in sorted(net.edges(), key=lambda ew: (ew[0].k, ew[0].i,
+                                                    ew[0].l, ew[0].j)):
+        if not net.directed:
+            if e.pair_key() in seen:
+                continue
+            seen.add(e.pair_key())
+        lines.append(f"{e.k} {e.i} {e.l} {e.j} {w:.17g}")
+    return lines
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_convert_matches_reference_walk(capsys, tmp_path, directed, gamma):
+    net = random_multiplex_net(107, N=6, L=3, gamma=1.0, density=0.5,
+                               directed=directed)
+    rows = [f"{e.k} {e.i} {e.j} {w!r}" for e, w in net.edges()
+            if directed or e.i < e.j]
+    np.random.default_rng(0).shuffle(rows)
+    path = tmp_path / "m.edges"
+    path.write_text("6 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    args = ["convert", str(path), "--gamma", str(gamma)]
+    assert cli.main(args + (["--directed"] if directed else [])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    loaded = load_multiplex(path, gamma=gamma, directed=directed)
+    edges = ref_convert_lines(loaded)
+    assert len(edges) == (net.edge_count() if directed
+                          else net.edge_count() // 2)
+    assert lines[0] == "6 3"
+    assert lines[1:1 + len(edges)] == edges
+    coupling = lines[1 + len(edges):]
+    assert len(coupling) == (0 if gamma == 0 else
+                             6 * (6 if directed else 3))

@@ -10,6 +10,7 @@ from perronnet import (EdgeKey, InputError, MultilayerNetwork,
                        hub_operator, is_strongly_connected, load_multilayer,
                        load_multiplex, supra_operator)
 from perronnet.errors import DenseCapError
+from perronnet.model import _bump
 
 from conftest import (bfs_strongly_connected, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
@@ -302,6 +303,40 @@ def test_apply_edge_delta_undirected_general_mirrors(tmp_path):
     B = assemble_dense(m)
     assert np.array_equal(B, B.T)
     assert m.weight(EdgeKey(2, 1, 2, 1)) == pytest.approx(1.0)
+
+
+def _bump_via_lil(A, r, c, delta, mirror):
+    """Reference edit: the same sums on a LIL copy of the block."""
+    A = A.tolil(copy=True)
+    for rr, cc in ((r, c), (c, r)) if (mirror and r != c) else ((r, c),):
+        A[rr, cc] = A[rr, cc] + delta
+    out = A.tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+def test_bump_matches_lil_reference_bitwise():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        D = (rng.random((n, n)) < 0.5) * rng.uniform(0.1, 2.0, (n, n))
+        A = sp.csr_matrix(D)
+        r, c = (int(v) for v in rng.integers(0, n, size=2))
+        mirror = bool(rng.random() < 0.5)
+        w = float(A[r, c])
+        delta = float(rng.choice([-w or 0.5, -0.5 * w or 0.25,
+                                  rng.uniform(0.01, 1.0)]))
+        if min(w, float(A[c, r]) if mirror else w) + delta < 0:
+            with pytest.raises(InputError, match="negative"):
+                _bump(A, r, c, delta, mirror)
+            continue
+        got, want = _bump(A, r, c, delta, mirror), _bump_via_lil(A, r, c, delta, mirror)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        checked += 1
+    assert checked > 300
 
 
 # ---------------------------------------------------------------------------
