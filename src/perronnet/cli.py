@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,10 +79,20 @@ def _resolve_path(raw: str) -> Path:
     raise InputError(f"input file not found: {raw}")
 
 
+@contextmanager
+def _decoded(path: Path):
+    """Report input bytes that are not UTF-8 as an input error naming the
+    file, instead of letting UnicodeDecodeError through."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _sniff_format(path: Path) -> str:
     """Infer the edge-list flavor from the first data line after the header:
     4 columns -> multiplex, 5 -> general multilayer."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _decoded(path), open(path, "r", encoding="utf-8") as fh:
         seen_header = False
         for line in fh:
             line = line.strip()
@@ -100,10 +111,11 @@ def _sniff_format(path: Path) -> str:
 
 
 def load_network(cfg: RunConfig):
-    if cfg.input_format == "multiplex":
-        return load_multiplex(cfg.input_path, gamma=cfg.gamma,
-                              directed=cfg.directed)
-    return load_multilayer(cfg.input_path, directed=cfg.directed)
+    with _decoded(cfg.input_path):
+        if cfg.input_format == "multiplex":
+            return load_multiplex(cfg.input_path, gamma=cfg.gamma,
+                                  directed=cfg.directed)
+        return load_multilayer(cfg.input_path, directed=cfg.directed)
 
 
 def _solve(cfg: RunConfig, net):
@@ -223,7 +235,7 @@ def cmd_rank(cfg: RunConfig, mode: str):
 
 def _parse_edges_file(path: Path, multiplex: bool) -> list[EdgeKey]:
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _decoded(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -91,6 +91,14 @@ def perron_communicability(t: PerronTriple, N: int, L: int) -> CommunicabilityRe
     denom = float(np.linalg.norm(c_Y) * np.linalg.norm(c_X))
     cos_phi = float(c_Y @ c_X) / denom if denom > 0 else 1.0
     cos_phi = min(1.0, max(-1.0, cos_phi))
+    # acos is ill-conditioned near cos_phi = 1 (it turns a one-ulp error
+    # into phi ~ 1.5e-8); the half-angle form gives phi = 0 for c_Y = c_X
+    phi = 0.0
+    if denom > 0:
+        a = c_Y / np.linalg.norm(c_Y)
+        b = c_X / np.linalg.norm(c_X)
+        phi = 2.0 * math.atan2(float(np.linalg.norm(a - b)),
+                               float(np.linalg.norm(a + b)))
     nl = N * L
     return CommunicabilityReport(
         c_pn=c_pn,
@@ -99,7 +107,7 @@ def perron_communicability(t: PerronTriple, N: int, L: int) -> CommunicabilityRe
         upper_cos=nl * ex * cos_phi,
         c_Y=c_Y,
         c_X=c_X,
-        phi=math.acos(cos_phi),
+        phi=phi,
         versatility=versatility(e),
     )
 

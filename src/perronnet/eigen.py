@@ -4,11 +4,15 @@ The dominant eigenpair problem
 
     B x = rho x,    y^T B = rho y^T,
 
-is solved by two-sided power iteration on the matrix-free operator; a
-dense full eigendecomposition is available as an independent oracle for
-small instances.  Vectors are normalized to unit Euclidean norm with all
-entries positive, so the condition number of the root is
-kappa = 1 / (y^T x) = 1 / cos(theta).
+is solved matrix-free by ARPACK's implicitly restarted Arnoldi method
+(Lehoucq, Sorensen and Yang, 1998) through ``scipy.sparse.linalg.eigs``:
+once on B for x and once on B^T for y, except that an x which already
+solves the left problem (every symmetric operator) is taken as y.
+Operators of order < 3, which ARPACK cannot take, use a two-sided power
+iteration.  A dense full eigendecomposition is available as an
+independent oracle for small instances.  Vectors are normalized to unit
+Euclidean norm with all entries positive, so the condition number of
+the root is kappa = 1 / (y^T x) = 1 / cos(theta).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .errors import ConvergenceError, InputError
 from .model import SupraOperator
@@ -34,7 +39,9 @@ class PerronTriple:
 
     rho is the spectral radius, x / y the right / left unit-norm positive
     eigenvectors, kappa = 1/(y^T x) the eigenvalue condition number.
-    residuals holds the final (right, left) residual norms.
+    residuals holds the final (right, left) residual norms, iterations
+    the number of operator products the solver made (power-iteration
+    steps for operators of order < 3; 0 for the dense oracle).
     """
 
     rho: float
@@ -76,29 +83,144 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+class _Products:
+    """Operator products, counted against a budget of ``max_iter``; a
+    non-finite product fails at once, naming its number."""
+
+    def __init__(self, op: SupraOperator, max_iter: int):
+        self.op = op
+        self.max_iter = max_iter
+        self.count = 0
+        self.residuals = (math.inf, math.inf)
+
+    def _apply(self, f, v: np.ndarray) -> np.ndarray:
+        if self.count >= self.max_iter:
+            raise ConvergenceError(
+                f"no convergence after {self.max_iter} operator products "
+                f"(residuals {self.residuals[0]:.3e}/{self.residuals[1]:.3e})",
+                iterations=self.max_iter, residuals=self.residuals)
+        self.count += 1
+        out = f(v)
+        if not np.isfinite(out).all():
+            raise ConvergenceError(
+                f"non-finite iterate at iteration {self.count} (operator "
+                f"product {self.count} holds inf or NaN): the operator or a "
+                "start vector holds inf or NaN, or its products overflow",
+                iterations=self.count, residuals=self.residuals)
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(self.op.matvec, v)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        return self._apply(self.op.rmatvec, v)
+
+    def fail(self, message: str) -> ConvergenceError:
+        return ConvergenceError(message, iterations=self.count,
+                                residuals=self.residuals)
+
+
+def _dominant(apply, start: np.ndarray, tol: float,
+              prod: _Products) -> tuple[np.ndarray, np.ndarray]:
+    """Unit nonnegative dominant eigenvector v of ``apply`` (a product with
+    B or B^T) and its image apply(v).  The unit start vector is returned
+    as it is when its residual is already within tol * max(1, rho);
+    otherwise ARPACK starts from it, with relative tolerance ``tol``
+    (0: machine precision).  The explicit ``v0`` and the fixed ``rng``
+    (drawn from only when a Krylov space closes early) keep every run
+    deterministic."""
+    image = apply(start)
+    rho = float(start @ image)
+    if np.linalg.norm(image - rho * start) <= tol * max(1.0, abs(rho)):
+        return start, image
+    n = start.size
+    A = LinearOperator((n, n), matvec=apply, dtype=float)
+    try:
+        _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
+                       maxiter=prod.max_iter, rng=0)
+    except ArpackError as exc:
+        raise prod.fail(f"ARPACK failed after {prod.count} operator "
+                        f"products: {exc}") from exc
+    try:
+        vec = _fix_sign(vecs[:, 0].real)
+    except ConvergenceError as exc:
+        raise prod.fail(str(exc)) from None
+    return vec, apply(vec)
+
+
 def perron(op: SupraOperator, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
            y0: np.ndarray | None = None) -> PerronTriple:
-    """Two-sided power iteration for the Perron triple of ``op``.
+    """Perron triple of ``op`` by ARPACK, on B for x and on B^T for y.
 
-    Both iterates start from the strictly positive vector 1/sqrt(NL)
+    Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
     vectors x0/y0 are supplied, e.g. the Perron pair of a nearby
-    operator.  The iteration runs on the diagonally shifted operator
-    B + sigma*I (sigma = half the largest row sum), which has the same
-    Perron vectors but a strictly dominant root even for periodic
-    graphs, whose supra spectra contain further eigenvalues of modulus
-    rho.  The root estimate is the two-sided Rayleigh quotient
-    y^T B x / (y^T x); convergence requires both residual norms and the
-    root change to fall below tol * max(1, rho).
+    operator.  ARPACK seeks the eigenvalue of largest real part, which
+    for a nonnegative irreducible operator is the Perron root even when
+    the spectrum holds further eigenvalues of modulus rho (periodic
+    graphs).  The root is the two-sided Rayleigh quotient
+    y^T B x / (y^T x), and the triple is returned only when both residual
+    norms, computed from fresh products, are within tol * max(1, rho).
+    ``iterations`` counts operator products and ``max_iter`` bounds them;
+    operators of order < 3 use :func:`_power_iteration`, whose steps they
+    count instead.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     n = op.dim
-    sigma = 0.5 * float(np.max(op.matvec(np.ones(n))))
     u = _start_vector(x0, n)
     v = u.copy() if y0 is None and x0 is None else _start_vector(y0, n)
+    if n < 3:
+        return _power_iteration(op, tol, max_iter, u, v)
+    prod = _Products(op, max_iter)
+    for arpack_tol in (tol, 0.0):
+        x, w = _dominant(prod.matvec, u, arpack_tol, prod)
+        rho = float(x @ w)
+        bound = tol * max(1.0, abs(rho))
+        z = prod.rmatvec(x)
+        if np.linalg.norm(z - rho * x) <= bound:
+            y = x  # x also solves the left problem, e.g. B symmetric
+        else:
+            y, z = _dominant(prod.rmatvec, v, arpack_tol, prod)
+        yx = float(y @ x)
+        if yx <= 0:
+            raise prod.fail(
+                "left and right Perron vectors are orthogonal (y^T x = 0): "
+                "the operator is likely reducible")
+        rho = float(y @ w) / yx
+        bound = tol * max(1.0, abs(rho))
+        res_r = float(np.linalg.norm(w - rho * x))
+        res_l = float(np.linalg.norm(z - rho * y))
+        prod.residuals = (res_r, res_l)
+        if res_r <= bound and res_l <= bound:
+            return PerronTriple(rho=rho, x=x, y=y, kappa=1.0 / yx,
+                                residuals=(res_r, res_l),
+                                iterations=prod.count)
+        # each side met its own bound, or ARPACK's residual estimate was
+        # too optimistic: solve both again from the current vectors, to
+        # machine precision
+        u, v = x, y
+    raise prod.fail(
+        f"residuals {res_r:.3e}/{res_l:.3e} above {bound:.3e} at machine "
+        f"precision (rho ~ {rho:.6g}, kappa ~ {1.0 / yx:.3g}): the root is "
+        "ill-conditioned or not simple, or the operator is reducible")
+
+
+def _power_iteration(op: SupraOperator, tol: float, max_iter: int,
+                     u: np.ndarray, v: np.ndarray) -> PerronTriple:
+    """Two-sided power iteration from the unit start vectors u/v.
+
+    The iteration runs on the diagonally shifted operator B + sigma*I
+    (sigma = half the largest row sum), which has the same Perron vectors
+    but a strictly dominant root even for periodic graphs.  The root
+    estimate is the two-sided Rayleigh quotient y^T B x / (y^T x);
+    convergence requires both residual norms and the root change to fall
+    below tol * max(1, rho).
+    """
+    n = op.dim
+    sigma = 0.5 * float(np.max(op.matvec(np.ones(n))))
     rho_prev = np.inf
     rho = 0.0
     res_r = res_l = np.inf

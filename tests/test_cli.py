@@ -1,11 +1,15 @@
 """CLI subcommands: outputs, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import perronnet
 from perronnet import demo_network_path, load_multilayer
 from perronnet import cli, recommend
 from perronnet.cli import main
@@ -302,3 +306,100 @@ def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,
     for row in rows:
         assert row["rho_new"] is None and row["random_rho_new"] is None
         assert row["note"] == "no convergence after 7 iterations"
+
+
+def test_experiment_on_a_directed_ring_flags_every_row_at_once(capsys,
+                                                                 tmp_path):
+    # removing any arc of a directed ring leaves a path, whose left and
+    # right Perron vectors are orthogonal: no re-solve can succeed
+    p = tmp_path / "ring.edges"
+    p.write_text("5 1\n" + "".join(f"1 {i} {i % 5 + 1} 1.0\n"
+                                    for i in range(1, 6)), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "experiment", str(p), "--directed",
+                           "--auto", "--mode", "remove", "--format", "json")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        assert row["rho_new"] is None and row["random_rho_new"] is None
+        assert "orthogonal" in row["note"] and "reducible" in row["note"]
+
+
+UNDECODABLE = b"3 1\n1 1 \xff 1.0\n1 2 3 1.0\n"
+
+
+def test_undecodable_input_while_sniffing_is_input_error(capsys, tmp_path,
+                                                         monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the format sniffer should have failed first")
+
+    monkeypatch.setattr(cli, "load_multiplex", not_reached)
+    monkeypatch.setattr(cli, "load_multilayer", not_reached)
+    p = tmp_path / "bad.edges"
+    p.write_bytes(UNDECODABLE)
+    code, out, err = run_cli(capsys, "spectrum", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["multiplex", "multilayer"])
+def test_undecodable_input_while_loading_is_input_error(capsys, tmp_path,
+                                                        fmt):
+    p = tmp_path / "bad.edges"
+    p.write_bytes(UNDECODABLE)
+    code, out, err = run_cli(capsys, "spectrum", str(p),
+                             "--input-format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def _determinism_inputs(tmp_path):
+    """The demo, two coupled all-equal directed rings (uniform Perron
+    vectors, so every score ties) and a multiplex of complete bipartite
+    layers, whose uniform start vector spans a Krylov space of dimension
+    two."""
+    ring = tmp_path / "ring.edges"
+    ring.write_text("6 2\n" + "".join(f"{k} {i} {i % 6 + 1} 1.0\n"
+                                      for k in (1, 2) for i in range(1, 7)),
+                    encoding="utf-8")
+    kbip = tmp_path / "kbip.edges"
+    kbip.write_text("8 2\n" + "".join(f"{k} {i} {j} 1.0\n"
+                                      for k in (1, 2) for i in range(1, 4)
+                                      for j in range(4, 9)),
+                    encoding="utf-8")
+    return [[DEMO, "--directed"], [str(ring), "--directed"], [str(kbip)]]
+
+
+def test_json_output_is_byte_identical_across_runs_and_interpreters(
+        capsys, tmp_path):
+    argvs = [[*cmd, *src, "--format", "json"]
+             for src in _determinism_inputs(tmp_path)
+             for cmd in (["spectrum"], ["sensitivity"],
+                         ["rank", "remove", "--recompute"])]
+    here = []
+    for argv in argvs:
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run_cli(capsys, *argv) == first
+        here.append(first[1])
+    script = ("import contextlib, io, json, sys\n"
+              "from perronnet.cli import main\n"
+              "outs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        main(argv)\n"
+              "    outs.append(buf.getvalue())\n"
+              "sys.stdout.write(json.dumps(outs))\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(perronnet.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env,
+                           check=True, timeout=120)
+    assert json.loads(fresh.stdout) == here

@@ -95,6 +95,17 @@ def test_undirected_symmetry_properties():
     assert rep.upper_cos == pytest.approx(rep.upper_basic, rel=1e-8)
 
 
+def test_phi_is_exact_at_zero_and_away_from_it():
+    # x = y gives equal marginals, whose angle is 0 exactly; acos of their
+    # rounded cosine read about 1.5e-8 for some of these vectors
+    for seed in range(10):
+        x = np.random.default_rng(seed).uniform(0.1, 1.0, 6)
+        x /= np.linalg.norm(x)
+        assert perron_communicability(fake_triple(x, x), 2, 3).phi == 0.0
+    rep = perron_communicability(fake_triple([0.6, 0.8], [1.0, 0.0]), 1, 2)
+    assert rep.phi == pytest.approx(math.acos(0.6), rel=1e-15)
+
+
 def test_monolayer_reduces_to_l1_norms():
     net, _ = random_general_net(6, N=7, L=1)
     t = triple_of(net)

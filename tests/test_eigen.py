@@ -1,19 +1,50 @@
-"""Two-sided iteration vs dense oracle, triple invariants, edge cases."""
+"""Perron solver vs dense oracle, triple invariants, edge cases."""
+
+import time
 
 import numpy as np
 import pytest
 
-from perronnet import (ConvergenceError, condition_number, perron,
-                       perron_dense_oracle, supra_operator)
+from perronnet import (ConvergenceError, assemble_dense, condition_number,
+                       perron, perron_dense_oracle, supra_operator)
 from perronnet.model import SupraOperator
 
-from conftest import (dense_perron_pair, random_general_net,
+from conftest import (dense_perron_pair, multilayer_from_dense,
+                      multiplex_from_layers, random_general_net,
                       random_multiplex_net)
 
 
 def op_from_dense(B):
     B = np.asarray(B, dtype=float)
     return SupraOperator(B.shape[0], lambda v: B @ v, lambda v: B.T @ v)
+
+
+def counted(op):
+    """``op`` with a list that grows by one per operator product."""
+    calls = []
+
+    def matvec(v):
+        calls.append("B")
+        return op.matvec(v)
+
+    def rmatvec(v):
+        calls.append("B^T")
+        return op.rmatvec(v)
+
+    return SupraOperator(op.dim, matvec, rmatvec), calls
+
+
+def assert_valid_triple(t, B, tol=1e-10):
+    """Unit nonnegative vectors whose residuals, recomputed here, meet the
+    solver's bound."""
+    B = np.asarray(B, dtype=float)
+    scale = tol * max(1.0, t.rho)
+    for v in (t.x, t.y):
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert (v >= 0).all()
+    assert np.linalg.norm(B @ t.x - t.rho * t.x) <= 1.01 * scale
+    assert np.linalg.norm(B.T @ t.y - t.rho * t.y) <= 1.01 * scale
+    assert t.kappa == pytest.approx(1.0 / float(t.y @ t.x), rel=1e-12)
 
 
 def test_two_cycle_exact():
@@ -189,3 +220,171 @@ def test_non_finite_iterate_names_its_iteration():
         perron(op, x0=np.array([1.0, 2.0]))
     assert ei.value.iterations == 3
     assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
+# spectra that are hard for the solver, against the dense oracle
+
+def periodic_multilayer_cycle():
+    # one directed cycle through all 40 node-layers, uneven weights: the
+    # spectrum is rho * omega^k for the 40 roots of unity omega^k, more
+    # than ARPACK's 20 basis vectors hold
+    n = 40
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(n)
+    B = np.zeros((n, n))
+    B[perm, np.roll(perm, -1)] = rng.uniform(0.5, 1.5, n)
+    return B, multilayer_from_dense(B, N=10, L=4, directed=True)
+
+
+def bipartite_multiplex():
+    # both layers join only nodes of different parity and the coupling
+    # joins two layers, so the supra graph is bipartite and -rho is an
+    # eigenvalue
+    N = 8
+    rng = np.random.default_rng(8)
+    layers = []
+    for _ in range(2):
+        A = np.zeros((N, N))
+        for i in range(N):
+            for j in range(i + 1, N, 2):
+                if j == i + 1 or rng.random() < 0.5:
+                    A[i, j] = A[j, i] = rng.uniform(0.5, 1.5)
+        layers.append(A)
+    net = multiplex_from_layers(layers, gamma=0.6)
+    return assemble_dense(net), net
+
+
+@pytest.mark.parametrize("make", [periodic_multilayer_cycle,
+                                  bipartite_multiplex])
+def test_spectral_circle_inputs_match_dense_oracle(make):
+    B, net = make()
+    t = perron(supra_operator(net))
+    oracle = perron_dense_oracle(B)
+    others = np.linalg.eigvals(B)
+    on_circle = np.abs(np.abs(others) - oracle.rho) <= 1e-9 * oracle.rho
+    assert on_circle.sum() >= 2  # the root is not alone on |z| = rho
+    assert t.rho == pytest.approx(oracle.rho, rel=1e-10)
+    assert np.abs(t.x - oracle.x).max() < 1e-8
+    assert np.abs(t.y - oracle.y).max() < 1e-8
+    assert_valid_triple(t, B)
+
+
+def test_tiny_gap_between_two_dense_layers():
+    # two equal dense layers coupled by gamma: the two leading eigenvalues
+    # are rho_A + gamma and rho_A - gamma
+    gamma, N = 1e-6, 10
+    rng = np.random.default_rng(9)
+    A = np.triu(rng.uniform(0.5, 1.5, (N, N)), 1)
+    A = A + A.T
+    net = multiplex_from_layers([A, A], gamma=gamma)
+    B = assemble_dense(net)
+    t = perron(supra_operator(net))
+    oracle = perron_dense_oracle(B)
+    lead = np.sort(np.linalg.eigvalsh(B))[-2:]
+    assert lead[1] - lead[0] == pytest.approx(2 * gamma, rel=1e-6)
+    assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
+    # eigenvector error <= residual / gap
+    bound = 1e-10 * oracle.rho / (2 * gamma)
+    assert np.abs(t.x - oracle.x).max() <= bound
+    assert np.abs(t.y - oracle.y).max() <= bound
+    assert_valid_triple(t, B)
+
+
+def test_ill_conditioned_root_meets_the_residual_bound():
+    # a 20-node directed ring whose return arc weighs 1e-9: kappa ~ 2e7,
+    # and Perron entries spanning nine decades
+    n, w = 20, 1e-9
+    B = np.diag(np.ones(n - 1), 1)
+    B[n - 1, 0] = w
+    t = perron(op_from_dense(B))
+    assert t.rho == pytest.approx(w ** (1 / n), rel=1e-12)
+    assert t.kappa > 1e7
+    assert_valid_triple(t, B)
+
+
+def directed_path(n=6):
+    return np.diag(np.ones(n - 1), 1)  # nilpotent: every eigenvalue is 0
+
+
+def ring_minus_one_arc(n=12):
+    B = np.roll(np.eye(n), 1, axis=1)
+    B[n - 1, 0] = 0.0
+    return B
+
+
+def two_components_one_way():
+    # a 3-cycle of weight 2 feeding a 3-cycle of weight 1
+    B = np.zeros((6, 6))
+    B[:3, :3] = 2 * np.roll(np.eye(3), 1, axis=1)
+    B[3:, 3:] = np.roll(np.eye(3), 1, axis=1)
+    B[0, 3] = 1.0
+    return B
+
+
+@pytest.mark.parametrize("make", [directed_path, ring_minus_one_arc,
+                                  two_components_one_way])
+def test_reducible_operator_fails_fast_or_returns_valid_triple(make):
+    B = make()
+    t0 = time.perf_counter()
+    try:
+        t = perron(op_from_dense(B))
+    except ConvergenceError as exc:
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.iterations is not None and exc.residuals is not None
+        return
+    assert_valid_triple(t, B)
+
+
+def test_regular_graph_returns_its_start_vector():
+    # every node-layer of two equal rings coupled by gamma has the same
+    # row sum, so the uniform start vector is the Perron vector
+    R = np.roll(np.eye(8), 1, axis=1)
+    net = multiplex_from_layers([R + R.T, R + R.T], gamma=0.5)
+    op, calls = counted(supra_operator(net))
+    t = perron(op)
+    assert t.iterations == len(calls) <= 2
+    assert t.rho == pytest.approx(2.5, rel=1e-15)
+    assert np.array_equal(t.x, np.full(16, 16 ** -0.5))
+    assert np.array_equal(t.y, t.x)
+
+
+def test_exact_warm_start_needs_one_product_per_side(demo_net):
+    cold = perron(supra_operator(demo_net))
+    op, calls = counted(supra_operator(demo_net))
+    warm = perron(op, x0=cold.x, y0=cold.y)
+    assert warm.iterations == len(calls) <= 3
+    assert warm.rho == pytest.approx(cold.rho, rel=1e-12)
+
+
+def test_warm_start_from_nearby_operator_needs_fewer_products():
+    net, B = random_general_net(31, N=40, L=3, density=0.05)
+    base = perron(supra_operator(net))
+    B2 = B.copy()
+    a, b = np.argwhere(B2 > 0)[0]
+    B2[a, b] *= 1.1
+    op, calls = counted(op_from_dense(B2))
+    cold = perron(op)
+    assert cold.iterations == len(calls)
+    warm = perron(op_from_dense(B2), x0=base.x, y0=base.y)
+    assert warm.iterations < cold.iterations
+    assert warm.rho == pytest.approx(cold.rho, rel=1e-10)
+    assert_valid_triple(warm, B2)
+
+
+def test_symmetric_operator_solves_one_side():
+    net = random_multiplex_net(5, N=30, L=2, gamma=1.0, directed=False)
+    op, calls = counted(supra_operator(net))
+    t = perron(op)
+    assert np.array_equal(t.x, t.y)
+    # products with B^T only check x against the left problem
+    assert calls.count("B^T") == 1
+
+
+def test_cold_solve_product_count_guard():
+    # the benchmark's shape: N=2000, L=4, about 6 edges per node and layer
+    net = random_multiplex_net(12, N=2000, L=4, gamma=1.0, density=0.003)
+    t = perron(supra_operator(net))
+    assert t.iterations <= 100
+    assert (t.x > 0).all()
+
