@@ -11,15 +11,12 @@ from .eigen import PerronTriple, condition_number, perron, perron_dense_oracle
 from .errors import (ConvergenceError, DenseCapError, InfeasibleError,
                      InputError, ParseError, PerronNetError)
 from .model import (EdgeKey, MultilayerNetwork, MultiplexNetwork,
-                    SupraOperator, apply_edge_delta, assemble_dense,
-                    assemble_sparse, authority_operator, flat_index,
-                    hub_operator, is_strongly_connected, load_multilayer,
+                    apply_edge_delta, assemble_dense, assemble_sparse,
+                    flat_index, is_strongly_connected, load_multilayer,
                     load_multiplex, supra_operator, unflatten_index)
 from .recommend import (ExperimentRow, RankedEdge, perturbation_experiment,
                         rank_insertions, rank_removals)
-from .sensitivity import (BlockRankOnePerturbation, RankOnePerturbation,
-                          SensitivityMatrix, SparsePerturbation,
-                          first_order_delta_rho, perturbed_operator,
+from .sensitivity import (SensitivityMatrix, first_order_delta_rho,
                           sensitivity_entry, sensitivity_matrix,
                           sensitivity_matrix_multiplex, spectral_impact,
                           structured_condition_number,

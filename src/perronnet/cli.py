@@ -233,7 +233,9 @@ def cmd_rank(cfg: RunConfig, mode: str):
     return report, cols, rows
 
 
-def _parse_edges_file(path: Path, multiplex: bool) -> list[EdgeKey]:
+def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
+    """Edges of an --edges-file, each checked against the ids of ``net``."""
+    multiplex = isinstance(net, MultiplexNetwork)
     edges = []
     with _decoded(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -248,14 +250,18 @@ def _parse_edges_file(path: Path, multiplex: bool) -> list[EdgeKey]:
                     f"{path}:{lineno}: edge lines must be integers") from None
             if multiplex and len(vals) == 3:
                 i, j, l = vals
-                edges.append(EdgeKey(i, j, l, l))
+                e = EdgeKey(i, j, l, l)
             elif len(vals) == 4:
-                i, j, k, l = vals
-                edges.append(EdgeKey(i, j, k, l))
+                e = EdgeKey(*vals)
             else:
                 raise InputError(
                     f"{path}:{lineno}: expected 'i j k l' (or 'i j l' for "
                     "multiplex input)")
+            try:
+                e.validate(net.N, net.L)
+            except InputError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            edges.append(e)
     return edges
 
 
@@ -271,8 +277,7 @@ def cmd_experiment(cfg: RunConfig, mode: str, edges_file: str | None,
             picked = rank_removals(t, net, cfg.top_k)
         edges = [r.edge for r in picked]
     elif edges_file is not None:
-        edges = _parse_edges_file(_resolve_path(edges_file),
-                                  isinstance(net, MultiplexNetwork))
+        edges = _parse_edges_file(_resolve_path(edges_file), net)
     else:
         raise InputError("experiment needs --edges-file or --auto")
     rows_out = perturbation_experiment(

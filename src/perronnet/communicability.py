@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from .eigen import PerronTriple, perron
 from .errors import InputError
 from .model import (DEFAULT_DENSE_CAP, Network, assemble_dense,
-                    authority_operator, hub_operator)
+                    supra_operator)
 
 
 def exp0(t: float) -> float:
@@ -133,9 +133,10 @@ def hub_authority_communicability(net: Network, tol: float = 1e-10,
     Both share one spectral radius; for symmetric networks the two values
     coincide.  Returns (hub, authority).
     """
+    op = supra_operator(net)
     out = []
-    for op in (hub_operator(net), authority_operator(net)):
-        t = perron(op, tol=tol, max_iter=max_iter)
+    for gram in (op @ op.H, op.H @ op):
+        t = perron(gram, tol=tol, max_iter=max_iter)
         s = float(t.x.sum())
         out.append(exp0(t.rho) * s * s)
     return tuple(out)

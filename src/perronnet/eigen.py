@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
+from scipy.sparse.linalg import (ArpackError, LinearOperator,
+                                  aslinearoperator, eigs)
 
 from .errors import ConvergenceError, InputError
-from .model import SupraOperator
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -87,7 +87,7 @@ class _Products:
     """Operator products, counted against a budget of ``max_iter``; a
     non-finite product fails at once, naming its number."""
 
-    def __init__(self, op: SupraOperator, max_iter: int):
+    def __init__(self, op: LinearOperator, max_iter: int):
         self.op = op
         self.max_iter = max_iter
         self.count = 0
@@ -148,11 +148,15 @@ def _dominant(apply, start: np.ndarray, tol: float,
     return vec, apply(vec)
 
 
-def perron(op: SupraOperator, tol: float = DEFAULT_TOL,
+def perron(op, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
            y0: np.ndarray | None = None) -> PerronTriple:
     """Perron triple of ``op`` by ARPACK, on B for x and on B^T for y.
+
+    ``op`` is anything ``aslinearoperator`` takes: a ``LinearOperator``
+    with ``rmatvec``, such as :func:`~perronnet.model.supra_operator`, or
+    a dense or sparse matrix.
 
     Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
@@ -169,7 +173,8 @@ def perron(op: SupraOperator, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise InputError("tol must be positive")
-    n = op.dim
+    op = aslinearoperator(op)
+    n = op.shape[0]
     u = _start_vector(x0, n)
     v = u.copy() if y0 is None and x0 is None else _start_vector(y0, n)
     if n < 3:
@@ -208,7 +213,7 @@ def perron(op: SupraOperator, tol: float = DEFAULT_TOL,
         "ill-conditioned or not simple, or the operator is reducible")
 
 
-def _power_iteration(op: SupraOperator, tol: float, max_iter: int,
+def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
                      u: np.ndarray, v: np.ndarray) -> PerronTriple:
     """Two-sided power iteration from the unit start vectors u/v.
 
@@ -219,7 +224,7 @@ def _power_iteration(op: SupraOperator, tol: float, max_iter: int,
     convergence requires both residual norms and the root change to fall
     below tol * max(1, rho).
     """
-    n = op.dim
+    n = op.shape[0]
     sigma = 0.5 * float(np.max(op.matvec(np.ones(n))))
     rho_prev = np.inf
     rho = 0.0

@@ -5,7 +5,8 @@ supra-adjacency matrix B of order NL: block (k, l) holds the weights of
 edges from nodes in layer k to nodes in layer l.  A multiplex network
 stores only the L intra-layer adjacency matrices; the inter-layer
 coupling is uniform and diagonal with weight gamma and is applied
-implicitly by the operator, never materialized as a dense matrix.
+implicitly by the operator, a ``scipy.sparse.linalg.LinearOperator``,
+never materialized as a dense matrix.
 
 Node-layer pairs are flattened as  (node i, layer k)  ->  N*(k-1) + i
 with 1-based i and k throughout the public API.
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import DenseCapError, InputError, ParseError
 
@@ -66,26 +68,6 @@ def flat_index(i: int, k: int, N: int) -> int:
 def unflatten_index(a: int, N: int) -> tuple[int, int]:
     """Inverse of :func:`flat_index`: 0-based supra position -> (i, k), 1-based."""
     return int(a) % N + 1, int(a) // N + 1
-
-
-class SupraOperator:
-    """Matrix-free view of a supra-adjacency matrix.
-
-    Wraps forward and transpose matrix-vector products on vectors of
-    length ``dim``.  For multiplex networks the gamma coupling is applied
-    blockwise: (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m).
-    """
-
-    def __init__(self, dim, matvec, rmatvec):
-        self.dim = dim
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._matvec(np.asarray(v, dtype=float))
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._rmatvec(np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,22 +484,30 @@ def load_multilayer(path, directed: bool = False) -> MultilayerNetwork:
 # ---------------------------------------------------------------------------
 # operators and assembly
 
-def supra_operator(net: Network) -> SupraOperator:
-    """Matrix-free supra-adjacency operator for either network type."""
+def supra_operator(net: Network) -> LinearOperator:
+    """Matrix-free supra-adjacency operator B, with products B v and B^T v,
+    for either network type.
+
+    A general network multiplies by its CSR matrix and a precomputed CSR
+    transpose.  A multiplex applies the gamma coupling blockwise:
+    (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m).
+    """
     if isinstance(net, MultiplexNetwork):
         return _multiplex_operator(net)
     csr = assemble_sparse(net)
-    csc = csr.T.tocsr()
-    return SupraOperator(net.dim, lambda v: csr @ v, lambda v: csc @ v)
+    csr_t = csr.T.tocsr()
+    return LinearOperator((net.dim, net.dim), matvec=lambda v: csr @ v,
+                          rmatvec=lambda v: csr_t @ v, dtype=float)
 
 
-def _multiplex_operator(net: MultiplexNetwork) -> SupraOperator:
+def _multiplex_operator(net: MultiplexNetwork) -> LinearOperator:
     N, L, g = net.N, net.L, net.gamma
     layers = net.layers
     layers_t = tuple(A.T.tocsr() for A in layers)
 
     def apply(blocks_by_layer, v):
-        V = v.reshape(L, N)
+        # float first: an int V would truncate the products written to out
+        V = np.asarray(v, dtype=float).reshape(L, N)
         out = np.empty_like(V)
         if g != 0.0:
             total = V.sum(axis=0)
@@ -527,29 +517,9 @@ def _multiplex_operator(net: MultiplexNetwork) -> SupraOperator:
                 out[k] += g * (total - V[k])
         return out.reshape(-1)
 
-    return SupraOperator(net.dim,
-                         lambda v: apply(layers, v),
-                         lambda v: apply(layers_t, v))
-
-
-def hub_operator(net: Network) -> SupraOperator:
-    """Operator v -> B (B^T v); symmetric by construction."""
-    op = supra_operator(net)
-
-    def mv(v):
-        return op.matvec(op.rmatvec(v))
-
-    return SupraOperator(op.dim, mv, mv)
-
-
-def authority_operator(net: Network) -> SupraOperator:
-    """Operator v -> B^T (B v); symmetric by construction."""
-    op = supra_operator(net)
-
-    def mv(v):
-        return op.rmatvec(op.matvec(v))
-
-    return SupraOperator(op.dim, mv, mv)
+    return LinearOperator((net.dim, net.dim),
+                          matvec=lambda v: apply(layers, v),
+                          rmatvec=lambda v: apply(layers_t, v), dtype=float)
 
 
 def assemble_sparse(net: Network) -> sp.csr_matrix:

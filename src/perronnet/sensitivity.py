@@ -18,145 +18,153 @@ condition numbers  kappa_S <= kappa_D <= kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .eigen import PerronTriple
-from .errors import InfeasibleError, InputError
+from .errors import DenseCapError, InfeasibleError, InputError
 from .model import (DEFAULT_DENSE_CAP, EdgeKey, MultiplexNetwork, Network,
-                    SupraOperator, editable_arcs, flat_index)
+                    editable_arcs, flat_index, unflatten_index)
 
 
 # ---------------------------------------------------------------------------
-# perturbation operators
+# the masked worst-case perturbation
 
-class RankOnePerturbation:
-    """E = scale * u v^T, stored factored; Frobenius norm = scale*|u||v|."""
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, scale: float = 1.0):
-        self.u = np.asarray(u, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        self.scale = float(scale)
-
-    @property
-    def dim(self) -> int:
-        return self.u.size
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.scale * self.u * float(self.v @ w)
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return self.scale * self.v * float(self.u @ w)
-
-    def frobenius_norm(self) -> float:
-        return abs(self.scale) * float(np.linalg.norm(self.u) * np.linalg.norm(self.v))
-
-    def scaled(self, factor: float) -> "RankOnePerturbation":
-        return RankOnePerturbation(self.u, self.v, self.scale * factor)
-
-    def toarray(self) -> np.ndarray:
-        return self.scale * np.outer(self.u, self.v)
+def _positions(e: EdgeKey, N: int, L: int) -> tuple[int, int]:
+    """Supra positions (a, b) of the arc ``e``, its ids checked against N, L."""
+    e.validate(N, L)
+    return flat_index(e.i, e.k, N), flat_index(e.j, e.l, N)
 
 
-class BlockRankOnePerturbation:
-    """Block-diagonal perturbation with one rank-one term per layer block."""
+class SensitivityMatrix(LinearOperator):
+    """scale * diag(y) M diag(x): the worst-case perturbation y x^T of the
+    Perron triple ``t``, masked by a 0/1 matrix M and scaled.
 
-    def __init__(self, us, vs, scale: float = 1.0):
-        self.us = [np.asarray(u, dtype=float) for u in us]
-        self.vs = [np.asarray(v, dtype=float) for v in vs]
-        self.scale = float(scale)
-        self.N = self.us[0].size
-        self.L = len(self.us)
+    M is block-diagonal with diagonal blocks of order ``block``.  With
+    ``arcs`` None its blocks are all ones: ``block`` NL leaves y x^T whole,
+    ``block`` N projects it onto the cone D of a multiplex.  Otherwise M
+    is one exactly at the supra positions ``arcs = (rows, cols)``, the
+    stored intra-layer arcs (cone S).  ``variant`` names the mask, ``N``
+    and ``L`` the network's shape, ``kappa`` the root's condition number.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.N * self.L
+    def __init__(self, t: PerronTriple, scale: float, N: int, block: int,
+                 arcs=None, variant: str = "unstructured"):
+        n = t.x.size
+        super().__init__(float, (n, n))
+        self.y, self.x, self.kappa = t.y, t.x, t.kappa
+        self.scale, self.N, self.L = float(scale), N, n // N
+        self.block, self.arcs, self.variant = block, arcs, variant
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        W = np.asarray(w, dtype=float).reshape(self.L, self.N)
-        out = np.empty_like(W)
-        for l in range(self.L):
-            out[l] = self.us[l] * float(self.vs[l] @ W[l])
-        return self.scale * out.reshape(-1)
+    def _mask(self, z: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """M z, or M^T z with ``transpose``."""
+        if self.arcs is None:
+            return np.repeat(z.reshape(-1, self.block).sum(axis=1), self.block)
+        rows, cols = self.arcs[::-1] if transpose else self.arcs
+        return np.bincount(rows, weights=z[cols], minlength=z.size)
 
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        W = np.asarray(w, dtype=float).reshape(self.L, self.N)
-        out = np.empty_like(W)
-        for l in range(self.L):
-            out[l] = self.vs[l] * float(self.us[l] @ W[l])
-        return self.scale * out.reshape(-1)
+    def _mask_at(self, a, b):
+        """M[a, b] for broadcastable arrays of supra positions."""
+        if self.arcs is None:
+            return a // self.block == b // self.block
+        n = np.int64(self.shape[0])
+        rows, cols = self.arcs
+        return np.isin(a * n + b, rows * n + cols)
+
+    def _matvec(self, w):
+        return self.scale * self.y * self._mask(self.x * np.ravel(w))
+
+    def _rmatvec(self, w):
+        return self.scale * self.x * self._mask(self.y * np.ravel(w), True)
 
     def frobenius_norm(self) -> float:
-        sq = sum((np.linalg.norm(u) * np.linalg.norm(v)) ** 2
-                 for u, v in zip(self.us, self.vs))
-        return abs(self.scale) * float(np.sqrt(sq))
-
-    def scaled(self, factor: float) -> "BlockRankOnePerturbation":
-        return BlockRankOnePerturbation(self.us, self.vs, self.scale * factor)
-
-    def toarray(self) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n))
-        for l in range(self.L):
-            a = l * self.N
-            out[a:a + self.N, a:a + self.N] = np.outer(self.us[l], self.vs[l])
-        return self.scale * out
-
-
-class SparsePerturbation:
-    """Perturbation given explicitly as a sparse matrix."""
-
-    def __init__(self, matrix: sp.spmatrix):
-        self.matrix = matrix.tocsr()
-        self._mt = self.matrix.T.tocsr()
+        """|scale| * sqrt((y o y)^T M (x o x))."""
+        yMx = float((self.y * self.y) @ self._mask(self.x * self.x))
+        return abs(self.scale) * math.sqrt(yMx)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def kappa_variant(self) -> float:
+        """The Frobenius norm: the condition number of the variant."""
+        return self.frobenius_norm()
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(w, dtype=float)
+    def entry(self, e: EdgeKey) -> float:
+        """Entry of the arc ``e``, checked against the network's N and L."""
+        a, b = _positions(e, self.N, self.L)
+        return (self.scale * float(self.y[a]) * float(self.x[b])
+                * float(self._mask_at(a, b)))
 
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return self._mt @ np.asarray(w, dtype=float)
+    def toarray(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+        n = self.shape[0]
+        if n > dense_cap:
+            raise DenseCapError(f"materializing order {n} exceeds cap {dense_cap}")
+        pos = np.arange(n)
+        return np.outer(self.scale * self.y, self.x) * self._mask_at(pos[:, None], pos)
 
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.matrix.data ** 2).sum()))
-
-    def scaled(self, factor: float) -> "SparsePerturbation":
-        return SparsePerturbation(self.matrix * factor)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
-def perturbed_operator(op: SupraOperator, pert, eps: float) -> SupraOperator:
-    """Operator computing (B + eps * E) v without materializing E."""
-    return SupraOperator(
-        op.dim,
-        lambda v: op.matvec(v) + eps * pert.matvec(v),
-        lambda v: op.rmatvec(v) + eps * pert.rmatvec(v))
+    def argmax_entry(self) -> tuple[EdgeKey, float]:
+        """Largest entry over edge positions (supra self-loops excluded),
+        ties going to the first in row-major order, as in a dense argmax."""
+        sy = self.scale * self.y
+        if self.arcs is None:
+            # the largest off-diagonal entry of an all-ones block pairs two
+            # of its block's largest sy with two of its largest x
+            k = min(2, self.block)
+            start = np.arange(0, sy.size, self.block)[:, None]
+            top = [np.argsort(-v.reshape(-1, self.block), axis=1,
+                              kind="stable")[:, :k] + start for v in (sy, self.x)]
+            a, b = (p.ravel() for p in np.broadcast_arrays(top[0][:, :, None],
+                                                            top[1][:, None, :]))
+        else:
+            a, b = self.arcs
+        keep = a != b
+        a, b = a[keep], b[keep]
+        if not a.size:
+            raise InfeasibleError("matrix has no off-diagonal entries")
+        val = sy[a] * self.x[b]
+        p = np.lexsort((b, a, -val))[0]
+        i, k = unflatten_index(a[p], self.N)
+        j, l = unflatten_index(b[p], self.N)
+        return EdgeKey(i, j, k, l), float(val[p])
 
 
 # ---------------------------------------------------------------------------
 # worst-case perturbations and the first-order formula
 
-def wilkinson(t: PerronTriple) -> RankOnePerturbation:
+def wilkinson(t: PerronTriple) -> SensitivityMatrix:
     """Worst-case unit-norm perturbation W = y x^T (rank one, so its
     spectral and Frobenius norms both equal 1)."""
-    return RankOnePerturbation(t.y, t.x)
+    return SensitivityMatrix(t, 1.0, t.x.size, t.x.size)
 
 
 def first_order_delta_rho(t: PerronTriple, E, eps: float) -> float:
     """First-order estimate eps * y^T E x / (y^T x) of the root shift under
-    B -> B + eps*E.  E may be an ndarray or any object with ``matvec``."""
-    Ex = E.matvec(t.x) if hasattr(E, "matvec") else np.asarray(E, dtype=float) @ t.x
-    return eps * float(t.y @ Ex) / float(t.y @ t.x)
+    B -> B + eps*E.  E is an ndarray, a sparse matrix or a LinearOperator."""
+    return eps * float(t.y @ (E @ t.x)) / float(t.y @ t.x)
 
 
-def structured_wilkinson(t: PerronTriple, cone: str, net: MultiplexNetwork):
+def _require_multiplex(net):
+    if not isinstance(net, MultiplexNetwork):
+        raise InputError("structured sensitivity requires a multiplex network")
+
+
+def _cone(t: PerronTriple, cone: str, net: MultiplexNetwork,
+          scale: float) -> SensitivityMatrix:
+    """scale * (y x^T) projected onto cone 'D' (block-diagonal) or 'S'
+    (masked to the stored intra-layer arcs)."""
+    _require_multiplex(net)
+    if cone == "D":
+        return SensitivityMatrix(t, scale, net.N, net.N, variant="D-structured")
+    if cone == "S":
+        rows, cols, _w = editable_arcs(net)
+        return SensitivityMatrix(t, scale, net.N, net.N, (rows, cols),
+                                 variant="S-structured")
+    raise InputError(f"unknown cone {cone!r}; expected 'D' or 'S'")
+
+
+def structured_wilkinson(t: PerronTriple, cone: str,
+                         net: MultiplexNetwork) -> SensitivityMatrix:
     """Worst-case unit-Frobenius perturbation restricted to a cone.
 
     cone 'D': nonnegative block-diagonal matrices; the projection of W is
@@ -165,48 +173,18 @@ def structured_wilkinson(t: PerronTriple, cone: str, net: MultiplexNetwork):
     normalized to unit Frobenius norm; perturbing by eps times it shifts
     the root by eps * kappa_cone + O(eps^2).
     """
-    _require_multiplex(net)
-    proj = _project_to_cone(t, cone, net)
-    nrm = proj.frobenius_norm()
+    nrm = _cone(t, cone, net, 1.0).frobenius_norm()
     if nrm == 0:
         raise InfeasibleError(
             f"projection of the worst-case perturbation onto cone {cone!r} "
             "is zero; no admissible perturbation direction exists")
-    return proj.scaled(1.0 / nrm)
-
-
-def _require_multiplex(net):
-    if not isinstance(net, MultiplexNetwork):
-        raise InputError("structured sensitivity requires a multiplex network")
-
-
-def _split_blocks(t: PerronTriple, N: int, L: int):
-    ys = [t.y[l * N:(l + 1) * N] for l in range(L)]
-    xs = [t.x[l * N:(l + 1) * N] for l in range(L)]
-    return ys, xs
-
-
-def _project_to_cone(t, cone, net):
-    ys, xs = _split_blocks(t, net.N, net.L)
-    if cone == "D":
-        return BlockRankOnePerturbation(ys, xs)
-    if cone == "S":
-        blocks = []
-        for l, A in enumerate(net.layers):
-            coo = A.tocoo()
-            vals = ys[l][coo.row] * xs[l][coo.col]
-            blocks.append(sp.csr_matrix((vals, (coo.row, coo.col)),
-                                        shape=(net.N, net.N)))
-        return SparsePerturbation(sp.block_diag(blocks, format="csr"))
-    raise InputError(f"unknown cone {cone!r}; expected 'D' or 'S'")
+    return _cone(t, cone, net, 1.0 / nrm)
 
 
 def structured_condition_number(t: PerronTriple, cone: str,
                                 net: MultiplexNetwork) -> float:
     """kappa_cone = |(y x^T)|_cone|_F / (y^T x)."""
-    _require_multiplex(net)
-    proj = _project_to_cone(t, cone, net)
-    return proj.frobenius_norm() / float(t.y @ t.x)
+    return _cone(t, cone, net, 1.0).frobenius_norm() / float(t.y @ t.x)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +192,7 @@ def structured_condition_number(t: PerronTriple, cone: str,
 
 def sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int) -> float:
     """Sensitivity of the root to the single entry (i, j) of block (k, l)."""
-    a = flat_index(e.i, e.k, N)
-    b = flat_index(e.j, e.l, N)
-    if not (0 <= a < t.x.size and 0 <= b < t.x.size):
-        raise InputError(f"edge {e} out of range for dimension {t.x.size}")
+    a, b = _positions(e, N, t.x.size // N)
     return t.kappa * float(t.y[a]) * float(t.x[b])
 
 
@@ -227,106 +202,27 @@ def symmetric_sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int,
     undirected edge: 2 x_a x_b.  Only meaningful when x = y."""
     if directed:
         raise InputError("symmetric sensitivity requires an undirected network")
-    a = flat_index(e.i, e.k, N)
-    b = flat_index(e.j, e.l, N)
+    a, b = _positions(e, N, t.x.size // N)
     return 2.0 * float(t.x[a]) * float(t.x[b])
-
-
-@dataclass(frozen=True)
-class SensitivityMatrix:
-    """Per-edge sensitivities in factored or blockwise form.
-
-    variant 'unstructured': values = kappa * y x^T held as a rank-one
-    factorization.  variant 'D-structured' / 'S-structured': the L
-    diagonal blocks kappa * y_l x_l^T, dense or masked to the layer
-    sparsity.  kappa_variant is the Frobenius norm of the stored matrix,
-    i.e. the matching condition number.
-    """
-
-    variant: str
-    N: int
-    L: int
-    kappa: float
-    kappa_variant: float
-    _pert: object  # scaled perturbation carrying the actual values
-
-    def entry(self, e: EdgeKey) -> float:
-        a = flat_index(e.i, e.k, self.N)
-        b = flat_index(e.j, e.l, self.N)
-        if isinstance(self._pert, RankOnePerturbation):
-            return self._pert.scale * float(self._pert.u[a] * self._pert.v[b])
-        if isinstance(self._pert, BlockRankOnePerturbation):
-            if e.k != e.l:
-                return 0.0
-            l = e.k - 1
-            return self._pert.scale * float(
-                self._pert.us[l][e.i - 1] * self._pert.vs[l][e.j - 1])
-        return float(self._pert.matrix[a, b])
-
-    def frobenius_norm(self) -> float:
-        return self._pert.frobenius_norm()
-
-    def toarray(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        n = self.N * self.L
-        if n > dense_cap:
-            raise InputError(f"materializing order {n} exceeds cap {dense_cap}")
-        return self._pert.toarray()
-
-    def argmax_entry(self) -> tuple[EdgeKey, float]:
-        """Largest entry over edge positions (supra self-loops excluded)."""
-        best = None
-        if isinstance(self._pert, RankOnePerturbation):
-            # the best off-diagonal product pairs top-two entries of each factor
-            order_u = np.argsort(-self._pert.u)[:2]
-            order_v = np.argsort(-self._pert.v)[:2]
-            for a in order_u:
-                for b in order_v:
-                    if a == b:
-                        continue
-                    val = self._pert.scale * self._pert.u[a] * self._pert.v[b]
-                    key = EdgeKey(int(a) % self.N + 1, int(b) % self.N + 1,
-                                  int(a) // self.N + 1, int(b) // self.N + 1)
-                    if best is None or val > best[1]:
-                        best = (key, float(val))
-            if best is not None:
-                return best
-            raise InfeasibleError("matrix has no off-diagonal entries")
-        arr = self.toarray()
-        np.fill_diagonal(arr, -np.inf)
-        a, b = np.unravel_index(np.argmax(arr), arr.shape)
-        key = EdgeKey(int(a) % self.N + 1, int(b) % self.N + 1,
-                      int(a) // self.N + 1, int(b) // self.N + 1)
-        return key, float(arr[a, b])
 
 
 def sensitivity_matrix(t: PerronTriple, N: int, L: int) -> SensitivityMatrix:
     """Unstructured sensitivity matrix kappa * y x^T (rank-one view)."""
-    pert = RankOnePerturbation(t.y, t.x, scale=t.kappa)
-    return SensitivityMatrix(variant="unstructured", N=N, L=L,
-                             kappa=t.kappa, kappa_variant=pert.frobenius_norm(),
-                             _pert=pert)
+    if N * L != t.x.size:
+        raise InputError(f"N*L = {N * L} does not match vector length {t.x.size}")
+    return SensitivityMatrix(t, t.kappa, N, N * L)
 
 
 def sensitivity_matrix_multiplex(t: PerronTriple,
                                  net: MultiplexNetwork) -> SensitivityMatrix:
     """Block-diagonal (cone D) sensitivity matrix kappa * (y x^T)|_D."""
-    _require_multiplex(net)
-    ys, xs = _split_blocks(t, net.N, net.L)
-    pert = BlockRankOnePerturbation(ys, xs, scale=t.kappa)
-    return SensitivityMatrix(variant="D-structured", N=net.N, L=net.L,
-                             kappa=t.kappa, kappa_variant=pert.frobenius_norm(),
-                             _pert=pert)
+    return _cone(t, "D", net, t.kappa)
 
 
 def structured_sensitivity_matrix(t: PerronTriple,
                                   net: MultiplexNetwork) -> SensitivityMatrix:
     """Sparsity-masked (cone S) sensitivity matrix kappa * (y x^T)|_S."""
-    _require_multiplex(net)
-    proj = _project_to_cone(t, "S", net)
-    scaled = SparsePerturbation(t.kappa * proj.matrix)
-    return SensitivityMatrix(variant="S-structured", N=net.N, L=net.L,
-                             kappa=t.kappa, kappa_variant=scaled.frobenius_norm(),
-                             _pert=scaled)
+    return _cone(t, "S", net, t.kappa)
 
 
 def spectral_impact(net: Network, t: PerronTriple) -> sp.csr_matrix:

@@ -140,6 +140,22 @@ def test_experiment_edges_file(capsys, tmp_path):
     assert rows[0]["rho_new"] == pytest.approx(2.4903, abs=1e-3)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("5 1 1 1", "node index out of range"),
+    ("1 2 4 4", "layer index out of range"),
+])
+def test_experiment_edges_file_rejects_out_of_range_ids(capsys, tmp_path,
+                                                        line, message):
+    # node 5 of layer 1 must not pass as node 1 of layer 2
+    ef = tmp_path / "edges.txt"
+    ef.write_text(f"2 4 3 2\n# next\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
+                             "--edges-file", str(ef), "--mode", "increase")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {ef}:3: ") and message in err
+
+
 def test_experiment_no_mirror_flag(capsys, tmp_path):
     ef = tmp_path / "edges.txt"
     ef.write_text("1 4 1 1\n", encoding="utf-8")

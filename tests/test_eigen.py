@@ -4,10 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from perronnet import (ConvergenceError, assemble_dense, condition_number,
                        perron, perron_dense_oracle, supra_operator)
-from perronnet.model import SupraOperator
 
 from conftest import (dense_perron_pair, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
@@ -16,7 +16,8 @@ from conftest import (dense_perron_pair, multilayer_from_dense,
 
 def op_from_dense(B):
     B = np.asarray(B, dtype=float)
-    return SupraOperator(B.shape[0], lambda v: B @ v, lambda v: B.T @ v)
+    return LinearOperator(B.shape, matvec=lambda v: B @ v,
+                          rmatvec=lambda v: B.T @ v, dtype=float)
 
 
 def counted(op):
@@ -31,7 +32,8 @@ def counted(op):
         calls.append("B^T")
         return op.rmatvec(v)
 
-    return SupraOperator(op.dim, matvec, rmatvec), calls
+    return LinearOperator(op.shape, matvec=matvec, rmatvec=rmatvec,
+                          dtype=float), calls
 
 
 def assert_valid_triple(t, B, tol=1e-10):
@@ -198,8 +200,8 @@ def test_dense_oracle_rejects_nonsquare():
 
 
 def test_non_finite_iterate_fails_at_once():
-    nan_op = SupraOperator(3, lambda v: np.full(3, np.nan),
-                           lambda v: np.full(3, np.nan))
+    nan_op = LinearOperator((3, 3), matvec=lambda v: np.full(3, np.nan),
+                            rmatvec=lambda v: np.full(3, np.nan), dtype=float)
     with pytest.raises(ConvergenceError, match="iteration 1 ") as ei:
         perron(nan_op)
     assert ei.value.iterations == 1
@@ -215,7 +217,8 @@ def test_non_finite_iterate_names_its_iteration():
         calls.append(1)
         return B @ v if len(calls) < 4 else np.full(2, np.nan)
 
-    op = SupraOperator(2, matvec, lambda v: B.T @ v)
+    op = LinearOperator((2, 2), matvec=matvec, rmatvec=lambda v: B.T @ v,
+                        dtype=float)
     with pytest.raises(ConvergenceError, match="iteration 3 ") as ei:
         perron(op, x0=np.array([1.0, 2.0]))
     assert ei.value.iterations == 3

@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InputError, MultilayerNetwork,
                        MultiplexNetwork, ParseError,
-                       apply_edge_delta, assemble_dense, authority_operator,
-                       hub_operator, is_strongly_connected, load_multilayer,
-                       load_multiplex, supra_operator)
+                       apply_edge_delta, assemble_dense, is_strongly_connected,
+                       load_multilayer, load_multiplex, supra_operator)
 from perronnet.errors import DenseCapError
 from perronnet.model import _bump
 
@@ -208,6 +207,48 @@ def test_multiplex_operator_matches_dense():
         assert np.allclose(op.rmatvec(v), B.T @ v, rtol=1e-12, atol=1e-12)
 
 
+def test_operator_products_are_float_for_int_and_list_input():
+    # LinearOperator.matvec passes an int array through; the multiplex
+    # product must not write float products into an int buffer
+    nets = [random_multiplex_net(8, N=5, L=3, gamma=0.75, directed=True),
+            random_general_net(9, N=4, L=3)[0]]
+    for net in nets:
+        op = supra_operator(net)
+        B = assemble_dense(net)
+        v = np.arange(net.dim)
+        for prod, M in ((op.matvec, B), (op.rmatvec, B.T)):
+            for arg in (v, v.tolist()):
+                out = prod(arg)
+                assert out.dtype == np.float64
+                assert np.allclose(out, M @ v, rtol=1e-12, atol=1e-12)
+
+
+def test_operator_sums_and_products_match_dense():
+    from perronnet import perron, structured_wilkinson, wilkinson
+    nets = [random_general_net(10, N=4, L=3)[0],
+            random_multiplex_net(11, N=5, L=2, gamma=0.5, directed=True),
+            random_multiplex_net(12, N=5, L=3, gamma=1.0, directed=False)]
+    rng = np.random.default_rng(3)
+    for net in nets:
+        op = supra_operator(net)
+        B = assemble_dense(net)
+        t = perron(op)
+        perts = [wilkinson(t)]
+        if isinstance(net, MultiplexNetwork):
+            perts += [structured_wilkinson(t, cone, net) for cone in "DS"]
+        v = rng.standard_normal(net.dim)
+        for E in perts:
+            dense = B + 0.3 * E.toarray()
+            assert np.allclose((op + 0.3 * E).matvec(v), dense @ v,
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose((op + 0.3 * E).rmatvec(v), dense.T @ v,
+                               rtol=1e-12, atol=1e-12)
+        for gram, dense in ((op @ op.H, B @ B.T), (op.H @ op, B.T @ B)):
+            assert np.allclose(gram.matvec(v), dense @ v, rtol=1e-12, atol=1e-12)
+            assert np.allclose(gram.rmatvec(v), dense.T @ v,
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_dense_cap_enforced():
     net = random_multiplex_net(6, N=4, L=2, gamma=1.0)
     with pytest.raises(DenseCapError):
@@ -346,7 +387,8 @@ def test_hub_authority_symmetric_coincide():
     net = random_multiplex_net(9, N=5, L=2, gamma=1.0, directed=False)
     B = assemble_dense(net)
     assert np.array_equal(B, B.T)
-    hub, auth = hub_operator(net), authority_operator(net)
+    op = supra_operator(net)
+    hub, auth = op @ op.H, op.H @ op
     rng = np.random.default_rng(0)
     v = rng.standard_normal(net.dim)
     b2v = B @ (B @ v)
@@ -358,7 +400,8 @@ def test_hub_operator_matches_dense_gram():
     net, B = random_general_net(11, N=4, L=2)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(8)
-    assert np.allclose(hub_operator(net).matvec(v), B @ (B.T @ v),
+    op = supra_operator(net)
+    assert np.allclose((op @ op.H).matvec(v), B @ (B.T @ v),
                        rtol=1e-12, atol=1e-12)
-    assert np.allclose(authority_operator(net).matvec(v), B.T @ (B @ v),
+    assert np.allclose((op.H @ op).matvec(v), B.T @ (B @ v),
                        rtol=1e-12, atol=1e-12)

@@ -3,10 +3,11 @@ finite-difference consistency, spectral impact."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from perronnet import (EdgeKey, InfeasibleError, InputError, assemble_dense,
-                       exp0, first_order_delta_rho, perron,
-                       perron_communicability, perturbed_operator,
+from perronnet import (DenseCapError, EdgeKey, InfeasibleError, InputError,
+                       MultiplexNetwork, assemble_dense, exp0,
+                       first_order_delta_rho, perron, perron_communicability,
                        sensitivity_entry, sensitivity_matrix,
                        sensitivity_matrix_multiplex, spectral_impact,
                        structured_condition_number,
@@ -51,8 +52,8 @@ def test_wilkinson_shift_on_demo(demo_net):
     est = first_order_delta_rho(t, wilkinson(t), 0.3)
     assert est == pytest.approx(0.3 * t.kappa, rel=1e-12)
     assert est == pytest.approx(0.3074, abs=5e-5)
-    new_rho = perron(perturbed_operator(supra_operator(demo_net),
-                                        wilkinson(t), 0.3), tol=1e-12).rho
+    new_rho = perron(supra_operator(demo_net) + 0.3 * wilkinson(t),
+                     tol=1e-12).rho
     assert new_rho - t.rho == pytest.approx(0.3041, abs=5e-5)
 
 
@@ -87,6 +88,24 @@ def test_entry_out_of_range(demo_net):
     t = triple_of(demo_net)
     with pytest.raises(InputError):
         sensitivity_entry(t, EdgeKey(1, 1, 4, 1), 4)
+
+
+ENTRY_LOOKUPS = {
+    "sensitivity_entry": lambda t, e: sensitivity_entry(t, e, 4),
+    "symmetric_sensitivity_entry":
+        lambda t, e: symmetric_sensitivity_entry(t, e, 4),
+    "SensitivityMatrix.entry": lambda t, e: sensitivity_matrix(t, 4, 3).entry(e),
+}
+
+
+@pytest.mark.parametrize("lookup", ENTRY_LOOKUPS.values(), ids=ENTRY_LOOKUPS)
+@pytest.mark.parametrize("row", [(0, 1, 1, 1), (5, 1, 1, 1), (1, 5, 1, 1),
+                                 (1, 1, 0, 1), (1, 1, 1, 4)])
+def test_entry_lookups_reject_out_of_range_ids(demo_net, lookup, row):
+    # a flat index inside 0..NL-1 can still come from a bad id: node 5 of
+    # layer 1 is node 1 of layer 2, and node 0 of layer 1 reads y[-1]
+    with pytest.raises(InputError, match="out of range"):
+        lookup(triple_of(demo_net), EdgeKey(*row))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +193,61 @@ def test_complete_layers_make_cones_agree():
                        D.toarray()[mask & offdiag], atol=1e-14)
     # the S cone additionally drops the block diagonals themselves
     assert S.kappa_variant <= D.kappa_variant
+
+
+def dense_argmax(M):
+    """Largest off-diagonal entry of the materialized matrix M, first in
+    row-major order."""
+    arr = M.toarray()
+    np.fill_diagonal(arr, -np.inf)
+    a, b = np.unravel_index(np.argmax(arr), arr.shape)
+    N = M.N
+    return EdgeKey(int(a) % N + 1, int(b) % N + 1,
+                   int(a) // N + 1, int(b) // N + 1), float(arr[a, b])
+
+
+def test_argmax_entry_matches_dense_argmax():
+    for seed in range(12):
+        net = random_multiplex_net(seed + 300, N=2 + seed % 5, L=1 + seed % 3,
+                                   gamma=0.5, directed=bool(seed % 2))
+        t = triple_of(net)
+        for M in (sensitivity_matrix(t, net.N, net.L),
+                  sensitivity_matrix_multiplex(t, net),
+                  structured_sensitivity_matrix(t, net),
+                  structured_wilkinson(t, "D", net),
+                  structured_wilkinson(t, "S", net)):
+            assert M.argmax_entry() == dense_argmax(M), (seed, M.variant)
+
+
+def test_structured_argmax_entry_at_order_8000():
+    # N=2000, L=4: the dense matrix would exceed the materializing cap
+    rng = np.random.default_rng(4)
+    N, L = 2000, 4
+    layers = []
+    for _ in range(L):
+        A = sp.random(N, N, density=3 / N, random_state=rng, format="csr")
+        A = A + A.T + sp.diags(np.ones(N - 1), 1) + sp.diags(np.ones(N - 1), -1)
+        A.setdiag(0)
+        A.eliminate_zeros()
+        layers.append(A.tocsr())
+    net = MultiplexNetwork(N=N, L=L, layers=tuple(layers), gamma=1.0,
+                           directed=False)
+    t = triple_of(net, tol=1e-10)
+    D = sensitivity_matrix_multiplex(t, net)
+    S = structured_sensitivity_matrix(t, net)
+    with pytest.raises(DenseCapError):
+        D.toarray()
+    eD, vD = D.argmax_entry()
+    best_D = max((np.outer(t.y[l * N:(l + 1) * N], t.x[l * N:(l + 1) * N])
+                  - np.diag(np.full(N, np.inf))).max() for l in range(L))
+    assert vD == pytest.approx(t.kappa * best_D, rel=1e-12)
+    assert D.entry(eD) == vD
+    eS, vS = S.argmax_entry()
+    best_S = max((t.y[l * N + A.tocoo().row] * t.x[l * N + A.tocoo().col]).max()
+                 for l, A in enumerate(layers))
+    assert vS == pytest.approx(t.kappa * best_S, rel=1e-12)
+    assert S.entry(eS) == vS
+    assert layers[eS.k - 1][eS.i - 1, eS.j - 1] > 0
 
 
 def test_condition_number_chain_random_multiplexes():
