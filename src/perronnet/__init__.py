@@ -10,10 +10,10 @@ from .communicability import (CommunicabilityReport, Eigentensors, exp0,
 from .eigen import PerronTriple, condition_number, perron, perron_dense_oracle
 from .errors import (ConvergenceError, DenseCapError, InfeasibleError,
                      InputError, ParseError, PerronNetError)
-from .model import (EdgeKey, MultilayerNetwork, MultiplexNetwork,
-                    apply_edge_delta, assemble_dense, assemble_sparse,
-                    flat_index, is_strongly_connected, load_multilayer,
-                    load_multiplex, supra_operator, unflatten_index)
+from .model import (EdgeKey, Network, apply_edge_delta, assemble_dense,
+                    assemble_sparse, flat_index, is_strongly_connected,
+                    load_multilayer, load_multiplex, supra_operator,
+                    unflatten_index)
 from .recommend import (ExperimentRow, RankedEdge, perturbation_experiment,
                         rank_insertions, rank_removals)
 from .sensitivity import (SensitivityMatrix, first_order_delta_rho,
@@ -31,6 +31,6 @@ def demo_network_path():
     return resources.files(__package__) / "data" / "demo_multilayer.edges"
 
 
-def load_demo_network() -> MultilayerNetwork:
+def load_demo_network() -> Network:
     """The bundled directed demo network: N=4 nodes, L=3 layers."""
     return load_multilayer(demo_network_path(), directed=True)

@@ -27,9 +27,9 @@ from .communicability import perron_communicability, total_communicability0
 from .eigen import perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      PerronNetError)
-from .model import (DEFAULT_DENSE_CAP, EdgeKey, MultiplexNetwork,
-                    editable_arcs, is_strongly_connected, load_multilayer,
-                    load_multiplex, supra_operator)
+from .model import (DEFAULT_DENSE_CAP, EdgeKey, editable_arcs,
+                    is_strongly_connected, load_multilayer, load_multiplex,
+                    supra_operator)
 from .recommend import (perturbation_experiment, rank_insertions,
                         rank_removals)
 from .sensitivity import (first_order_delta_rho, sensitivity_matrix,
@@ -65,6 +65,10 @@ class RunConfig:
             raise InputError("--top-k must be >= 1")
         if self.tol <= 0:
             raise InputError("--tol must be positive")
+        if self.seed < 0:
+            raise InputError("--seed must be nonnegative")
+        if self.dense_cap < 1:
+            raise InputError("--dense-cap must be >= 1")
 
 
 def _resolve_path(raw: str) -> Path:
@@ -144,7 +148,7 @@ def cmd_spectrum(cfg: RunConfig):
         "residual_right": t.residuals[0],
         "residual_left": t.residuals[1],
     }
-    if isinstance(net, MultiplexNetwork):
+    if net.multiplex:
         report["kappa_D"] = structured_condition_number(t, "D", net)
         report["kappa_S"] = structured_condition_number(t, "S", net)
     return report, None, None
@@ -186,7 +190,7 @@ def cmd_sensitivity(cfg: RunConfig):
         "sensitivity_fro_norm": sensitivity_matrix(t, net.N, net.L).frobenius_norm(),
         "worst_case_shift_at_epsilon": first_order_delta_rho(t, W, cfg.epsilon),
     }
-    if isinstance(net, MultiplexNetwork):
+    if net.multiplex:
         report["kappa_D"] = structured_condition_number(t, "D", net)
         report["kappa_S"] = structured_condition_number(t, "S", net)
     cand = "existing" if cfg.structured else "all"
@@ -235,7 +239,6 @@ def cmd_rank(cfg: RunConfig, mode: str):
 
 def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
     """Edges of an --edges-file, each checked against the ids of ``net``."""
-    multiplex = isinstance(net, MultiplexNetwork)
     edges = []
     with _decoded(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -248,7 +251,7 @@ def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
             except ValueError:
                 raise InputError(
                     f"{path}:{lineno}: edge lines must be integers") from None
-            if multiplex and len(vals) == 3:
+            if net.multiplex and len(vals) == 3:
                 i, j, l = vals
                 e = EdgeKey(i, j, l, l)
             elif len(vals) == 4:

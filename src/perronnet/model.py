@@ -1,12 +1,14 @@
-"""Multilayer and multiplex network models and the supra-adjacency operator.
+"""The multilayer network model and the supra-adjacency operator.
 
 A multilayer network on N nodes and L layers is identified with its
 supra-adjacency matrix B of order NL: block (k, l) holds the weights of
-edges from nodes in layer k to nodes in layer l.  A multiplex network
-stores only the L intra-layer adjacency matrices; the inter-layer
-coupling is uniform and diagonal with weight gamma and is applied
-implicitly by the operator, a ``scipy.sparse.linalg.LinearOperator``,
-never materialized as a dense matrix.
+edges from nodes in layer k to nodes in layer l.  One class,
+:class:`Network`, stores the editable arcs of B as one supra-indexed CSR
+matrix.  A multiplex is the case whose arcs lie in the diagonal blocks
+and whose inter-layer coupling, uniform and diagonal with weight gamma,
+is fixed: it is never stored, but applied implicitly by the operator, a
+``scipy.sparse.linalg.LinearOperator``, and never materialized as a
+dense matrix.
 
 Node-layer pairs are flattened as  (node i, layer k)  ->  N*(k-1) + i
 with 1-based i and k throughout the public API.
@@ -21,7 +23,7 @@ import io
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 
@@ -71,123 +73,75 @@ def unflatten_index(a: int, N: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True, eq=False)
-class MultilayerNetwork:
-    """General L-layer network: an L x L grid of N x N sparse weight blocks.
+class Network:
+    """Multilayer network on N nodes and L layers: the NL x NL CSR matrix
+    ``arcs`` of its stored, editable arcs, indexed by :func:`flat_index`.
 
-    ``blocks[k][l]`` (0-based) holds w_ij of edges from node i in layer
-    k+1 to node j in layer l+1; absent blocks are None.  All stored
-    weights are strictly positive and finite, and an undirected network's
-    supra matrix is symmetric.
+    A general network (``gamma`` None) stores every arc.  A multiplex
+    stores its intra-layer arcs only, all in the diagonal blocks; its
+    uniform diagonal inter-layer coupling of finite weight gamma >= 0 is
+    fixed by the model and applied implicitly.  All stored weights are
+    strictly positive and finite, and an undirected network's arcs are
+    symmetric.  The network keeps its own canonical copy of ``arcs``.
     """
 
     N: int
     L: int
-    blocks: tuple
+    arcs: sp.csr_matrix
     directed: bool
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.N < 1 or self.L < 1:
             raise InputError("N and L must be positive")
-        if len(self.blocks) != self.L or any(len(row) != self.L for row in self.blocks):
-            raise InputError("block grid must be L x L")
-        for row in self.blocks:
-            for blk in row:
-                if blk is None:
-                    continue
-                if blk.shape != (self.N, self.N):
-                    raise InputError("every block must be N x N")
-                _check_weights(blk)
-        if not self.directed:
-            _check_symmetric(assemble_sparse(self))
+        if self.multiplex:
+            _check_gamma(self.gamma)
+        arcs = sp.csr_matrix(self.arcs, dtype=float, copy=True)
+        arcs.sum_duplicates()
+        object.__setattr__(self, "arcs", arcs)
+        if arcs.shape != (self.dim, self.dim):
+            raise InputError("arcs must be an NL x NL matrix")
+        if arcs.nnz and not (np.isfinite(arcs.data).all() and arcs.data.min() > 0):
+            raise InputError("stored weights must be strictly positive and finite")
+        if self.multiplex:
+            layer = np.repeat(np.arange(self.L), self.N)
+            if (np.repeat(layer, np.diff(arcs.indptr)) != layer[arcs.indices]).any():
+                raise InputError("a multiplex stores intra-layer arcs only")
+        # undirected edge semantics (one candidate per pair, mirrored edits)
+        # hold only for a symmetric matrix
+        if not self.directed and (arcs != arcs.T).nnz:
+            raise InputError("an undirected network needs a symmetric weight matrix")
 
     @property
     def dim(self) -> int:
         return self.N * self.L
 
-    def weight(self, e: EdgeKey) -> float:
-        e.validate(self.N, self.L)
-        blk = self.blocks[e.k - 1][e.l - 1]
-        if blk is None:
-            return 0.0
-        return float(blk[e.i - 1, e.j - 1])
-
-    def edges(self):
-        """Iterate all stored directed edges as (EdgeKey, weight)."""
-        for k in range(self.L):
-            for l in range(self.L):
-                blk = self.blocks[k][l]
-                if blk is None:
-                    continue
-                coo = blk.tocoo()
-                for i, j, w in zip(coo.row, coo.col, coo.data):
-                    yield EdgeKey(int(i) + 1, int(j) + 1, k + 1, l + 1), float(w)
-
-    def edge_count(self) -> int:
-        return sum(blk.nnz for row in self.blocks for blk in row if blk is not None)
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplexNetwork:
-    """Multiplex network: L intra-layer adjacency matrices plus uniform
-    diagonal inter-layer coupling of finite weight gamma >= 0.  Layers of
-    an undirected network are symmetric."""
-
-    N: int
-    L: int
-    layers: tuple
-    gamma: float
-    directed: bool
-
-    def __post_init__(self):
-        if self.N < 1 or self.L < 1:
-            raise InputError("N and L must be positive")
-        _check_gamma(self.gamma)
-        if len(self.layers) != self.L:
-            raise InputError("layer list length must equal L")
-        for A in self.layers:
-            if A.shape != (self.N, self.N):
-                raise InputError("every layer matrix must be N x N")
-            _check_weights(A)
-            if not self.directed:
-                _check_symmetric(A)
-
     @property
-    def dim(self) -> int:
-        return self.N * self.L
+    def multiplex(self) -> bool:
+        return self.gamma is not None
 
     def weight(self, e: EdgeKey) -> float:
+        """Weight of the arc ``e``: a stored arc, or a multiplex coupling."""
         e.validate(self.N, self.L)
-        if e.k != e.l:
+        if self.multiplex and e.k != e.l:
             return self.gamma if e.i == e.j else 0.0
-        return float(self.layers[e.k - 1][e.i - 1, e.j - 1])
+        return float(self.arcs[flat_index(e.i, e.k, self.N),
+                               flat_index(e.j, e.l, self.N)])
 
     def edges(self):
-        """Iterate stored intra-layer edges as (EdgeKey, weight).
+        """Iterate the stored arcs as (EdgeKey, weight) in supra row order.
 
-        Coupling entries are structural, not data, and are not listed.
+        A multiplex's coupling entries are structural, not data, and are
+        not listed.
         """
-        for l, A in enumerate(self.layers):
-            coo = A.tocoo()
-            for i, j, w in zip(coo.row, coo.col, coo.data):
-                yield EdgeKey(int(i) + 1, int(j) + 1, l + 1, l + 1), float(w)
+        rows, cols, w = editable_arcs(self)
+        for a, b, x in zip(rows, cols, w):
+            i, k = unflatten_index(a, self.N)
+            j, l = unflatten_index(b, self.N)
+            yield EdgeKey(i, j, k, l), float(x)
 
     def edge_count(self) -> int:
-        return sum(A.nnz for A in self.layers)
-
-
-Network = MultilayerNetwork | MultiplexNetwork
-
-
-def _check_weights(m) -> None:
-    if m.nnz and not (np.isfinite(m.data).all() and m.data.min() > 0):
-        raise InputError("stored weights must be strictly positive and finite")
-
-
-def _check_symmetric(m) -> None:
-    # undirected edge semantics (one candidate per pair, mirrored edits)
-    # hold only for a symmetric matrix
-    if (m != m.T).nnz:
-        raise InputError("an undirected network needs a symmetric weight matrix")
+        return self.arcs.nnz
 
 
 def _check_gamma(gamma) -> None:
@@ -196,16 +150,12 @@ def _check_gamma(gamma) -> None:
 
 
 def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Supra-indexed COO ``(rows, cols, weights)`` of the editable arcs.
-
-    These are all stored arcs of a general network, and the intra-layer
-    arcs of a multiplex, whose gamma coupling is fixed by the model.  On
-    undirected networks both arcs of each edge are listed.
+    """Supra-indexed COO ``(rows, cols, weights)`` of the stored arcs, in
+    supra row order: all arcs of a general network, the intra-layer arcs
+    of a multiplex.  On undirected networks both arcs of each edge are
+    listed.
     """
-    if isinstance(net, MultiplexNetwork):
-        coo = sp.block_diag(net.layers, format="coo")
-    else:
-        coo = assemble_sparse(net).tocoo()
+    coo = net.arcs.tocoo()
     return coo.row, coo.col, coo.data
 
 
@@ -410,16 +360,17 @@ def _raise_first_fault(t: _EdgeRows, path, checks):
         raise t.error
 
 
-def _csr_blocks(N, block, rows, cols, w) -> dict:
-    """N x N CSR matrix of the 0-based arcs of each nonempty block, keyed
-    by block id; ``block`` gives each arc's block."""
-    order = np.argsort(block, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
-    return {int(block[g[0]]): sp.csr_matrix((w[g], (rows[g], cols[g])), shape=(N, N))
-            for g in groups if g.size}
+def _from_coo(N, L, a, b, w, directed, gamma=None) -> Network:
+    """Network of the arcs from 0-based supra position a to b; undirected
+    input stores each arc's mirror too, a self-loop once."""
+    if not directed:
+        rev = a != b
+        a, b, w = (np.concatenate((p, q[rev])) for p, q in ((a, b), (b, a), (w, w)))
+    arcs = sp.csr_matrix((w, (a, b)), shape=(N * L, N * L))
+    return Network(N, L, arcs, directed, gamma)
 
 
-def load_multiplex(path, gamma: float, directed: bool = False) -> MultiplexNetwork:
+def load_multiplex(path, gamma: float, directed: bool = False) -> Network:
     """Load a multiplex edge list: header 'N L', then lines 'layer i j weight'.
 
     With ``directed=False`` each input edge populates both (i, j) and
@@ -441,16 +392,11 @@ def load_multiplex(path, gamma: float, directed: bool = False) -> MultiplexNetwo
     ]
     _raise_first_fault(t, path, checks)
 
-    l, i, j, w = l - 1, i - 1, j - 1, t.w
-    if not directed:
-        l, i, j, w = (np.concatenate(p) for p in ((l, l), (i, j), (j, i), (w, w)))
-    blocks = _csr_blocks(N, l, i, j, w)
-    layers = tuple(blocks.get(k, sp.csr_matrix((N, N))) for k in range(L))
-    return MultiplexNetwork(N=N, L=L, layers=layers, gamma=float(gamma),
-                            directed=directed)
+    return _from_coo(N, L, N * (l - 1) + i - 1, N * (l - 1) + j - 1, t.w,
+                     directed, float(gamma))
 
 
-def load_multilayer(path, directed: bool = False) -> MultilayerNetwork:
+def load_multilayer(path, directed: bool = False) -> Network:
     """Load a general multilayer edge list: header 'N L', then lines
     'k i l j weight' for the edge (node i, layer k) -> (node j, layer l)."""
     path = Path(path)
@@ -471,72 +417,44 @@ def load_multilayer(path, directed: bool = False) -> MultilayerNetwork:
     ]
     _raise_first_fault(t, path, checks)
 
-    k, i, l, j, w = k - 1, i - 1, l - 1, j - 1, t.w
-    if not directed:
-        rev = (k != l) | (i != j)
-        k, i, l, j, w = (np.concatenate((a, b[rev]))
-                         for a, b in ((k, l), (i, j), (l, k), (j, i), (w, w)))
-    blocks = _csr_blocks(N, k * L + l, i, j, w)
-    grid = tuple(tuple(blocks.get(a * L + b) for b in range(L)) for a in range(L))
-    return MultilayerNetwork(N=N, L=L, blocks=grid, directed=directed)
+    return _from_coo(N, L, N * (k - 1) + i - 1, N * (l - 1) + j - 1, t.w,
+                     directed)
 
 
 # ---------------------------------------------------------------------------
 # operators and assembly
 
 def supra_operator(net: Network) -> LinearOperator:
-    """Matrix-free supra-adjacency operator B, with products B v and B^T v,
-    for either network type.
+    """Matrix-free supra-adjacency operator B, with products B v and B^T v.
 
-    A general network multiplies by its CSR matrix and a precomputed CSR
-    transpose.  A multiplex applies the gamma coupling blockwise:
+    The stored arcs multiply as one CSR matrix and a precomputed CSR
+    transpose; a multiplex adds its gamma coupling blockwise:
     (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m).
     """
-    if isinstance(net, MultiplexNetwork):
-        return _multiplex_operator(net)
-    csr = assemble_sparse(net)
-    csr_t = csr.T.tocsr()
-    return LinearOperator((net.dim, net.dim), matvec=lambda v: csr @ v,
-                          rmatvec=lambda v: csr_t @ v, dtype=float)
+    N, L, g = net.N, net.L, net.gamma or 0.0
+    arcs, arcs_t = net.arcs, net.arcs.T.tocsr()
 
-
-def _multiplex_operator(net: MultiplexNetwork) -> LinearOperator:
-    N, L, g = net.N, net.L, net.gamma
-    layers = net.layers
-    layers_t = tuple(A.T.tocsr() for A in layers)
-
-    def apply(blocks_by_layer, v):
-        # float first: an int V would truncate the products written to out
-        V = np.asarray(v, dtype=float).reshape(L, N)
-        out = np.empty_like(V)
+    def apply(m, v):
+        v = np.asarray(v, dtype=float).reshape(-1)
+        out = m @ v
         if g != 0.0:
-            total = V.sum(axis=0)
-        for k in range(L):
-            out[k] = blocks_by_layer[k] @ V[k]
-            if g != 0.0:
-                out[k] += g * (total - V[k])
-        return out.reshape(-1)
+            V = v.reshape(L, N)
+            out += (g * (V.sum(axis=0) - V)).reshape(-1)
+        return out
 
-    return LinearOperator((net.dim, net.dim),
-                          matvec=lambda v: apply(layers, v),
-                          rmatvec=lambda v: apply(layers_t, v), dtype=float)
+    return LinearOperator((net.dim, net.dim), matvec=lambda v: apply(arcs, v),
+                          rmatvec=lambda v: apply(arcs_t, v), dtype=float)
 
 
 def assemble_sparse(net: Network) -> sp.csr_matrix:
-    """Assemble the full NL x NL supra-adjacency matrix in sparse form."""
-    if isinstance(net, MultiplexNetwork):
-        intra = sp.block_diag(net.layers, format="csr")
-        if net.gamma == 0.0:
-            return intra
-        coupling = sp.kron(
-            np.ones((net.L, net.L)) - np.eye(net.L),
-            sp.identity(net.N, format="csr"),
-            format="csr")
-        return (intra + net.gamma * coupling).tocsr()
-    grid = [[net.blocks[k][l] for l in range(net.L)] for k in range(net.L)]
-    if all(blk is None for row in grid for blk in row):
-        return sp.csr_matrix((net.dim, net.dim))
-    return sp.bmat(grid, format="csr")
+    """The NL x NL supra-adjacency matrix in CSR form: the stored arcs plus
+    a multiplex's gamma coupling.  Without coupling this is ``net.arcs``
+    itself, not a copy."""
+    if not net.gamma:
+        return net.arcs
+    coupling = sp.kron(np.ones((net.L, net.L)) - np.eye(net.L),
+                       sp.identity(net.N, format="csr"), format="csr")
+    return (net.arcs + net.gamma * coupling).tocsr()
 
 
 def assemble_dense(net: Network, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
@@ -571,35 +489,13 @@ def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
     e.validate(net.N, net.L)
     if delta == 0:
         return net
-
-    if isinstance(net, MultiplexNetwork):
-        if e.k != e.l:
-            raise InputError("multiplex edits must be intra-layer (k == l)")
-        if e.i == e.j:
-            raise InputError("multiplex layers cannot carry self-loops")
-        layers = list(net.layers)
-        layers[e.k - 1] = _bump(layers[e.k - 1], e.i - 1, e.j - 1, delta,
-                                mirror=not net.directed)
-        return MultiplexNetwork(N=net.N, L=net.L, layers=tuple(layers),
-                                gamma=net.gamma, directed=net.directed)
-
-    blocks = [list(row) for row in net.blocks]
-    blk = blocks[e.k - 1][e.l - 1]
-    if blk is None:
-        blk = sp.csr_matrix((net.N, net.N))
-    mirror_here = (not net.directed) and e.k == e.l
-    blocks[e.k - 1][e.l - 1] = _bump(blk, e.i - 1, e.j - 1, delta,
-                                     mirror=mirror_here)
-    if not net.directed and e.k != e.l:
-        rblk = blocks[e.l - 1][e.k - 1]
-        if rblk is None:
-            rblk = sp.csr_matrix((net.N, net.N))
-        blocks[e.l - 1][e.k - 1] = _bump(rblk, e.j - 1, e.i - 1, delta,
-                                         mirror=False)
-    blocks = tuple(tuple(b if (b is not None and b.nnz) else None for b in row)
-                   for row in blocks)
-    return MultilayerNetwork(N=net.N, L=net.L, blocks=blocks,
-                             directed=net.directed)
+    if net.multiplex and e.k != e.l:
+        raise InputError("multiplex edits must be intra-layer (k == l)")
+    if net.multiplex and e.i == e.j:
+        raise InputError("multiplex layers cannot carry self-loops")
+    arcs = _bump(net.arcs, flat_index(e.i, e.k, net.N),
+                 flat_index(e.j, e.l, net.N), delta, mirror=not net.directed)
+    return replace(net, arcs=arcs)
 
 
 def _bump(A, r, c, delta, mirror=False):
@@ -609,7 +505,7 @@ def _bump(A, r, c, delta, mirror=False):
         new = float(A[rr, cc]) + delta
         if new < 0:
             raise InputError(
-                f"edge weight would become negative ({new}) at ({rr + 1},{cc + 1})")
+                f"edge weight would become negative ({new}) at supra entry ({rr},{cc})")
     rows, cols = zip(*cells)
     out = A + sp.csr_matrix(([delta] * len(cells), (rows, cols)), shape=A.shape)
     out.eliminate_zeros()

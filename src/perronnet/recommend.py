@@ -30,9 +30,8 @@ from .errors import ConvergenceError, InfeasibleError, InputError
 # perfbench/spans.py times perron, supra_operator, is_strongly_connected,
 # apply_edge_delta and sensitivity_entry by replacing these names in this
 # module, so they stay imported by name
-from .model import (EdgeKey, MultiplexNetwork, Network, apply_edge_delta,
-                    editable_arcs, is_strongly_connected, supra_operator,
-                    unflatten_index)
+from .model import (EdgeKey, Network, apply_edge_delta, editable_arcs,
+                    is_strongly_connected, supra_operator, unflatten_index)
 from .sensitivity import sensitivity_entry
 
 
@@ -174,7 +173,6 @@ def _descending_products(t: PerronTriple, net: Network):
     Supra self-loops (a == b) are skipped; for multiplex networks only
     intra-layer position pairs are admissible.
     """
-    multiplex = isinstance(net, MultiplexNetwork)
     N = net.N
 
     def frontier(y_idx, x_idx):
@@ -190,7 +188,7 @@ def _descending_products(t: PerronTriple, net: Network):
                     seen.add((pp, qq))
                     heapq.heappush(heap, (-t.y[y_idx[pp]] * t.x[x_idx[qq]], pp, qq))
 
-    if not multiplex:
+    if not net.multiplex:
         order_y = np.argsort(-t.y, kind="stable")
         order_x = np.argsort(-t.x, kind="stable")
         for a, b, p in frontier(order_y, order_x):
@@ -375,14 +373,14 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
         picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
         return [_edge_at(a[pool[p]], b[pool[p]], net.N) for p in picks]
 
-    if net.dim < 2 or (isinstance(net, MultiplexNetwork) and net.N < 2):
+    if net.dim < 2 or (net.multiplex and net.N < 2):
         return []
     picked: list[EdgeKey] = []
     seen = set()
     guard = 0
     while len(picked) < count and guard < 100 * count + 1000:
         guard += 1
-        if isinstance(net, MultiplexNetwork):
+        if net.multiplex:
             l = int(rng.integers(1, net.L + 1))
             i, j = (int(v) + 1 for v in
                     np.sort(rng.choice(net.N, size=2, replace=False)))

@@ -26,8 +26,8 @@ from scipy.sparse.linalg import LinearOperator
 
 from .eigen import PerronTriple
 from .errors import DenseCapError, InfeasibleError, InputError
-from .model import (DEFAULT_DENSE_CAP, EdgeKey, MultiplexNetwork, Network,
-                    editable_arcs, flat_index, unflatten_index)
+from .model import (DEFAULT_DENSE_CAP, EdgeKey, Network, editable_arcs,
+                    flat_index, unflatten_index)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +144,12 @@ def first_order_delta_rho(t: PerronTriple, E, eps: float) -> float:
     return eps * float(t.y @ (E @ t.x)) / float(t.y @ t.x)
 
 
-def _require_multiplex(net):
-    if not isinstance(net, MultiplexNetwork):
-        raise InputError("structured sensitivity requires a multiplex network")
-
-
-def _cone(t: PerronTriple, cone: str, net: MultiplexNetwork,
+def _cone(t: PerronTriple, cone: str, net: Network,
           scale: float) -> SensitivityMatrix:
     """scale * (y x^T) projected onto cone 'D' (block-diagonal) or 'S'
     (masked to the stored intra-layer arcs)."""
-    _require_multiplex(net)
+    if not net.multiplex:
+        raise InputError("structured sensitivity requires a multiplex network")
     if cone == "D":
         return SensitivityMatrix(t, scale, net.N, net.N, variant="D-structured")
     if cone == "S":
@@ -164,7 +160,7 @@ def _cone(t: PerronTriple, cone: str, net: MultiplexNetwork,
 
 
 def structured_wilkinson(t: PerronTriple, cone: str,
-                         net: MultiplexNetwork) -> SensitivityMatrix:
+                         net: Network) -> SensitivityMatrix:
     """Worst-case unit-Frobenius perturbation restricted to a cone.
 
     cone 'D': nonnegative block-diagonal matrices; the projection of W is
@@ -182,7 +178,7 @@ def structured_wilkinson(t: PerronTriple, cone: str,
 
 
 def structured_condition_number(t: PerronTriple, cone: str,
-                                net: MultiplexNetwork) -> float:
+                                net: Network) -> float:
     """kappa_cone = |(y x^T)|_cone|_F / (y^T x)."""
     return _cone(t, cone, net, 1.0).frobenius_norm() / float(t.y @ t.x)
 
@@ -214,13 +210,13 @@ def sensitivity_matrix(t: PerronTriple, N: int, L: int) -> SensitivityMatrix:
 
 
 def sensitivity_matrix_multiplex(t: PerronTriple,
-                                 net: MultiplexNetwork) -> SensitivityMatrix:
+                                 net: Network) -> SensitivityMatrix:
     """Block-diagonal (cone D) sensitivity matrix kappa * (y x^T)|_D."""
     return _cone(t, "D", net, t.kappa)
 
 
 def structured_sensitivity_matrix(t: PerronTriple,
-                                  net: MultiplexNetwork) -> SensitivityMatrix:
+                                  net: Network) -> SensitivityMatrix:
     """Sparsity-masked (cone S) sensitivity matrix kappa * (y x^T)|_S."""
     return _cone(t, "S", net, t.kappa)
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from perronnet import (EdgeKey, MultilayerNetwork, MultiplexNetwork,
-                       load_demo_network)
+from perronnet import EdgeKey, Network, load_demo_network
 
 DATA_DIR = os.environ.get("PERRON_DATA_DIR", "")
 
@@ -48,22 +47,16 @@ def demo_net():
 def multilayer_from_dense(B, N, L, directed=True):
     """Build a general multilayer network from a dense supra matrix."""
     B = np.asarray(B, dtype=float)
-    blocks = []
-    for k in range(L):
-        row = []
-        for l in range(L):
-            blk = sp.csr_matrix(B[k * N:(k + 1) * N, l * N:(l + 1) * N])
-            blk.eliminate_zeros()
-            row.append(blk if blk.nnz else None)
-        blocks.append(tuple(row))
-    return MultilayerNetwork(N=N, L=L, blocks=tuple(blocks), directed=directed)
+    blocks = [[sp.csr_matrix(B[k * N:(k + 1) * N, l * N:(l + 1) * N])
+               for l in range(L)] for k in range(L)]
+    return Network(N, L, sp.bmat(blocks, format="csr"), directed)
 
 
 def multiplex_from_layers(layers, gamma, directed=False):
     mats = tuple(sp.csr_matrix(np.asarray(A, dtype=float)) for A in layers)
     N = mats[0].shape[0]
-    return MultiplexNetwork(N=N, L=len(mats), layers=mats, gamma=float(gamma),
-                            directed=directed)
+    return Network(N, len(mats), sp.block_diag(mats, format="csr"), directed,
+                   gamma=float(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +164,7 @@ def brute_insertion_ranking(rho, x, y, net, top_k, candidate_set="all"):
                 continue
             i, k = a % N + 1, a // N + 1
             j, l = b % N + 1, b // N + 1
-            if isinstance(net, MultiplexNetwork) and k != l:
+            if net.multiplex and k != l:
                 continue
             e = EdgeKey(i, j, k, l)
             has_arc = net.weight(e) > 0 or net.weight(e.reversed()) > 0

@@ -302,6 +302,13 @@ def test_bad_flag_values_rejected(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "spectrum", DEMO, "--top-k", "0")
     assert code == 1
+    code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
+                             "--auto", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: --seed must be nonnegative\n")
+    for cap in ("-5", "0"):
+        code, out, err = run_cli(capsys, "communicability", DEMO, "--directed",
+                                 "--total", "--dense-cap", cap)
+        assert (code, out, err) == (1, "", "error: --dense-cap must be >= 1\n")
 
 
 def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,

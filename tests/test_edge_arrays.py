@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from perronnet import (EdgeKey, InfeasibleError, InputError,
-                       MultilayerNetwork, MultiplexNetwork, assemble_sparse,
+from perronnet import (EdgeKey, InfeasibleError, InputError, Network,
+                       assemble_sparse,
                        cli, is_strongly_connected, load_multiplex, perron,
                        rank_insertions, rank_removals, sensitivity_entry,
                        supra_operator)
@@ -215,22 +215,21 @@ def test_editable_arcs_list_stored_arcs_without_coupling():
 def test_undirected_networks_must_be_symmetric():
     blk = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match="symmetric"):
-        MultilayerNetwork(N=2, L=1, blocks=((blk,),), directed=False)
+        Network(2, 1, sp.bmat([[blk]], format="csr"), False)
     with pytest.raises(InputError, match="symmetric"):
-        MultiplexNetwork(N=2, L=1, layers=(blk,), gamma=1.0, directed=False)
+        Network(2, 1, sp.block_diag([blk], format="csr"), False, gamma=1.0)
     # an inter-layer arc without its mirror block
     empty = sp.csr_matrix((2, 2))
     with pytest.raises(InputError, match="symmetric"):
-        MultilayerNetwork(N=2, L=2, blocks=((None, blk), (None, None)),
-                          directed=False)
+        Network(2, 2, sp.bmat([[empty, blk], [empty, empty]], format="csr"),
+                False)
     with pytest.raises(InputError, match="symmetric"):
-        MultilayerNetwork(N=2, L=2, blocks=((None, blk), (empty, None)),
-                          directed=False)
+        Network(2, 2, sp.bmat([[None, blk], [empty, None]], format="csr"),
+                False)
     # the same arcs are a valid directed network
-    MultilayerNetwork(N=2, L=2, blocks=((None, blk), (None, None)),
-                      directed=True)
-    MultilayerNetwork(N=2, L=2, blocks=((None, blk), (blk.T.tocsr(), None)),
-                      directed=False)
+    Network(2, 2, sp.bmat([[empty, blk], [empty, empty]], format="csr"), True)
+    Network(2, 2, sp.bmat([[None, blk], [blk.T.tocsr(), None]], format="csr"),
+            False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ data lines, one dict per layer or block, every check made line by line.
 Each generated file mixes valid lines with a few defects, or spellings
 that only Python's int()/float() accept; the loaders must accept exactly
 the files the reference accepts, fail with the same message on the same
-line otherwise, and store bit-identical CSR arrays.
+line otherwise, and store bit-identical supra CSR arrays.
 """
 
 import math
@@ -17,8 +17,7 @@ import scipy.sparse as sp
 
 import perronnet.model as model
 from perronnet.errors import ParseError
-from perronnet.model import (MultilayerNetwork, MultiplexNetwork,
-                             load_multilayer, load_multiplex)
+from perronnet.model import Network, load_multilayer, load_multiplex
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +97,8 @@ def ref_load_multiplex(path, gamma, directed=False):
                     f"duplicate edge ({i},{j}) in layer {l}", path, lineno)
             entries[l - 1][key] = w
     layers = tuple(_ref_csr(d, N) for d in entries)
-    return MultiplexNetwork(N=N, L=L, layers=layers, gamma=float(gamma),
-                            directed=directed)
+    return Network(N, L, sp.block_diag(layers, format="csr"), directed,
+                   gamma=float(gamma))
 
 
 def ref_load_multilayer(path, directed=False):
@@ -129,9 +128,8 @@ def ref_load_multilayer(path, directed=False):
     per_block = [[dict() for _ in range(L)] for _ in range(L)]
     for (k, i, l, j), w in entries.items():
         per_block[k - 1][l - 1][(i - 1, j - 1)] = w
-    blocks = tuple(tuple(_ref_csr(d, N) if d else None for d in row)
-                   for row in per_block)
-    return MultilayerNetwork(N=N, L=L, blocks=blocks, directed=directed)
+    blocks = [[_ref_csr(d, N) for d in row] for row in per_block]
+    return Network(N, L, sp.bmat(blocks, format="csr"), directed)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +254,9 @@ def _outcome(load, path, **kw):
         net = load(path, **kw)
     except ParseError as exc:
         return "error", str(exc), exc.line
-    if isinstance(net, MultiplexNetwork):
-        mats = list(net.layers)
-    else:
-        mats = [blk for row in net.blocks for blk in row]
-    arrays = []
-    for m in mats:
-        if m is None:
-            arrays.append(None)
-        else:
-            arrays.append(tuple((a.dtype.str, a.tobytes())
-                                for a in (m.indptr, m.indices, m.data)))
-    return "ok", arrays
+    m = net.arcs
+    return "ok", tuple((a.dtype.str, a.tobytes())
+                       for a in (m.indptr, m.indices, m.data))
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["multiplex", "general"])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from perronnet import (EdgeKey, InputError, MultilayerNetwork,
-                       MultiplexNetwork, ParseError,
-                       apply_edge_delta, assemble_dense, is_strongly_connected,
+from perronnet import (EdgeKey, InputError, Network, ParseError,
+                       apply_edge_delta, assemble_sparse, cli, assemble_dense, is_strongly_connected,
                        load_multilayer, load_multiplex, supra_operator)
 from perronnet.errors import DenseCapError
 from perronnet.model import _bump
@@ -28,7 +27,7 @@ def write(tmp_path, text, name="net.edges"):
 def test_load_multiplex_single_layer_cycle(tmp_path):
     p = write(tmp_path, "2 1\n1 1 2 1.0\n")
     net = load_multiplex(p, gamma=0.0, directed=False)
-    A = net.layers[0].toarray()
+    A = net.arcs.toarray()
     assert np.array_equal(A, [[0, 1], [1, 0]])
 
 
@@ -91,14 +90,14 @@ def test_constructors_reject_non_finite_values():
     good = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(InputError, match="finite"):
-            MultiplexNetwork(N=2, L=1, layers=(good,), gamma=bad,
-                             directed=False)
+            Network(2, 1, sp.block_diag([good], format="csr"), False,
+                    gamma=bad)
         blk = sp.csr_matrix(np.array([[0.0, bad], [bad, 0.0]]))
         with pytest.raises(InputError, match="finite"):
-            MultiplexNetwork(N=2, L=1, layers=(blk,), gamma=1.0,
-                             directed=False)
+            Network(2, 1, sp.block_diag([blk], format="csr"), False,
+                    gamma=1.0)
         with pytest.raises(InputError, match="finite"):
-            MultilayerNetwork(N=2, L=1, blocks=((blk,),), directed=True)
+            Network(2, 1, sp.bmat([[blk]], format="csr"), True)
 
 
 def test_load_multilayer_general(tmp_path):
@@ -234,7 +233,7 @@ def test_operator_sums_and_products_match_dense():
         B = assemble_dense(net)
         t = perron(op)
         perts = [wilkinson(t)]
-        if isinstance(net, MultiplexNetwork):
+        if net.multiplex:
             perts += [structured_wilkinson(t, cone, net) for cone in "DS"]
         v = rng.standard_normal(net.dim)
         for E in perts:
@@ -344,6 +343,52 @@ def test_apply_edge_delta_undirected_general_mirrors(tmp_path):
     B = assemble_dense(m)
     assert np.array_equal(B, B.T)
     assert m.weight(EdgeKey(2, 1, 2, 1)) == pytest.approx(1.0)
+
+
+def _csr_bytes(m):
+    return [(a.dtype.str, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_one_mutation_path_for_multiplex_and_general(tmp_path, directed,
+                                                     gamma):
+    # a multiplex and the general network parsed from its convert output
+    # assemble to the same supra matrix, before and after each edit
+    net = random_multiplex_net(21, N=5, L=3, gamma=1.0, density=0.4,
+                               directed=directed)
+    src, out = tmp_path / "m.edges", tmp_path / "g.edges"
+    src.write_text("5 3\n" + "".join(f"{e.k} {e.i} {e.j} {w!r}\n"
+                                     for e, w in net.edges()
+                                     if directed or e.i < e.j))
+    flags = ["--gamma", str(gamma), "-o", str(out)]
+    assert cli.main(["convert", str(src)] + flags
+                    + (["--directed"] if directed else [])) == 0
+    mpx = load_multiplex(src, gamma=gamma, directed=directed)
+    gen = load_multilayer(out, directed=directed)
+    assert _csr_bytes(assemble_sparse(mpx)) == _csr_bytes(assemble_sparse(gen))
+    stored = [e for e, _ in mpx.edges()]
+    absent = [EdgeKey(i, j, l, l) for l in (1, 2, 3) for i in range(1, 6)
+              for j in range(1, 6) if i != j
+              and mpx.weight(EdgeKey(i, j, l, l)) == 0]
+    edits = [(absent[0], 0.4), (absent[-1], 1.25), (stored[1], 0.25),
+             (stored[-2], 0.5), (stored[0], -mpx.weight(stored[0])),
+             (stored[-1], -mpx.weight(stored[-1]))]
+    for e, delta in edits:
+        got = [assemble_sparse(apply_edge_delta(n, e, delta)) for n in (mpx, gen)]
+        assert _csr_bytes(got[0]) == _csr_bytes(got[1]), (e, delta)
+    assert any(d < 0 for _, d in edits) and absent
+
+
+def test_multiplex_rejects_stored_inter_layer_arcs():
+    I, empty = sp.identity(2, format="csr"), sp.csr_matrix((2, 2))
+    blk = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for arcs, directed in ((sp.bmat([[None, I], [I, None]]), False),
+                           (sp.bmat([[None, blk], [empty, None]]), True)):
+        with pytest.raises(InputError, match="intra-layer"):
+            Network(2, 2, arcs.tocsr(), directed, gamma=1.0)
+        # the same arcs make a valid general network
+        assert Network(2, 2, arcs.tocsr(), directed).edge_count() == arcs.nnz
 
 
 def _bump_via_lil(A, r, c, delta, mirror):

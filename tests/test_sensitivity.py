@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from perronnet import (DenseCapError, EdgeKey, InfeasibleError, InputError,
-                       MultiplexNetwork, assemble_dense, exp0,
+                       Network, assemble_dense, exp0,
                        first_order_delta_rho, perron, perron_communicability,
                        sensitivity_entry, sensitivity_matrix,
                        sensitivity_matrix_multiplex, spectral_impact,
@@ -174,7 +174,8 @@ def test_sparse_matrix_masks_to_layer_pattern():
     t = triple_of(net)
     S = structured_sensitivity_matrix(t, net).toarray()
     B_intra = assemble_dense(multiplex_from_layers(
-        [A.toarray() for A in net.layers], gamma=0.0, directed=True))
+        [net.arcs[5 * l:5 * (l + 1), 5 * l:5 * (l + 1)].toarray()
+         for l in range(net.L)], gamma=0.0, directed=True))
     assert np.count_nonzero(S[B_intra == 0]) == 0
     D = sensitivity_matrix_multiplex(t, net).toarray()
     nz = B_intra > 0
@@ -230,8 +231,7 @@ def test_structured_argmax_entry_at_order_8000():
         A.setdiag(0)
         A.eliminate_zeros()
         layers.append(A.tocsr())
-    net = MultiplexNetwork(N=N, L=L, layers=tuple(layers), gamma=1.0,
-                           directed=False)
+    net = Network(N, L, sp.block_diag(layers, format="csr"), False, gamma=1.0)
     t = triple_of(net, tol=1e-10)
     D = sensitivity_matrix_multiplex(t, net)
     S = structured_sensitivity_matrix(t, net)
