@@ -425,25 +425,32 @@ def load_multilayer(path, directed: bool = False) -> Network:
 # operators and assembly
 
 def supra_operator(net: Network) -> LinearOperator:
-    """Matrix-free supra-adjacency operator B, with products B v and B^T v.
+    """Matrix-free supra-adjacency operator B, with products B v and B^T v
+    and, on an NL x k block V, B V and B^T V.
 
     The stored arcs multiply as one CSR matrix and a precomputed CSR
     transpose; a multiplex adds its gamma coupling blockwise:
-    (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m).
+    (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m), column by
+    column on a block.
     """
     N, L, g = net.N, net.L, net.gamma or 0.0
     arcs, arcs_t = net.arcs, net.arcs.T.tocsr()
 
-    def apply(m, v):
-        v = np.asarray(v, dtype=float).reshape(-1)
+    def apply(m, v, cols):
+        v = np.asarray(v, dtype=float).reshape(cols)
         out = m @ v
         if g != 0.0:
-            V = v.reshape(L, N)
-            out += (g * (V.sum(axis=0) - V)).reshape(-1)
+            V = v.reshape((L, N) + cols[1:])
+            out += (g * (V.sum(axis=0) - V)).reshape(cols)
         return out
 
-    return LinearOperator((net.dim, net.dim), matvec=lambda v: apply(arcs, v),
-                          rmatvec=lambda v: apply(arcs_t, v), dtype=float)
+    n = net.dim
+    return LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda v: apply(arcs, v, (n,)),
+        rmatvec=lambda v: apply(arcs_t, v, (n,)),
+        matmat=lambda V: apply(arcs, V, (n, V.shape[1])),
+        rmatmat=lambda V: apply(arcs_t, V, (n, V.shape[1])))
 
 
 def assemble_sparse(net: Network) -> sp.csr_matrix:
@@ -489,18 +496,36 @@ def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
     e.validate(net.N, net.L)
     if delta == 0:
         return net
-    if net.multiplex and e.k != e.l:
-        raise InputError("multiplex edits must be intra-layer (k == l)")
-    if net.multiplex and e.i == e.j:
-        raise InputError("multiplex layers cannot carry self-loops")
+    check_editable(net, e)
     arcs = _bump(net.arcs, flat_index(e.i, e.k, net.N),
                  flat_index(e.j, e.l, net.N), delta, mirror=not net.directed)
     return replace(net, arcs=arcs)
 
 
+def check_editable(net: Network, e: EdgeKey) -> None:
+    """Raise InputError unless edge ``e`` of ``net`` may be edited: a
+    multiplex edit must stay inside one layer and must not be a self-loop,
+    the gamma coupling being fixed by the model."""
+    if net.multiplex and e.k != e.l:
+        raise InputError("multiplex edits must be intra-layer (k == l)")
+    if net.multiplex and e.i == e.j:
+        raise InputError("multiplex layers cannot carry self-loops")
+
+
+def edit_cells(net: Network, e: EdgeKey) -> tuple[tuple[int, int], ...]:
+    """Supra cells (row, col) that :func:`apply_edge_delta` changes for an
+    edit of edge ``e``: its arc and, on undirected input, the mirror cell."""
+    return _cells(flat_index(e.i, e.k, net.N), flat_index(e.j, e.l, net.N),
+                  mirror=not net.directed)
+
+
+def _cells(r, c, mirror):
+    return ((r, c), (c, r)) if (mirror and r != c) else ((r, c),)
+
+
 def _bump(A, r, c, delta, mirror=False):
     """Return csr copy of A with entry (r, c) [and (c, r)] changed by delta."""
-    cells = ((r, c), (c, r)) if (mirror and r != c) else ((r, c),)
+    cells = _cells(r, c, mirror)
     for rr, cc in cells:
         new = float(A[rr, cc]) + delta
         if new < 0:

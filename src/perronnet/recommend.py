@@ -16,22 +16,36 @@ skipping any whose removal disconnects the supra graph.
 The experiment harness re-solves the eigenproblem exactly for each
 perturbed network (the first-order score is only an estimate) and pairs
 every row with a seeded random baseline edge treated the same way.
+
+Each exact re-solve request (an edge, a mode, eps and whether to mirror)
+becomes its list of arc edits, checked once by :func:`_edits`.  All the
+requests of one call are re-solved together by
+:func:`~perronnet.eigen.perron_block` on the base network's operator,
+each as its one or two supra entry updates, without copying the network;
+a row is accepted only when it passes the certification ``perron()``
+applies.  A row the block pass does not accept is solved alone by
+``perron()`` on its mutated network, which reports why a row cannot be
+solved.  Both passes start from the base Perron pair when both of its
+vectors are strictly positive, and cold otherwise.  A removal that must
+keep the supra graph strongly connected is checked on the network
+mutated by the same edits.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import PerronTriple, perron
+from .eigen import PerronTriple, perron, perron_block
 from .errors import ConvergenceError, InfeasibleError, InputError
 # perfbench/spans.py times perron, supra_operator, is_strongly_connected,
 # apply_edge_delta and sensitivity_entry by replacing these names in this
 # module, so they stay imported by name
-from .model import (EdgeKey, Network, apply_edge_delta, editable_arcs,
-                    is_strongly_connected, supra_operator, unflatten_index)
+from .model import (EdgeKey, Network, apply_edge_delta, check_editable,
+                    edit_cells, editable_arcs, is_strongly_connected,
+                    supra_operator, unflatten_index)
 from .sensitivity import sensitivity_entry
 
 
@@ -77,11 +91,18 @@ def _edge_at(a, b, N: int) -> EdgeKey:
     return EdgeKey(i, j, k, l)
 
 
-def _tie_order(a: np.ndarray, b: np.ndarray, N: int, score=None) -> np.ndarray:
+def _tie_order(a: np.ndarray, b: np.ndarray, net: Network,
+               score=None) -> np.ndarray:
     """Permutation sorting arcs (a, b) by ascending ``score`` when given,
-    then by the tie key (k, l, i, j)."""
-    keys = (b % N, a % N, b // N, a // N)
-    return np.lexsort(keys if score is None else keys + (score,))
+    then by the tie key (k, l, i, j), packed into one integer."""
+    N, L = net.N, net.L
+    # ((k L + l) N + i) N + j, as Python ints past int64 (as in _repeats)
+    dtype = np.int64 if net.dim ** 2 <= np.iinfo(np.int64).max else object
+    a, b = a.astype(dtype), b.astype(dtype)
+    tie = ((a // N * L + b // N) * N + a % N) * N + b % N
+    if score is None:
+        return np.argsort(tie, kind="stable")
+    return np.lexsort((tie, score))
 
 
 def _removable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -135,16 +156,12 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
         ranked = sorted(found.values(),
                         key=lambda se: (-se[0], _tie_key(se[1])))[:top_k]
 
-    out = []
-    for score, e in ranked:
-        rho_after = None
-        if recompute:
-            mutated = _shift_group(net, e, eps, mirror=True)
-            # warm start: the perturbed Perron pair stays near the base one
-            rho_after = perron(supra_operator(mutated), tol=tol,
-                               x0=t.x, y0=t.y).rho
-        out.append(RankedEdge(edge=e, score=score, rho_before=t.rho,
-                              rho_after=rho_after))
+    out = [RankedEdge(edge=e, score=score, rho_before=t.rho)
+           for score, e in ranked]
+    if recompute:
+        requests = [_edits(net, r.edge, "increase", eps, mirror=True)
+                    for r in out]
+        out = _with_roots(net, t, out, requests, tol)
     return out
 
 
@@ -158,7 +175,7 @@ def _strongest_existing(t: PerronTriple, net: Network, top_k: int):
     # intra-layer pairs display with i <= j
     flip = (a // N == b // N) & (a > b)
     da, db = np.where(flip, b, a), np.where(flip, a, b)
-    order = _tie_order(da, db, N, -score)
+    order = _tie_order(da, db, net, -score)
     lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
     pair = (lo * net.dim + hi)[order]
     _, first = np.unique(pair, return_index=True)
@@ -232,63 +249,127 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     if not a.size:
         raise InfeasibleError("network has no removable edges")
     score = t.kappa * t.y[a] * t.x[b]
-    order = _tie_order(a, b, net.N, score)
+    order = _tie_order(a, b, net, score)
 
-    out = []
+    out, requests = [], []
     for p in order:
         if len(out) >= top_k:
             break
         e = _edge_at(a[p], b[p], net.N)
+        edits = _edits(net, e, "remove") if require_connected or recompute else None
         connected = None
-        rho_after = None
-        if require_connected or recompute:
-            mutated = _remove_group(net, e, mirror=not net.directed)
-            if require_connected:
-                connected = is_strongly_connected(mutated)
-                if not connected:
-                    continue
-            if recompute:
-                rho_after = perron(supra_operator(mutated), tol=tol,
-                                   x0=t.x, y0=t.y).rho
+        if require_connected:
+            connected = is_strongly_connected(_mutated(net, edits))
+            if not connected:
+                continue
         out.append(RankedEdge(edge=e, score=float(score[p]), rho_before=t.rho,
-                              rho_after=rho_after, connected_after=connected))
+                              connected_after=connected))
+        requests.append(edits)
     if require_connected and not out:
         raise InfeasibleError("no removal leaves the network strongly connected")
+    if recompute:
+        out = _with_roots(net, t, out, requests, tol)
     return out
 
 
-def _shift_group(net: Network, e: EdgeKey, delta: float, mirror: bool) -> Network:
-    """Shift an edge weight by delta and, when mirroring, its reverse arc.
+def _edits(net: Network, e: EdgeKey, mode: str, eps: float = 0.0,
+           mirror: bool = False) -> list[tuple[EdgeKey, float]]:
+    """The arc edits, as (arc, delta) pairs, of one request: edge ``e``
+    raised by eps ('increase'), lowered by eps ('decrease') or zeroed
+    ('remove'), and, when mirroring, its reverse arc too.
 
-    Undirected networks mirror inside apply_edge_delta already.  On
-    directed networks a positive mirrored delta touches both arcs; a
-    negative one touches the reverse arc only where that arc exists, and
-    must stay below its weight.
+    Undirected networks mirror every edit already (see apply_edge_delta).
+    A decrease or removal needs an existing edge, and a decrease an eps
+    below its weight.  On directed networks a mirrored increase touches
+    both arcs; a mirrored decrease or removal touches the reverse arc only
+    where that arc exists, and a decrease must stay below its weight.
+    Raises InputError when a check fails.
     """
-    mutated = apply_edge_delta(net, e, delta)
-    if mirror and net.directed:
-        r = e.reversed()
-        if r != e:
-            w_rev = net.weight(r)
-            if delta > 0 or (w_rev > 0 and -delta < w_rev):
-                mutated = apply_edge_delta(mutated, r, delta)
-            elif w_rev > 0:
-                raise InputError(
-                    f"mirrored decrease {-delta} not below reverse weight "
-                    f"{w_rev} of {r}")
-    return mutated
-
-
-def _remove_group(net: Network, e: EdgeKey, mirror: bool) -> Network:
-    """Remove an edge entirely; when mirroring, the reverse arc too."""
-    mutated = apply_edge_delta(net, e, -net.weight(e))
-    if mirror and net.directed:
-        r = e.reversed()
-        if r != e:
-            w_rev = net.weight(r)
+    e.validate(net.N, net.L)
+    if mode == "increase":
+        delta = eps
+    else:
+        w = net.weight(e)
+        if w <= 0:
+            raise InputError(f"edge {e} does not exist")
+        if mode == "decrease" and eps >= w:
+            raise InputError(f"eps={eps} not below weight {w} of {e}")
+        delta = -eps if mode == "decrease" else -w
+    check_editable(net, e)
+    out = [(e, delta)]
+    r = e.reversed()
+    if mirror and net.directed and r != e:
+        w_rev = net.weight(r)
+        if mode == "remove":
             if w_rev > 0:
-                mutated = apply_edge_delta(mutated, r, -w_rev)
-    return mutated
+                out.append((r, -w_rev))
+        elif delta > 0 or (w_rev > 0 and -delta < w_rev):
+            out.append((r, delta))
+        elif w_rev > 0:
+            raise InputError(f"mirrored decrease {-delta} not below reverse "
+                             f"weight {w_rev} of {r}")
+    return out
+
+
+def _mutated(net: Network, edits) -> Network:
+    for e, delta in edits:
+        net = apply_edge_delta(net, e, delta)
+    return net
+
+
+def _supra_updates(net: Network, edits):
+    """(rows, cols, deltas) of the supra entries that ``edits`` change, the
+    same cells as :func:`_mutated`."""
+    cells = [(r, c, d) for e, d in edits for r, c in edit_cells(net, e)]
+    return tuple(np.array(v) for v in zip(*cells))
+
+
+def _warm_start(t: PerronTriple):
+    """The base Perron pair as the start of a re-solve when both vectors
+    are strictly positive; (None, None), a cold start, when a sink or
+    source node zeroes an entry."""
+    if t.x.min() > 0 and t.y.min() > 0:
+        return t.x, t.y
+    return None, None
+
+
+def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
+    """Exact Perron root of ``net`` after each list of arc edits in
+    ``requests``, or the InputError or ConvergenceError its solve raised.
+
+    All are solved at once by :func:`~perronnet.eigen.perron_block` on
+    the base operator, each as its few supra entry updates; a row the
+    block pass does not accept is solved alone by ``perron`` on its
+    mutated network.  Both start from :func:`_warm_start`.
+    """
+    if not requests:
+        return []
+    x0, y0 = _warm_start(t)
+    block = perron_block(supra_operator(net),
+                         [_supra_updates(net, edits) for edits in requests],
+                         tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
+    roots = []
+    for edits, solved in zip(requests, block):
+        if solved is None:
+            try:
+                solved = perron(supra_operator(_mutated(net, edits)), tol=tol,
+                                x0=x0, y0=y0)
+            except (InputError, ConvergenceError) as exc:
+                roots.append(exc)
+                continue
+        roots.append(solved.rho)
+    return roots
+
+
+def _with_roots(net, t, ranked, requests, tol) -> list[RankedEdge]:
+    """``ranked`` with each row's rho_after re-solved exactly from its
+    arc edits; a failed solve raises."""
+    out = []
+    for r, rho in zip(ranked, _exact_roots(net, t, requests, tol)):
+        if isinstance(rho, Exception):
+            raise rho
+        out.append(replace(r, rho_after=rho))
+    return out
 
 
 def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
@@ -316,41 +397,35 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
         baseline_count = len(edges)
     baselines = _draw_baselines(t, net, mode, baseline_count, seed)
 
+    scores = [sensitivity_entry(t, e, net.N) for e in edges]
+    paired = baselines[:len(edges)]
+
+    def edits_or_error(e):
+        try:
+            return _edits(net, e, mode, eps, mirror)
+        except InputError as exc:
+            return exc
+
+    # every row, then every baseline: its root, or the error that flags it
+    requests = [edits_or_error(e) for e in edges + paired]
+    roots = iter(_exact_roots(net, t, [r for r in requests
+                                       if not isinstance(r, InputError)], tol))
+    results = [r if isinstance(r, InputError) else next(roots)
+               for r in requests]
     rows = []
     for idx, e in enumerate(edges):
-        score = sensitivity_entry(t, e, net.N)
-        rho_new, err = _resolve_row(net, e, eps, mode, mirror, tol, t)
-        b_edge = baselines[idx] if idx < len(baselines) else None
-        b_rho = None
-        if b_edge is not None:
-            b_rho, b_err = _resolve_row(net, b_edge, eps, mode, mirror, tol, t)
-            if b_err is not None:
-                b_rho = None
-        rows.append(ExperimentRow(edge=e, score=score, rho_new=rho_new,
-                                  baseline_edge=b_edge, baseline_rho_new=b_rho,
-                                  error=err))
+        rho_new = results[idx]
+        b_edge = paired[idx] if idx < len(paired) else None
+        b_rho = results[len(edges) + idx] if b_edge is not None else None
+        rows.append(ExperimentRow(
+            edge=e, score=scores[idx], rho_new=_root_or_none(rho_new),
+            baseline_edge=b_edge, baseline_rho_new=_root_or_none(b_rho),
+            error=None if isinstance(rho_new, float) else str(rho_new)))
     return rows
 
 
-def _resolve_row(net, e, eps, mode, mirror, tol, t):
-    try:
-        e.validate(net.N, net.L)
-        if mode == "increase":
-            mutated = _shift_group(net, e, eps, mirror)
-        else:
-            w = net.weight(e)
-            if w <= 0:
-                return None, f"edge {e} does not exist"
-            if mode == "decrease":
-                if eps >= w:
-                    return None, f"eps={eps} not below weight {w} of {e}"
-                mutated = _shift_group(net, e, -eps, mirror)
-            else:
-                mutated = _remove_group(net, e, mirror)
-        # warm start from the unperturbed Perron pair
-        return perron(supra_operator(mutated), tol=tol, x0=t.x, y0=t.y).rho, None
-    except (InputError, ConvergenceError) as exc:
-        return None, str(exc)
+def _root_or_none(result):
+    return result if isinstance(result, float) else None
 
 
 def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
@@ -369,7 +444,7 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
         a, b = _removable_arcs(net)
         if not a.size:
             return []
-        pool = _tie_order(a, b, net.N)
+        pool = _tie_order(a, b, net)
         picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
         return [_edge_at(a[pool[p]], b[pool[p]], net.N) for p in picks]
 

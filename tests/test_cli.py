@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import perronnet
-from perronnet import demo_network_path, load_multilayer
+from perronnet import (EdgeKey, demo_network_path, load_multilayer, perron,
+                       supra_operator)
 from perronnet import cli, recommend
 from perronnet.cli import main
 from perronnet.errors import ConvergenceError
+
+from conftest import random_general_net
 
 
 DEMO = str(demo_network_path())
@@ -320,6 +323,9 @@ def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,
         return cli.perron(op, *args, **kwargs)
 
     monkeypatch.setattr(recommend, "perron", failing_warm)
+    # the block pass accepts no row, so every row reaches the failing perron
+    monkeypatch.setattr(recommend, "perron_block",
+                        lambda op, updates, **kwargs: [None] * len(updates))
     code, out, _ = run_cli(capsys, "experiment", DEMO, "--directed", "--auto",
                            "--mode", "remove", "--top-k", "2",
                            "--format", "json")
@@ -348,6 +354,54 @@ def test_experiment_on_a_directed_ring_flags_every_row_at_once(capsys,
     for row in rows:
         assert row["rho_new"] is None and row["random_rho_new"] is None
         assert "orthogonal" in row["note"] and "reducible" in row["note"]
+
+
+# node 4 of layer 1 is a sink: the base Perron vector x is zero there
+SINK = ("4 2\n1 1 1 2 1\n1 2 1 3 1\n1 3 1 1 1\n1 3 1 4 1\n1 1 2 1 1\n"
+        "2 1 1 1 1\n2 1 2 2 1\n2 2 2 1 1\n")
+
+
+def test_resolves_start_cold_when_a_base_vector_has_a_zero(capsys, tmp_path):
+    p = tmp_path / "sink.edges"
+    p.write_text(SINK, encoding="utf-8")
+    code, out, err = run_cli(capsys, "rank", "add", str(p), "--directed",
+                             "--recompute", "--format", "json")
+    assert code == 0, err
+    assert all(r["rho_new"] > 0 for r in json.loads(out)["rows"])
+    net = load_multilayer(p, directed=True)
+    for mode in ("increase", "decrease", "remove"):
+        code, out, err = run_cli(capsys, "experiment", str(p), "--directed",
+                                 "--auto", "--mode", mode, "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert rows and not any("start vector" in r["note"] for r in rows)
+        for r in rows:
+            if r["rho_new"] is None:
+                assert r["note"]
+                continue
+            i, j, k, l = (int(v) for v in r["edge"].split("-"))
+            edits = recommend._edits(net, EdgeKey(i, j, k, l), mode, 0.3,
+                                     mirror=True)
+            cold = perron(supra_operator(recommend._mutated(net, edits)))
+            assert r["rho_new"] == pytest.approx(cold.rho, rel=1e-5)
+
+
+def test_resolved_rows_do_not_depend_on_how_many_are_asked_for(capsys,
+                                                               tmp_path):
+    _, B = random_general_net(31, N=6, L=3)
+    p = tmp_path / "general.edges"
+    p.write_text("6 3\n" + "".join(
+        f"{a // 6 + 1} {a % 6 + 1} {b // 6 + 1} {b % 6 + 1} {float(B[a, b])!r}\n"
+        for a, b in zip(*np.nonzero(B))), encoding="utf-8")
+    firsts = []
+    for k in ("3", "6"):
+        code, out, _ = run_cli(capsys, "rank", "remove", str(p), "--directed",
+                               "--recompute", "--top-k", k, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == int(k) and all(r["rho_new"] for r in rows)
+        firsts.append(rows[:3])
+    assert firsts[0] == firsts[1]
 
 
 UNDECODABLE = b"3 1\n1 1 \xff 1.0\n1 2 3 1.0\n"

@@ -6,17 +6,19 @@ with array operations over ``editable_arcs``.  Both use the same float
 operations, so rankings, scores and baseline picks must agree exactly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InfeasibleError, InputError, Network,
-                       assemble_sparse,
+                       apply_edge_delta, assemble_sparse,
                        cli, is_strongly_connected, load_multiplex, perron,
                        rank_insertions, rank_removals, sensitivity_entry,
                        supra_operator)
 from perronnet.model import editable_arcs
-from perronnet.recommend import _draw_baselines, _remove_group
+from perronnet.recommend import _draw_baselines, _tie_order
 
 from conftest import (multilayer_from_dense, multiplex_from_layers,
                       random_general_dense, random_general_net,
@@ -60,7 +62,7 @@ def ref_removals(t, net, top_k, require_connected=False, recompute=False):
             break
         connected = rho_after = None
         if require_connected or recompute:
-            mutated = _remove_group(net, e, mirror=not net.directed)
+            mutated = apply_edge_delta(net, e, -net.weight(e))
             if require_connected:
                 connected = is_strongly_connected(mutated)
                 if not connected:
@@ -168,8 +170,17 @@ def test_connected_removals_match_reference_walk(net_and_triple):
                 for r in rank_removals(t, net, 4, require_connected=True,
                                        recompute=True)]
 
-    assert _outcome(got) == _outcome(
+    got, want = _outcome(got), _outcome(
         lambda: ref_removals(t, net, 4, require_connected=True, recompute=True))
+    if want[0] == "infeasible":
+        assert got == want
+        return
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    # rho_after comes from the block re-solve, the reference from perron
+    # alone: two roots certified to residuals within 1e-10 * max(1, rho),
+    # at kappa near 1, agree far inside 1e-9
+    assert [g[3] for g in got] == pytest.approx([w[3] for w in want],
+                                                rel=1e-9)
 
 
 def test_baseline_removal_pool_matches_reference_walk(net_and_triple):
@@ -186,6 +197,29 @@ def test_strengthening_candidates_match_reference_walk(net_and_triple):
         got = rank_insertions(t, net, top_k, candidate_set="existing")
         assert ([(r.edge, r.score) for r in got]
                 == [(e, s) for s, e in ref_strengthening(t, net, top_k)])
+
+
+def lexsort_tie_order(a, b, N, score=None):
+    """Reference: the (k, l, i, j) tie key as four lexsort keys."""
+    keys = (b % N, a % N, b // N, a // N)
+    return np.lexsort(keys if score is None else keys + (score,))
+
+
+@pytest.mark.parametrize("N, L", [(7, 3), (1, 5), (9, 1), (2 ** 31, 2)])
+def test_packed_tie_key_sorts_like_the_four_key_lexsort(N, L):
+    # N = 2^31, L = 2 packs past int64 and sorts Python ints
+    rng = np.random.default_rng(N + L)
+    net = SimpleNamespace(N=N, L=L, dim=N * L)
+    for _ in range(20):
+        m = int(rng.integers(1, 400))
+        a = rng.integers(0, min(net.dim, 60), m)
+        b = rng.integers(0, min(net.dim, 60), m)
+        if N > 60:  # spread the positions over the whole index range
+            a, b = a * (net.dim // 60), b * (net.dim // 60) + 1
+        score = rng.integers(0, 4, m) / 4.0  # many equal scores
+        for s in (score, None):
+            assert np.array_equal(_tie_order(a, b, net, s),
+                                  lexsort_tie_order(a, b, N, s))
 
 
 def test_network_without_edges_has_no_existing_candidates():

@@ -206,6 +206,24 @@ def test_multiplex_operator_matches_dense():
         assert np.allclose(op.rmatvec(v), B.T @ v, rtol=1e-12, atol=1e-12)
 
 
+def test_block_products_are_the_column_products():
+    # the block re-solve multiplies n x k blocks; each column must get the
+    # very product matvec/rmatvec make, coupling included
+    nets = [random_multiplex_net(13, N=5, L=3, gamma=0.7, directed=True),
+            random_multiplex_net(14, N=5, L=2, gamma=1.0),
+            random_general_net(15, N=4, L=3)[0]]
+    rng = np.random.default_rng(6)
+    for net in nets:
+        op = supra_operator(net)
+        V = rng.standard_normal((net.dim, 3))
+        for block, column in ((op.matmat, op.matvec), (op.rmatmat, op.rmatvec)):
+            for arg in (V, np.asfortranarray(V)):
+                out = block(arg)
+                assert out.shape == V.shape
+                for j in range(V.shape[1]):
+                    assert np.array_equal(out[:, j], column(V[:, j]))
+
+
 def test_operator_products_are_float_for_int_and_list_input():
     # LinearOperator.matvec passes an int array through; the multiplex
     # product must not write float products into an int buffer
