@@ -22,8 +22,9 @@ per side plus each column's few update entries.  A column is accepted,
 and frozen, at the first step where it passes the certification of
 :func:`perron` (both residuals from fresh products within
 tol * max(1, rho), nonnegative unit vectors, y^T x > 0); a column not
-accepted within :data:`BLOCK_MAX_STEPS` steps (a periodic, reducible or
-small-gap operator) is left to :func:`perron` alone.
+accepted within :data:`BLOCK_MAX_STEPS` steps, or whose residual does not
+shrink fast enough to reach its bound by then (a periodic, reducible or
+small-gap operator), is left to :func:`perron` alone.
 """
 
 from __future__ import annotations
@@ -47,11 +48,17 @@ _POSITIVITY_SLACK = 1e-12
 # benchmark's directed N=1000, L=4 networks (2-core machine) a warm ARPACK
 # re-solve makes about 28 products per side, at about 0.2 ms a product,
 # while a block step costs a column about 0.16 ms for both sides: 60 steps
-# cost about what one warm re-solve does (10 against 11 ms).  A column that
-# falls back therefore costs at most about twice its perron() solve, and
-# the cap still admits a column whose error must shrink by 1e-7 at a gap
-# ratio |lambda_2| / rho up to about 0.76; those rows need 17-29 steps.
+# cost about what one warm re-solve does (10 against 11 ms).  The cap
+# admits a column whose error must shrink by 1e-7 at a gap ratio
+# |lambda_2| / rho up to about 0.76; those rows need 17-29 steps.
 BLOCK_MAX_STEPS = 60
+
+# Steps over which perron_block measures a column's contraction.  From
+# then on a column whose residual, shrinking at the rate it did over the
+# last _STALL_STEPS steps, would not reach its bound by BLOCK_MAX_STEPS is
+# handed to perron() at once, so a periodic or small-gap column costs a
+# few steps, not the whole cap.
+_STALL_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -256,9 +263,11 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     from that step's fresh products within tol * max(1, rho), x and y
     nonnegative and y^T x > 0.  An accepted column is frozen, so its
     triple does not depend on the other columns.  A column not accepted
-    within :data:`BLOCK_MAX_STEPS` steps, or whose iterate vanishes or
-    stops being finite, is returned as None, for :func:`perron` to solve
-    alone: a periodic, reducible or small-gap operator goes that way.
+    within :data:`BLOCK_MAX_STEPS` steps, whose residual over its bound,
+    shrinking at its rate over the last ``_STALL_STEPS`` steps, would
+    still exceed 1 at that cap, or whose iterate vanishes or stops being
+    finite, is returned as None, for :func:`perron` to solve alone: a
+    periodic, reducible or small-gap operator goes that way.
     ``iterations`` counts the products made for the column.
     """
     if tol <= 0:
@@ -278,6 +287,9 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     X = np.repeat(u[None, :], len(updates), axis=0)
     Y = X if symmetric else np.repeat(v[None, :], len(updates), axis=0)
     per_step = 1 if symmetric else 2
+    # each column's residual over its bound in the last _STALL_STEPS steps,
+    # step s at column s % _STALL_STEPS
+    excess_seen = np.empty((len(updates), _STALL_STEPS))
     # a column that vanishes or overflows is handed to perron(), which
     # reports why; it must not warn here
     with np.errstate(all="ignore"):
@@ -308,6 +320,12 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
             norm_z = norm_w if symmetric else np.linalg.norm(Z, axis=1)
             keep = (~done & (norm_w > 0) & (norm_z > 0)
                     & np.isfinite(norm_w + norm_z))
+            excess = np.maximum(res_r, res_l) / bound
+            slot = step % _STALL_STEPS
+            if step > _STALL_STEPS:
+                rate = (excess / excess_seen[:, slot]) ** (1.0 / _STALL_STEPS)
+                keep &= excess * rate ** (BLOCK_MAX_STEPS - step) <= 1.0
+            excess_seen[:, slot] = excess
             if not keep.any():
                 break
             if not keep.all():
@@ -316,6 +334,7 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
                 col = (np.cumsum(keep) - 1)[col[sel]]
                 active = active[keep]
                 W, Z = W[keep], Z[keep]
+                excess_seen = excess_seen[keep]
                 norm_w, norm_z = norm_w[keep], norm_z[keep]
             X = W / norm_w[:, None]
             Y = X if symmetric else Z / norm_z[:, None]

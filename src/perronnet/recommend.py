@@ -335,29 +335,33 @@ def _warm_start(t: PerronTriple):
 
 def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
     """Exact Perron root of ``net`` after each list of arc edits in
-    ``requests``, or the InputError or ConvergenceError its solve raised.
+    ``requests``, or the error that flags the row: an InputError in place
+    of a request's edits as it is, or the InputError or ConvergenceError
+    its solve raised.
 
     All are solved at once by :func:`~perronnet.eigen.perron_block` on
     the base operator, each as its few supra entry updates; a row the
     block pass does not accept is solved alone by ``perron`` on its
     mutated network.  Both start from :func:`_warm_start`.
     """
-    if not requests:
-        return []
+    roots = list(requests)
+    todo = [i for i, edits in enumerate(requests)
+            if not isinstance(edits, InputError)]
+    if not todo:
+        return roots
     x0, y0 = _warm_start(t)
     block = perron_block(supra_operator(net),
-                         [_supra_updates(net, edits) for edits in requests],
+                         [_supra_updates(net, requests[i]) for i in todo],
                          tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
-    roots = []
-    for edits, solved in zip(requests, block):
+    for i, solved in zip(todo, block):
         if solved is None:
             try:
-                solved = perron(supra_operator(_mutated(net, edits)), tol=tol,
-                                x0=x0, y0=y0)
+                solved = perron(supra_operator(_mutated(net, requests[i])),
+                                tol=tol, x0=x0, y0=y0)
             except (InputError, ConvergenceError) as exc:
-                roots.append(exc)
+                roots[i] = exc
                 continue
-        roots.append(solved.rho)
+        roots[i] = solved.rho
     return roots
 
 
@@ -407,11 +411,8 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
             return exc
 
     # every row, then every baseline: its root, or the error that flags it
-    requests = [edits_or_error(e) for e in edges + paired]
-    roots = iter(_exact_roots(net, t, [r for r in requests
-                                       if not isinstance(r, InputError)], tol))
-    results = [r if isinstance(r, InputError) else next(roots)
-               for r in requests]
+    results = _exact_roots(net, t, [edits_or_error(e) for e in edges + paired],
+                           tol)
     rows = []
     for idx, e in enumerate(edges):
         rho_new = results[idx]

@@ -10,11 +10,13 @@ solved alone by ``perron()``, as before the block pass existed.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from perronnet import (ConvergenceError, EdgeKey, Network, assemble_dense,
-                       assemble_sparse, perron, perron_dense_oracle,
-                       rank_removals, supra_operator)
-from perronnet.eigen import perron_block
+                       assemble_sparse, load_demo_network, perron,
+                       perron_dense_oracle, rank_insertions, rank_removals,
+                       supra_operator)
+from perronnet.eigen import _STALL_STEPS, perron_block
 from perronnet.model import editable_arcs, unflatten_index
 from perronnet.recommend import (_edits, _exact_roots, _mutated,
                                  _supra_updates, _warm_start)
@@ -204,6 +206,32 @@ def test_fallback_returns_certified_roots(make, eps):
     for edits, rho in zip(requests, _exact_roots(net, t, requests, TOL)):
         oracle = perron_dense_oracle(assemble_dense(_mutated(net, edits)))
         assert rho == pytest.approx(oracle.rho, rel=1e-10)
+
+
+def test_demo_columns_leave_the_block_after_a_few_steps():
+    # the demo's power iteration contracts too slowly to reach the bound
+    # within the cap: each column is handed to perron() as soon as its
+    # measured contraction says so, not after BLOCK_MAX_STEPS steps
+    net = load_demo_network()
+    t = perron(supra_operator(net))
+    requests = ([_edits(net, r.edge, "increase", 0.3, mirror=True)
+                 for r in rank_insertions(t, net, top_k=5)]
+                + [_edits(net, r.edge, "remove")
+                   for r in rank_removals(t, net, top_k=5)])
+    base = supra_operator(net)
+    steps = []
+
+    def matmat(X):
+        steps.append(X.shape[1])
+        return base.matmat(X)
+
+    op = LinearOperator(base.shape, matvec=base.matvec, rmatvec=base.rmatvec,
+                        matmat=matmat, rmatmat=base.rmatmat, dtype=float)
+    x0, y0 = _warm_start(t)
+    updates = [_supra_updates(net, edits) for edits in requests]
+    assert perron_block(op, updates, x0=x0, y0=y0) == [None] * 10
+    # 8 steps when written
+    assert len(steps) <= 2 * _STALL_STEPS + 2
 
 
 def test_fallback_keeps_the_reducible_ring_notes():
