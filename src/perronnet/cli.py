@@ -291,13 +291,17 @@ def cmd_experiment(cfg: RunConfig, mode: str, edges_file: str | None,
     cols = ["edge", "score", "rho_new", "random_edge", "random_rho_new", "note"]
     rows = []
     for r in rows_out:
+        notes = [r.error] if r.error else []
+        if r.baseline_error:
+            notes.append(f"random edge {_edge_str(r.baseline_edge)}: "
+                         f"{r.baseline_error}")
         rows.append({
             "edge": _edge_str(r.edge),
             "score": r.score,
             "rho_new": r.rho_new,
             "random_edge": _edge_str(r.baseline_edge) if r.baseline_edge else "",
             "random_rho_new": r.baseline_rho_new,
-            "note": r.error or "",
+            "note": "; ".join(notes),
         })
     return report, cols, rows
 

@@ -4,12 +4,15 @@ An edge insertion between node-layer positions a and b has first-order
 impact proportional to y_a * x_b, so the best candidates pair the
 largest entries of y with the largest entries of x.  Candidates are
 ranked as unordered position pairs scored by the larger of the two
-directional products, found lazily with a frontier heap over the two
-sorted vectors instead of forming all N^2 L^2 products.  Existing
-edges (removal candidates, strengthening candidates and the removal
-baseline pool) are scored and ordered with array operations over the
-supra-indexed arc arrays of :func:`~perronnet.model.editable_arcs`;
-an ``EdgeKey`` is built only for a row that is emitted or checked.
+directional products.  Every candidate set is ranked by one array
+routine over candidate arcs: the stored arcs for strengthening, and for
+insertions the arcs between the m largest entries of y and of x, a
+window that doubles until no arc outside it can reach the top k, so
+every product is formed only when the top k cannot be settled sooner.
+Existing edges (removal candidates, strengthening candidates and the
+removal baseline pool) are read from the supra-indexed arc arrays of
+:func:`~perronnet.model.editable_arcs`; an ``EdgeKey`` is built only for
+a row that is emitted or checked.
 Removal candidates are scanned in increasing score order, optionally
 skipping any whose removal disconnects the supra graph.
 
@@ -33,7 +36,6 @@ mutated by the same edits.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,22 +68,15 @@ class ExperimentRow:
     baseline_edge: EdgeKey | None
     baseline_rho_new: float | None
     error: str | None = None
-
-
-def _tie_key(e: EdgeKey):
-    return (e.k, e.l, e.i, e.j)
+    baseline_error: str | None = None
 
 
 def _canonical_display(e: EdgeKey) -> EdgeKey:
     """Intra-layer pairs are displayed with i < j; inter-layer pairs keep
-    the orientation that achieved the pair score."""
+    their orientation."""
     if e.k == e.l and e.i > e.j:
         return EdgeKey(e.j, e.i, e.k, e.l)
     return e
-
-
-def _has_any_arc(net: Network, e: EdgeKey) -> bool:
-    return net.weight(e) > 0 or net.weight(e.reversed()) > 0
 
 
 def _edge_at(a, b, N: int) -> EdgeKey:
@@ -122,11 +117,16 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
     """Top insertion/strengthening candidates by first-order sensitivity.
 
     Candidates are unordered node-layer pairs (multiplex: intra-layer
-    pairs only, the coupling being fixed); a pair's score is the larger
-    directional sensitivity kappa * y_a * x_b.  candidate_set 'absent'
-    restricts to pairs carrying no arc in either direction; 'existing'
-    ranks only stored edges (weight strengthening), scoring just the arc
-    directions that actually exist.  With ``recompute`` the root of the
+    pairs only, the coupling being fixed), never a supra self-loop; a
+    pair's score is the larger directional sensitivity kappa * (y_a * x_b)
+    of its candidate arcs.  On undirected input (y = x) a pair is scored
+    and shown by its one arc with a < b.  candidate_set 'existing' ranks
+    the stored arcs (weight strengthening).  'all' and 'absent' rank the
+    arcs from the m largest entries of y to the m largest entries of x,
+    per layer on a multiplex; 'absent' skips pairs that carry an arc in
+    either direction.  m starts at top_k + 1 and doubles until the k-th
+    score is strictly above every score outside the window, or the window
+    is the whole layer (supra vector).  With ``recompute`` the root of the
     network with the pair's weight raised by eps in both directions is
     re-solved exactly.
     """
@@ -136,28 +136,13 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
         raise InputError("candidate_set must be 'all', 'absent' or 'existing'")
 
     if candidate_set == "existing":
-        ranked = _strongest_existing(t, net, top_k)
+        a, b, _w = editable_arcs(net)
+        a, b, score = _strongest(t, net, a, b, top_k)
     else:
-        found: dict = {}
-        for a, b, product in _descending_products(t, net):
-            if len(found) >= top_k:
-                kth = sorted(found.values(),
-                             key=lambda se: (-se[0], _tie_key(se[1])))
-                kth_score = kth[top_k - 1][0]
-                if t.kappa * product < kth_score:
-                    break
-            e = _edge_at(a, b, net.N)
-            pair = e.pair_key()
-            if pair in found:
-                continue
-            if candidate_set == "absent" and _has_any_arc(net, e):
-                continue
-            found[pair] = (t.kappa * product, _canonical_display(e))
-        ranked = sorted(found.values(),
-                        key=lambda se: (-se[0], _tie_key(se[1])))[:top_k]
-
-    out = [RankedEdge(edge=e, score=score, rho_before=t.rho)
-           for score, e in ranked]
+        a, b, score = _strongest_in_window(t, net, top_k,
+                                           candidate_set == "absent")
+    out = [RankedEdge(edge=_edge_at(p, q, net.N), score=float(s),
+                      rho_before=t.rho) for p, q, s in zip(a, b, score)]
     if recompute:
         requests = [_edits(net, r.edge, "increase", eps, mirror=True)
                     for r in out]
@@ -165,72 +150,54 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
     return out
 
 
-def _strongest_existing(t: PerronTriple, net: Network, top_k: int):
-    """Top (score, display edge) over the stored arcs, one per unordered
-    pair: the pair's best arc direction, ties going to the smaller tie key
-    of the displayed edge."""
-    N = net.N
-    a, b, _w = editable_arcs(net)
-    score = t.kappa * t.y[a] * t.x[b]
-    # intra-layer pairs display with i <= j
-    flip = (a // N == b // N) & (a > b)
+def _strongest(t: PerronTriple, net: Network, a, b, top_k: int):
+    """(a, b, score) arrays of the top_k unordered pairs among the arcs
+    (a, b), best first: each pair's best arc, ties going to the smaller tie
+    key of the displayed edge (intra-layer pairs display with i <= j).
+    Supra self-loops are dropped, and on undirected input every arc with
+    a > b."""
+    keep = a != b if net.directed else a < b
+    a, b = a[keep], b[keep]
+    score = t.kappa * (t.y[a] * t.x[b])
+    flip = (a // net.N == b // net.N) & (a > b)
     da, db = np.where(flip, b, a), np.where(flip, a, b)
     order = _tie_order(da, db, net, -score)
     lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
     pair = (lo * net.dim + hi)[order]
     _, first = np.unique(pair, return_index=True)
     best = order[np.sort(first)[:top_k]]
-    return [(float(score[p]), _edge_at(da[p], db[p], N)) for p in best]
+    return da[best], db[best], score[best]
 
 
-def _descending_products(t: PerronTriple, net: Network):
-    """Yield (a, b, y_a * x_b) over admissible positions in descending
-    product order via a frontier heap on the two sorted vectors.
-
-    Supra self-loops (a == b) are skipped; for multiplex networks only
-    intra-layer position pairs are admissible.
-    """
-    N = net.N
-
-    def frontier(y_idx, x_idx):
-        # classic top-product enumeration of two descending arrays
-        heap = [(-t.y[y_idx[0]] * t.x[x_idx[0]], 0, 0)]
-        seen = {(0, 0)}
-        while heap:
-            negp, p, q = heapq.heappop(heap)
-            yield y_idx[p], x_idx[q], -negp
-            for dp, dq in ((1, 0), (0, 1)):
-                pp, qq = p + dp, q + dq
-                if pp < len(y_idx) and qq < len(x_idx) and (pp, qq) not in seen:
-                    seen.add((pp, qq))
-                    heapq.heappush(heap, (-t.y[y_idx[pp]] * t.x[x_idx[qq]], pp, qq))
-
-    if not net.multiplex:
-        order_y = np.argsort(-t.y, kind="stable")
-        order_x = np.argsort(-t.x, kind="stable")
-        for a, b, p in frontier(order_y, order_x):
-            if a != b:
-                yield a, b, p
-        return
-
-    # one frontier per layer, merged by current best product
-    streams = []
-    for l in range(net.L):
-        sel = np.arange(l * N, (l + 1) * N)
-        oy = sel[np.argsort(-t.y[sel], kind="stable")]
-        ox = sel[np.argsort(-t.x[sel], kind="stable")]
-        streams.append(frontier(oy, ox))
-    merge = []
-    for li, st in enumerate(streams):
-        a, b, p = next(st)
-        heapq.heappush(merge, (-p, li, a, b))
-    while merge:
-        negp, li, a, b = heapq.heappop(merge)
-        if a != b:
-            yield a, b, -negp
-        nxt = next(streams[li], None)
-        if nxt is not None:
-            heapq.heappush(merge, (-nxt[2], li, nxt[0], nxt[1]))
+def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
+                         absent: bool):
+    """:func:`_strongest` over the arcs from the m largest entries of y to
+    the m largest entries of x within each block (a layer of a multiplex,
+    the whole supra vector otherwise), without the pairs that carry an
+    arc when ``absent``.  m doubles from top_k + 1 until the k-th score is
+    strictly above kappa times the largest product outside the window, so
+    no outside arc can enter or tie the top k, or until m is the block."""
+    blocks = net.L if net.multiplex else 1
+    size = net.dim // blocks
+    base = np.arange(blocks)[:, None] * size
+    oy = np.argsort(-t.y.reshape(blocks, size), axis=1, kind="stable") + base
+    ox = np.argsort(-t.x.reshape(blocks, size), axis=1, kind="stable") + base
+    ys, xs = t.y[oy], t.x[ox]
+    if absent:  # the keys a * dim + b of the arcs either way
+        ea, eb = (v.astype(np.int64) for v in editable_arcs(net)[:2])
+        stored = np.concatenate([ea * net.dim + eb, eb * net.dim + ea])
+    m = min(top_k + 1, size)
+    while True:
+        a, b = (v.ravel() for v in
+                np.broadcast_arrays(oy[:, :m, None], ox[:, None, :m]))
+        if absent:
+            free = ~np.isin(a * net.dim + b, stored)
+            a, b = a[free], b[free]
+        a, b, score = _strongest(t, net, a, b, top_k)
+        if m == size or (score.size == top_k and score[-1] > t.kappa * max(
+                (ys[:, m] * xs[:, 0]).max(), (ys[:, 0] * xs[:, m]).max())):
+            return a, b, score
+        m = min(2 * m, size)
 
 
 def rank_removals(t: PerronTriple, net: Network, top_k: int,
@@ -413,20 +380,22 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
     # every row, then every baseline: its root, or the error that flags it
     results = _exact_roots(net, t, [edits_or_error(e) for e in edges + paired],
                            tol)
-    rows = []
-    for idx, e in enumerate(edges):
-        rho_new = results[idx]
-        b_edge = paired[idx] if idx < len(paired) else None
-        b_rho = results[len(edges) + idx] if b_edge is not None else None
-        rows.append(ExperimentRow(
-            edge=e, score=scores[idx], rho_new=_root_or_none(rho_new),
-            baseline_edge=b_edge, baseline_rho_new=_root_or_none(b_rho),
-            error=None if isinstance(rho_new, float) else str(rho_new)))
-    return rows
+    unpaired = [None] * (len(edges) - len(paired))
+    return [ExperimentRow(edge=e, score=s, rho_new=_root_or_none(rho),
+                          baseline_edge=b, baseline_rho_new=_root_or_none(b_rho),
+                          error=_error_or_none(rho),
+                          baseline_error=_error_or_none(b_rho))
+            for e, s, rho, b, b_rho in zip(edges, scores, results,
+                                           paired + unpaired,
+                                           results[len(edges):] + unpaired)]
 
 
 def _root_or_none(result):
     return result if isinstance(result, float) else None
+
+
+def _error_or_none(result):
+    return str(result) if isinstance(result, Exception) else None
 
 
 def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,

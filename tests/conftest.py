@@ -162,6 +162,9 @@ def brute_insertion_ranking(rho, x, y, net, top_k, candidate_set="all"):
         for b in range(n):
             if a == b:
                 continue
+            # undirected: each pair is scored and shown by its arc with a < b
+            if not net.directed and a > b:
+                continue
             i, k = a % N + 1, a // N + 1
             j, l = b % N + 1, b // N + 1
             if net.multiplex and k != l:

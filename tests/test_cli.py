@@ -16,7 +16,7 @@ from perronnet import cli, recommend
 from perronnet.cli import main
 from perronnet.errors import ConvergenceError
 
-from conftest import random_general_net
+from conftest import brute_insertion_ranking, random_general_net
 
 
 DEMO = str(demo_network_path())
@@ -260,6 +260,25 @@ def test_structured_rank_add_on_multiplex(capsys, tmp_path):
         assert net.weight(EdgeKey(i, j, k, l)) > 0
 
 
+def test_strengthening_skips_supra_self_loops(capsys, tmp_path):
+    # a heavy stored self-loop on node 1 of layer 1, plus a 4-cycle
+    p = tmp_path / "loop.edges"
+    p.write_text("2 2\n1 1 1 1 5\n1 1 1 2 1\n1 2 2 2 1\n2 2 2 1 1\n"
+                 "2 1 1 1 1\n", encoding="utf-8")
+    net = load_multilayer(p, directed=True)
+    t = perron(supra_operator(net))
+    got = recommend.rank_insertions(t, net, 10, candidate_set="existing")
+    want = brute_insertion_ranking(t.rho, t.x, t.y, net, 10, "existing")
+    assert [(r.edge, r.score) for r in got] == [
+        (e, pytest.approx(s, rel=1e-12)) for s, e in want]
+    code, out, err = run_cli(capsys, "rank", "add", str(p), "--directed",
+                             "--structured", "--format", "json")
+    assert code == 0, err
+    edges = [r["edge"].split("-") for r in json.loads(out)["rows"]]
+    assert len(edges) == 4
+    assert not any(i == j and k == l for i, j, k, l in edges)
+
+
 @pytest.mark.parametrize("args", [
     ("spectrum", "INF_WEIGHT"),
     ("spectrum", DEMO, "--directed", "--gamma", "nan"),
@@ -334,7 +353,10 @@ def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,
     assert len(rows) == 2
     for row in rows:
         assert row["rho_new"] is None and row["random_rho_new"] is None
-        assert row["note"] == "no convergence after 7 iterations"
+        # the row's own error, then its failed baseline's
+        assert row["note"] == (
+            "no convergence after 7 iterations; random edge "
+            f"{row['random_edge']}: no convergence after 7 iterations")
 
 
 def test_experiment_on_a_directed_ring_flags_every_row_at_once(capsys,
@@ -375,7 +397,13 @@ def test_resolves_start_cold_when_a_base_vector_has_a_zero(capsys, tmp_path):
         assert code == 0, err
         rows = json.loads(out)["rows"]
         assert rows and not any("start vector" in r["note"] for r in rows)
+        if mode == "remove":  # removing baseline 1-1-2-1 leaves no root
+            assert any(r["note"].startswith("random edge 1-1-2-1: ")
+                       for r in rows)
         for r in rows:
+            # a baseline without a root names its error after the row's own
+            if r["random_edge"] and r["random_rho_new"] is None:
+                assert f"random edge {r['random_edge']}: " in r["note"]
             if r["rho_new"] is None:
                 assert r["note"]
                 continue

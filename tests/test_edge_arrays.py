@@ -104,9 +104,16 @@ def ref_baselines(t, net, count, seed):
 
 
 def ref_strengthening(t, net, top_k):
+    """Best stored arc per unordered pair, scored kappa * (y_a * x_b): no
+    supra self-loop, and on undirected networks each edge by its arc with
+    a < b."""
     found = {}
     for e, _w in net.edges():
-        s = sensitivity_entry(t, e, net.N)
+        a = (e.k - 1) * net.N + e.i - 1
+        b = (e.l - 1) * net.N + e.j - 1
+        if a == b or (not net.directed and a > b):
+            continue
+        s = t.kappa * (float(t.y[a]) * float(t.x[b]))
         disp = _display(e)
         cur = found.get(e.pair_key())
         if (cur is None or s > cur[0]

@@ -5,10 +5,11 @@ import pytest
 
 from perronnet import (EdgeKey, InfeasibleError, perron,
                        perturbation_experiment, rank_insertions,
-                       rank_removals, supra_operator)
+                       rank_removals, recommend, supra_operator)
 
 from conftest import (brute_insertion_ranking, brute_removal_ranking,
-                      dense_perron_pair, multiplex_from_layers,
+                      dense_perron_pair, multilayer_from_dense,
+                      multiplex_from_layers, random_general_dense,
                       random_general_net, random_multiplex_net)
 
 
@@ -96,6 +97,123 @@ def test_recompute_reproduces_reference_rho(demo_net):
     got = [r.rho_after for r in ranked]
     for val, expected in zip(got, (2.4903, 2.4592, 2.4593, 2.4627)):
         assert val == pytest.approx(expected, abs=1e-3)
+
+
+def assert_matches_brute_force(net, t, top_k, cand, x=None, y=None):
+    """rank_insertions equals the brute-force oracle, which reads the
+    library's own vectors unless x and y are given."""
+    x = t.x if x is None else x
+    y = t.y if y is None else y
+    got = rank_insertions(t, net, top_k=top_k, candidate_set=cand)
+    want = brute_insertion_ranking(t.rho, x, y, net, top_k, cand)
+    assert [quad(r.edge) for r in got] == [quad(e) for _, e in want]
+    for r, (s, _) in zip(got, want):
+        assert r.score == pytest.approx(s, rel=1e-8)
+    return got
+
+
+def undirected_general_net(seed, N, L):
+    rng = np.random.default_rng(seed)
+    B = np.triu(random_general_dense(rng, N * L), 1)
+    B = B + B.T  # the cycle's arcs a -> a + 1 keep it connected
+    return multilayer_from_dense(B, N, L, directed=False), B
+
+
+def test_insertions_match_brute_force_on_undirected_general_networks():
+    for seed in range(40):
+        net, B = undirected_general_net(seed + 900, N=4, L=2)
+        t = triple_of(net)
+        rho, x, y = dense_perron_pair(B)
+        for cand in ("all", "absent", "existing"):
+            got = assert_matches_brute_force(net, t, 6, cand, x, y)
+            # each pair shown by its arc with a < b, from the lower layer
+            assert all((r.edge.k, r.edge.i) < (r.edge.l, r.edge.j)
+                       for r in got)
+
+
+def counting_windows(monkeypatch):
+    """Count the candidate windows rank_insertions scores."""
+    calls = []
+    strongest = recommend._strongest
+
+    def counted(t, net, a, b, top_k):
+        calls.append(a.size)
+        return strongest(t, net, a, b, top_k)
+
+    monkeypatch.setattr(recommend, "_strongest", counted)
+    return calls
+
+
+def test_absent_window_grows_past_an_adjacent_core(monkeypatch):
+    # a complete core on the first 12 positions, a weak ring through all:
+    # the top entries of y and x all lie in the core, joined to each other
+    n = 24
+    B = np.zeros((n, n))
+    B[:12, :12] = 1.0 - np.eye(12)
+    B[np.arange(n), (np.arange(n) + 1) % n] += 0.05
+    calls = counting_windows(monkeypatch)
+    for directed in (True, False):
+        net = multilayer_from_dense(B if directed else B + B.T, N=12, L=2,
+                                    directed=directed)
+        t = triple_of(net)
+        calls.clear()
+        assert_matches_brute_force(net, t, 2, "absent")
+        assert len(calls) >= 3
+    # per layer: a complete core on the first 8 nodes of layer 1
+    path = np.eye(12, k=1) + np.eye(12, k=-1)
+    core = np.zeros((12, 12))
+    core[:8, :8] = 1.0 - np.eye(8)
+    net = multiplex_from_layers([core + 0.05 * path, 0.05 * path], gamma=0.01)
+    t = triple_of(net)
+    calls.clear()
+    assert_matches_brute_force(net, t, 3, "absent")
+    assert len(calls) >= 3
+
+
+def test_window_bound_counts_the_top_of_y_beyond_the_x_window():
+    # out-degree 3 everywhere makes x uniform; every position points to
+    # the last one, the top of y, whose own arcs take the top of x, so the
+    # best absent pairs run from it to positions outside the x window
+    for seed in (0, 1, 2, 4):
+        rng = np.random.default_rng(seed)
+        B = np.zeros((12, 12))
+        B[:11, 11] = B[11, :3] = 1.0
+        for a in range(11):
+            B[a, rng.choice(np.delete(np.arange(11), a), 2,
+                            replace=False)] = 1.0
+        net = multilayer_from_dense(B, N=6, L=2, directed=True)
+        t = triple_of(net)
+        assert np.all(t.x == t.x[0]) and np.argmax(t.y) == 11
+        for top_k in (1, 2, 3, 5):
+            for cand in ("all", "absent"):
+                assert_matches_brute_force(net, t, top_k, cand)
+
+
+def test_all_tie_ring_multiplex_reaches_the_full_window(monkeypatch):
+    ring = np.roll(np.eye(12), 1, axis=1)
+    net = multiplex_from_layers([ring + ring.T] * 4, gamma=1.0)
+    t = triple_of(net)
+    assert np.all(t.x == t.x[0])  # every score ties
+    calls = counting_windows(monkeypatch)
+    for cand in ("all", "absent", "existing"):
+        calls.clear()
+        assert_matches_brute_force(net, t, 5, cand)
+        if cand == "all":  # the last window held every arc of every layer
+            assert calls[-1] == 4 * 12 * 12
+
+
+def test_top_k_above_the_admissible_pairs_returns_every_pair():
+    nets = [random_general_net(95, N=3, L=2)[0],
+            undirected_general_net(96, N=3, L=2)[0],
+            random_multiplex_net(97, N=3, L=2, gamma=0.5, directed=True),
+            random_multiplex_net(98, N=3, L=2, gamma=0.5)]
+    for net in nets:
+        t = triple_of(net)
+        pairs = net.L * 3 if net.multiplex else 15
+        for cand in ("all", "absent", "existing"):
+            got = assert_matches_brute_force(net, t, 50, cand)
+            if cand == "all":
+                assert len(got) == pairs
 
 
 # ---------------------------------------------------------------------------
