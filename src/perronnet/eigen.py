@@ -25,14 +25,24 @@ tol * max(1, rho), nonnegative unit vectors, y^T x > 0); a column not
 accepted within :data:`BLOCK_MAX_STEPS` steps, or whose residual does not
 shrink fast enough to reach its bound by then (a periodic, reducible or
 small-gap operator), is left to :func:`perron` alone.
+
+ARPACK runs with the OpenBLAS that scipy bundles set to one thread.  Its
+BLAS calls are small matrix-vector products on n x ncv blocks, which
+OpenBLAS may split across threads: when another core is busy, each such
+call waits for it, and one solve can take several times as long.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.sparse.linalg import (ArpackError, LinearOperator,
                                   aslinearoperator, eigs)
 
@@ -148,6 +158,59 @@ class _Products:
                                 residuals=self.residuals)
 
 
+@functools.cache
+def _scipy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with
+    scipy, which ARPACK calls, or None when scipy has none (a build on a
+    system BLAS).  Looked up on the first solve, not at import."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads
+            set_ = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: scipy's OpenBLAS runs on one thread while any solve
+    is inside, and the last solve to leave restores the thread count the
+    first one found, also when it raises.  Solves in several threads share
+    the one pool, so they count themselves in and out under a lock."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._before = 0
+
+    def __enter__(self):
+        blas = _scipy_openblas()
+        if blas is None:
+            return
+        with self._lock:
+            if self._inside == 0:
+                self._before = blas[0]()
+                blas[1](1)
+            self._inside += 1
+
+    def __exit__(self, *exc_info):
+        blas = _scipy_openblas()
+        if blas is None:
+            return
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                blas[1](self._before)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _dominant(apply, start: np.ndarray, tol: float,
               prod: _Products) -> tuple[np.ndarray, np.ndarray]:
     """Unit nonnegative dominant eigenvector v of ``apply`` (a product with
@@ -164,8 +227,9 @@ def _dominant(apply, start: np.ndarray, tol: float,
     n = start.size
     A = LinearOperator((n, n), matvec=apply, dtype=float)
     try:
-        _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
-                       maxiter=prod.max_iter, rng=0)
+        with _one_blas_thread:
+            _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
+                           maxiter=prod.max_iter, rng=0)
     except ArpackError as exc:
         raise prod.fail(f"ARPACK failed after {prod.count} operator "
                         f"products: {exc}") from exc

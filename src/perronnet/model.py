@@ -26,13 +26,18 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import DenseCapError, InputError, ParseError
+
+# scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
+# users, is_strongly_connected and supra_operator, so that loading a
+# network imports neither
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 DEFAULT_DENSE_CAP = 5000
 
@@ -433,6 +438,8 @@ def supra_operator(net: Network) -> LinearOperator:
     (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m), column by
     column on a block.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     N, L, g = net.N, net.L, net.gamma or 0.0
     arcs, arcs_t = net.arcs, net.arcs.T.tocsr()
 
@@ -477,6 +484,8 @@ def is_strongly_connected(net: Network) -> bool:
     connected (equivalently, the matrix is irreducible)."""
     if net.dim == 1:
         return True
+    from scipy.sparse.csgraph import connected_components
+
     B = assemble_sparse(net)
     n_comp, _ = connected_components(B, directed=True, connection="strong")
     return n_comp == 1

@@ -48,7 +48,7 @@ from .errors import ConvergenceError, InfeasibleError, InputError
 from .model import (EdgeKey, Network, apply_edge_delta, check_editable,
                     edit_cells, editable_arcs, is_strongly_connected,
                     supra_operator, unflatten_index)
-from .sensitivity import sensitivity_entry
+from .sensitivity import arc_sensitivity, sensitivity_entry
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,10 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
 
     Candidates are unordered node-layer pairs (multiplex: intra-layer
     pairs only, the coupling being fixed), never a supra self-loop; a
-    pair's score is the larger directional sensitivity kappa * (y_a * x_b)
-    of its candidate arcs.  On undirected input (y = x) a pair is scored
-    and shown by its one arc with a < b.  candidate_set 'existing' ranks
+    pair's score is the larger directional sensitivity kappa * y_a * x_b
+    of its candidate arcs, as :func:`~perronnet.sensitivity.arc_sensitivity`
+    rounds it.  On undirected input (y = x) a pair is scored and shown by
+    its one arc with a < b.  candidate_set 'existing' ranks
     the stored arcs (weight strengthening).  'all' and 'absent' rank the
     arcs from the m largest entries of y to the m largest entries of x,
     per layer on a multiplex; 'absent' skips pairs that carry an arc in
@@ -158,7 +159,7 @@ def _strongest(t: PerronTriple, net: Network, a, b, top_k: int):
     a > b."""
     keep = a != b if net.directed else a < b
     a, b = a[keep], b[keep]
-    score = t.kappa * (t.y[a] * t.x[b])
+    score = arc_sensitivity(t, a, b)
     flip = (a // net.N == b // net.N) & (a > b)
     da, db = np.where(flip, b, a), np.where(flip, a, b)
     order = _tie_order(da, db, net, -score)
@@ -175,14 +176,13 @@ def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
     the m largest entries of x within each block (a layer of a multiplex,
     the whole supra vector otherwise), without the pairs that carry an
     arc when ``absent``.  m doubles from top_k + 1 until the k-th score is
-    strictly above kappa times the largest product outside the window, so
-    no outside arc can enter or tie the top k, or until m is the block."""
+    strictly above the largest score an arc outside the window can have,
+    so no outside arc can enter or tie the top k, or until m is the block."""
     blocks = net.L if net.multiplex else 1
     size = net.dim // blocks
     base = np.arange(blocks)[:, None] * size
     oy = np.argsort(-t.y.reshape(blocks, size), axis=1, kind="stable") + base
     ox = np.argsort(-t.x.reshape(blocks, size), axis=1, kind="stable") + base
-    ys, xs = t.y[oy], t.x[ox]
     if absent:  # the keys a * dim + b of the arcs either way
         ea, eb = (v.astype(np.int64) for v in editable_arcs(net)[:2])
         stored = np.concatenate([ea * net.dim + eb, eb * net.dim + ea])
@@ -194,8 +194,11 @@ def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
             free = ~np.isin(a * net.dim + b, stored)
             a, b = a[free], b[free]
         a, b, score = _strongest(t, net, a, b, top_k)
-        if m == size or (score.size == top_k and score[-1] > t.kappa * max(
-                (ys[:, m] * xs[:, 0]).max(), (ys[:, 0] * xs[:, m]).max())):
+        # rounding is monotone, so no arc outside the window scores above
+        # the arc from its y-entry m to its x-entry 0, or from 0 to m
+        if m == size or (score.size == top_k and score[-1] > max(
+                arc_sensitivity(t, oy[:, m], ox[:, 0]).max(),
+                arc_sensitivity(t, oy[:, 0], ox[:, m]).max())):
             return a, b, score
         m = min(2 * m, size)
 
@@ -215,7 +218,7 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     a, b = _removable_arcs(net)
     if not a.size:
         raise InfeasibleError("network has no removable edges")
-    score = t.kappa * t.y[a] * t.x[b]
+    score = arc_sensitivity(t, a, b)
     order = _tie_order(a, b, net, score)
 
     out, requests = [], []
@@ -434,6 +437,8 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
             a, b = (int(v) for v in rng.integers(0, net.dim, size=2))
             if a == b:
                 continue
+            if not net.directed:  # shown by its arc with a < b, as ranked
+                a, b = min(a, b), max(a, b)
             e = _canonical_display(_edge_at(a, b, net.N))
         pair = e.pair_key()
         if pair in seen:

@@ -186,10 +186,18 @@ def structured_condition_number(t: PerronTriple, cone: str,
 # ---------------------------------------------------------------------------
 # sensitivity entries and matrices
 
+def arc_sensitivity(t: PerronTriple, a, b):
+    """Sensitivity kappa * y_a * x_b of the root to the supra entry (a, b),
+    elementwise on arrays of positions.  Every arc score is rounded this
+    one way, as (kappa * y_a) * x_b, so that one arc never carries two
+    scores."""
+    return (t.kappa * t.y[a]) * t.x[b]
+
+
 def sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int) -> float:
     """Sensitivity of the root to the single entry (i, j) of block (k, l)."""
     a, b = _positions(e, N, t.x.size // N)
-    return t.kappa * float(t.y[a]) * float(t.x[b])
+    return float(arc_sensitivity(t, a, b))
 
 
 def symmetric_sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int,

@@ -7,12 +7,15 @@ implementations.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import perronnet
 from perronnet import EdgeKey, Network, load_demo_network
 
 DATA_DIR = os.environ.get("PERRON_DATA_DIR", "")
@@ -34,6 +37,18 @@ def needs_dataset(name):
         dataset_path(name) is None,
         reason=f"dataset {name} not present under $PERRON_DATA_DIR "
                "(manual download; see README)")
+
+
+def run_fresh(code: str, **env) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    checkout's package, with ``env`` added to the environment."""
+    src = str(Path(perronnet.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **env,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InfeasibleError, InputError, Network,
-                       apply_edge_delta, assemble_sparse,
-                       cli, is_strongly_connected, load_multiplex, perron,
+                       apply_edge_delta, assemble_sparse, cli, flat_index,
+                       is_strongly_connected, load_multiplex, perron,
                        rank_insertions, rank_removals, sensitivity_entry,
                        supra_operator)
 from perronnet.eigen import perron_block
@@ -104,7 +104,7 @@ def ref_baselines(t, net, count, seed):
 
 
 def ref_strengthening(t, net, top_k):
-    """Best stored arc per unordered pair, scored kappa * (y_a * x_b): no
+    """Best stored arc per unordered pair, scored (kappa * y_a) * x_b: no
     supra self-loop, and on undirected networks each edge by its arc with
     a < b."""
     found = {}
@@ -113,7 +113,7 @@ def ref_strengthening(t, net, top_k):
         b = (e.l - 1) * net.N + e.j - 1
         if a == b or (not net.directed and a > b):
             continue
-        s = t.kappa * (float(t.y[a]) * float(t.x[b]))
+        s = (t.kappa * float(t.y[a])) * float(t.x[b])
         disp = _display(e)
         cur = found.get(e.pair_key())
         if (cur is None or s > cur[0]
@@ -215,6 +215,37 @@ def test_strengthening_candidates_match_reference_walk(net_and_triple):
                 == [(e, s) for s, e in ref_strengthening(t, net, top_k)])
 
 
+def assert_one_score_per_arc(net, t):
+    """Every ranking scores an arc as sensitivity_entry does, bit for bit:
+    a removal by its arc, a strengthening pair by the largest removal
+    score of its stored arcs, an insertion pair by its larger direction
+    (its arc with a < b when undirected)."""
+    best = {}
+    for r in rank_removals(t, net, 10 ** 6):
+        assert r.score == sensitivity_entry(t, r.edge, net.N)
+        key = r.edge.pair_key()
+        best[key] = max(best.get(key, -np.inf), r.score)
+    strengthening = rank_insertions(t, net, 10 ** 6, candidate_set="existing")
+    assert strengthening
+    for r in strengthening:
+        assert r.score == best[r.edge.pair_key()], r.edge
+    for r in rank_insertions(t, net, 10 ** 6):
+        arcs = (r.edge, r.edge.reversed()) if net.directed else (r.edge,)
+        assert r.score == max(sensitivity_entry(t, e, net.N) for e in arcs)
+
+
+def test_every_ranking_scores_an_arc_one_way(net_and_triple):
+    assert_one_score_per_arc(*net_and_triple)
+
+
+def test_arc_scores_agree_on_seeded_directed_networks():
+    # products y_a * x_b one ulp apart used to tie under kappa * (y_a * x_b)
+    # in 'rank add' but not under (kappa * y_a) * x_b in 'rank remove'
+    for seed in range(20):
+        net, _ = random_general_net(seed, N=4, L=2)
+        assert_one_score_per_arc(net, perron(supra_operator(net)))
+
+
 def lexsort_tie_order(a, b, N, score=None):
     """Reference: the (k, l, i, j) tie key as four lexsort keys."""
     keys = (b % N, a % N, b // N, a // N)
@@ -260,6 +291,19 @@ def test_editable_arcs_list_stored_arcs_without_coupling():
     B = assemble_sparse(gen).toarray()
     assert np.array_equal(B[rows, cols], w)
     assert len(w) == np.count_nonzero(B)
+
+
+def test_undirected_increase_baselines_show_the_arc_with_a_below_b():
+    # as every ranking shows an undirected pair, an inter-layer one from the
+    # lower layer
+    shown = set()
+    for seed in range(20):
+        net = general_undirected(seed, N=4, L=2)
+        t = perron(supra_operator(net))
+        for e in _draw_baselines(t, net, "increase", 6, seed):
+            assert flat_index(e.i, e.k, 4) < flat_index(e.j, e.l, 4), e
+            shown.add(e.k != e.l)
+    assert shown == {False, True}
 
 
 def test_undirected_networks_must_be_symmetric():

@@ -1,5 +1,7 @@
 """Perron solver vs dense oracle, triple invariants, edge cases."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -8,10 +10,11 @@ from scipy.sparse.linalg import LinearOperator
 
 from perronnet import (ConvergenceError, assemble_dense, condition_number,
                        perron, perron_dense_oracle, supra_operator)
+from perronnet.eigen import _scipy_openblas
 
 from conftest import (dense_perron_pair, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
-                      random_multiplex_net)
+                      random_multiplex_net, run_fresh)
 
 
 def op_from_dense(B):
@@ -391,3 +394,91 @@ def test_cold_solve_product_count_guard():
     assert t.iterations <= 100
     assert (t.x > 0).all()
 
+
+
+# ---------------------------------------------------------------------------
+# ARPACK's BLAS threads
+
+def test_arpack_runs_on_one_blas_thread_and_restores_the_count(demo_net):
+    blas = _scipy_openblas()
+    if blas is None:
+        pytest.skip("scipy does not bundle OpenBLAS")
+    get, set_ = blas
+    base = supra_operator(demo_net)
+    threads = []
+
+    def matvec(v):
+        threads.append(get())
+        return base.matvec(v)
+
+    op = LinearOperator(base.shape, matvec=matvec, rmatvec=base.rmatvec,
+                        dtype=float)
+    before = get()
+    try:
+        set_(2)
+        perron(op)
+        assert get() == 2
+        assert 1 in threads  # the products ARPACK asked for
+        with pytest.raises(ConvergenceError):
+            perron(op, max_iter=3)  # raised inside ARPACK's reverse loop
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_concurrent_solves_restore_the_blas_thread_count(demo_net):
+    blas = _scipy_openblas()
+    if blas is None:
+        pytest.skip("scipy does not bundle OpenBLAS")
+    get, set_ = blas
+    op = supra_operator(demo_net)
+    before, interval = get(), sys.getswitchinterval()
+    errors = []
+
+    def solve():
+        try:
+            for _ in range(20):
+                perron(op)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=solve) for _ in range(6)]
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+
+
+BLAS_TRIPLE = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from perronnet import Network, perron, supra_operator
+# a directed N=150, L=4 network: a ring plus random arcs, large enough
+# that OpenBLAS would split ARPACK's n x ncv products across two threads
+rng = np.random.default_rng(5)
+n = 600
+rows = np.concatenate([np.arange(n), rng.integers(0, n, 6 * n)])
+cols = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 6 * n)])
+keep = rows != cols
+B = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
+                   (rows[keep], cols[keep])), shape=(n, n))
+t = perron(supra_operator(Network(150, 4, B, True)))
+print(t.rho.hex(), t.kappa.hex(), t.iterations,
+      hashlib.sha256(t.x.tobytes() + t.y.tobytes()).hexdigest())
+"""
+
+
+def test_triple_is_bit_identical_on_one_and_two_blas_threads():
+    one = run_fresh(BLAS_TRIPLE, OPENBLAS_NUM_THREADS="1")
+    two = run_fresh(BLAS_TRIPLE, OPENBLAS_NUM_THREADS="2")
+    assert one == two
