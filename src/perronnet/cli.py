@@ -5,9 +5,9 @@ experiment, convert.  Outputs are deterministic given (input, flags,
 seed): a human-readable table by default (4 decimal places), or machine
 CSV/JSON via --format with all numbers at 6 significant digits.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 infeasible
-request.  Input paths not found directly are also resolved against
-$PERRON_DATA_DIR.
+Exit codes: 0 success, 1 input error (usage errors included), 2
+numerical failure, 3 infeasible request.  Input paths not found
+directly are also resolved against $PERRON_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .communicability import perron_communicability, total_communicability0
 from .eigen import perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      PerronNetError)
-from .model import (DEFAULT_DENSE_CAP, EdgeKey, editable_arcs,
-                    is_strongly_connected, load_multilayer, load_multiplex,
-                    supra_operator)
+from .model import (EdgeKey, editable_arcs, is_strongly_connected,
+                    load_multilayer, load_multiplex, supra_operator)
 from .recommend import (perturbation_experiment, rank_insertions,
                         rank_removals)
 from .sensitivity import (first_order_delta_rho, sensitivity_matrix,
@@ -47,7 +46,6 @@ class RunConfig:
     seed: int = 42
     tol: float = 1e-10
     output: str = "table"  # 'table' | 'csv' | 'json'
-    dense_cap: int = DEFAULT_DENSE_CAP
     structured: bool = False
     recompute: bool = False
     mirror: bool = True
@@ -67,8 +65,6 @@ class RunConfig:
             raise InputError("--tol must be positive")
         if self.seed < 0:
             raise InputError("--seed must be nonnegative")
-        if self.dense_cap < 1:
-            raise InputError("--dense-cap must be >= 1")
 
 
 def _resolve_path(raw: str) -> Path:
@@ -167,7 +163,7 @@ def cmd_communicability(cfg: RunConfig, with_total: bool = False):
         "phi": rep.phi,
     }
     if with_total:
-        c0 = total_communicability0(net, dense_cap=cfg.dense_cap)
+        c0 = total_communicability0(net)
         report["c_tn0"] = c0
         report["c_tn0_over_kappa_cpn"] = c0 / (t.kappa * rep.c_pn)
     for l in range(net.L):
@@ -311,7 +307,7 @@ def cmd_convert(cfg: RunConfig, out_path: str | None):
     multilayer edge list."""
     if cfg.input_format != "multiplex":
         raise InputError("convert expects a multiplex input file")
-    net = load_multiplex(cfg.input_path, gamma=cfg.gamma, directed=cfg.directed)
+    net = load_network(cfg)
     a, b, w = editable_arcs(net)
     if not net.directed:  # each edge once, as its arc with i < j
         keep = a < b
@@ -418,11 +414,18 @@ def _add_common(p: argparse.ArgumentParser):
                    help="re-solve the root for each ranked candidate")
     p.add_argument("--format", choices=["table", "csv", "json"],
                    default="table", dest="output")
-    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit code 1); its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="perronnet",
         description="Perron-root communicability and edge sensitivity of "
                     "multilayer networks")
@@ -434,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("communicability", help="communicability report")
     _add_common(cp)
     cp.add_argument("--total", action="store_true",
-                    help="also compute the dense total-communicability "
-                         "comparison value")
+                    help="also compute the total communicability "
+                         "1'(exp(B) - I)1 for comparison")
 
     sn = sub.add_parser("sensitivity", help="per-edge sensitivity summary")
     _add_common(sn)
@@ -471,7 +474,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
         input_path=path, input_format=fmt, gamma=ns.gamma,
         directed=ns.directed, epsilon=ns.epsilon, top_k=ns.top_k,
-        seed=ns.seed, tol=ns.tol, output=ns.output, dense_cap=ns.dense_cap,
+        seed=ns.seed, tol=ns.tol, output=ns.output,
         structured=ns.structured, recompute=ns.recompute,
         mirror=not getattr(ns, "no_mirror", False))
 

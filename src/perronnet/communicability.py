@@ -18,12 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .eigen import PerronTriple, perron
 from .errors import InputError
-from .model import (DEFAULT_DENSE_CAP, Network, assemble_dense,
-                    supra_operator)
+from .model import Network, assemble_sparse, supra_operator
 
 
 def exp0(t: float) -> float:
@@ -112,18 +110,17 @@ def perron_communicability(t: PerronTriple, N: int, L: int) -> CommunicabilityRe
     )
 
 
-def total_communicability0(net: Network,
-                           dense_cap: int = DEFAULT_DENSE_CAP) -> float:
-    """1^T (exp(B) - I) 1 via dense scaling-and-squaring expm.
+def total_communicability0(net: Network) -> float:
+    """1^T (exp(B) - I) 1 from the action of exp(B) on the ones vector
+    (Al-Mohy and Higham, 2011), on the sparse supra matrix.
 
-    A desk-scale comparison quantity: for networks whose Perron root
-    dominates the rest of the spectrum this is approximately
-    kappa(rho) * c_pn.
+    The comparison quantity of Perron communicability: for networks
+    whose Perron root dominates the rest of the spectrum this is
+    approximately kappa(rho) * c_pn.
     """
-    B = assemble_dense(net, dense_cap=dense_cap)
-    E = expm(B)
-    n = B.shape[0]
-    return float(E.sum() - n)
+    from scipy.sparse.linalg import expm_multiply
+    n = net.dim
+    return float(expm_multiply(assemble_sparse(net), np.ones(n)).sum() - n)
 
 
 def hub_authority_communicability(net: Network, tol: float = 1e-10,

@@ -8,11 +8,12 @@ is solved matrix-free by ARPACK's implicitly restarted Arnoldi method
 (Lehoucq, Sorensen and Yang, 1998) through ``scipy.sparse.linalg.eigs``:
 once on B for x and once on B^T for y, except that an x which already
 solves the left problem (every symmetric operator) is taken as y.
-Operators of order < 3, which ARPACK cannot take, use a two-sided power
-iteration.  A dense full eigendecomposition is available as an
-independent oracle for small instances.  Vectors are normalized to unit
-Euclidean norm with all entries positive, so the condition number of
-the root is kappa = 1 / (y^T x) = 1 / cos(theta).
+Operators of order < 3, which ARPACK cannot take, are solved densely
+from n products each; their vectors pass the same certification.  A
+dense full eigendecomposition is available as an independent oracle
+for small instances.  Vectors are normalized to unit Euclidean norm
+with all entries positive, so the condition number of the root is
+kappa = 1 / (y^T x) = 1 / cos(theta).
 
 Re-solves of many small perturbations B + E_j of one operator, each E_j
 a one- or two-entry update, go through :func:`perron_block`: one
@@ -78,8 +79,8 @@ class PerronTriple:
     rho is the spectral radius, x / y the right / left unit-norm positive
     eigenvectors, kappa = 1/(y^T x) the eigenvalue condition number.
     residuals holds the final (right, left) residual norms, iterations
-    the number of operator products the solver made (power-iteration
-    steps for operators of order < 3; 0 for the dense oracle).
+    the number of operator products the solver made (0 for the dense
+    oracle).
     """
 
     rho: float
@@ -219,22 +220,30 @@ def _dominant(apply, start: np.ndarray, tol: float,
     otherwise ARPACK starts from it, with relative tolerance ``tol``
     (0: machine precision).  The explicit ``v0`` and the fixed ``rng``
     (drawn from only when a Krylov space closes early) keep every run
-    deterministic."""
+    deterministic.  ARPACK cannot take an operator of order < 3: its
+    n x n matrix, built from n products, goes to ``np.linalg.eig``, and
+    the eigenvalue of largest real part is taken, as ARPACK's is."""
     image = apply(start)
     rho = float(start @ image)
     if np.linalg.norm(image - rho * start) <= tol * max(1.0, abs(rho)):
         return start, image
     n = start.size
-    A = LinearOperator((n, n), matvec=apply, dtype=float)
+    if n < 3:
+        vals, vecs = np.linalg.eig(np.column_stack([apply(e)
+                                                    for e in np.eye(n)]))
+        vec = vecs[:, np.argmax(vals.real)]
+    else:
+        A = LinearOperator((n, n), matvec=apply, dtype=float)
+        try:
+            with _one_blas_thread:
+                _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
+                               maxiter=prod.max_iter, rng=0)
+        except ArpackError as exc:
+            raise prod.fail(f"ARPACK failed after {prod.count} operator "
+                            f"products: {exc}") from exc
+        vec = vecs[:, 0]
     try:
-        with _one_blas_thread:
-            _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
-                           maxiter=prod.max_iter, rng=0)
-    except ArpackError as exc:
-        raise prod.fail(f"ARPACK failed after {prod.count} operator "
-                        f"products: {exc}") from exc
-    try:
-        vec = _fix_sign(vecs[:, 0].real)
+        vec = _fix_sign(vec.real)
     except ConvergenceError as exc:
         raise prod.fail(str(exc)) from None
     return vec, apply(vec)
@@ -244,7 +253,8 @@ def perron(op, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
            y0: np.ndarray | None = None) -> PerronTriple:
-    """Perron triple of ``op`` by ARPACK, on B for x and on B^T for y.
+    """Perron triple of ``op`` by ARPACK, on B for x and on B^T for y (a
+    dense solve of the n x n matrix below order 3).
 
     ``op`` is anything ``aslinearoperator`` takes: a ``LinearOperator``
     with ``rmatvec``, such as :func:`~perronnet.model.supra_operator`, or
@@ -253,15 +263,15 @@ def perron(op, tol: float = DEFAULT_TOL,
     Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
     vectors x0/y0 are supplied, e.g. the Perron pair of a nearby
-    operator.  ARPACK seeks the eigenvalue of largest real part, which
+    operator.  Both solvers take the eigenvalue of largest real part, which
     for a nonnegative irreducible operator is the Perron root even when
     the spectrum holds further eigenvalues of modulus rho (periodic
     graphs).  The root is the two-sided Rayleigh quotient
     y^T B x / (y^T x), and the triple is returned only when both residual
     norms, computed from fresh products, are within tol * max(1, rho).
-    ``iterations`` counts operator products and ``max_iter`` bounds them;
-    operators of order < 3 use :func:`_power_iteration`, whose steps they
-    count instead.
+    A residual above that bound sends both sides to one more solve, to
+    machine precision; y^T x <= 0 fails at once.  ``iterations`` counts
+    operator products, at every order, and ``max_iter`` bounds them.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -269,8 +279,6 @@ def perron(op, tol: float = DEFAULT_TOL,
     n = op.shape[0]
     u = _start_vector(x0, n)
     v = u.copy() if y0 is None and x0 is None else _start_vector(y0, n)
-    if n < 3:
-        return _power_iteration(op, tol, max_iter, u, v)
     prod = _Products(op, max_iter)
     for arpack_tol in (tol, 0.0):
         x, w = _dominant(prod.matvec, u, arpack_tol, prod)
@@ -403,66 +411,6 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
             X = W / norm_w[:, None]
             Y = X if symmetric else Z / norm_z[:, None]
     return out
-
-
-def _power_iteration(op: LinearOperator, tol: float, max_iter: int,
-                     u: np.ndarray, v: np.ndarray) -> PerronTriple:
-    """Two-sided power iteration from the unit start vectors u/v.
-
-    The iteration runs on the diagonally shifted operator B + sigma*I
-    (sigma = half the largest row sum), which has the same Perron vectors
-    but a strictly dominant root even for periodic graphs.  The root
-    estimate is the two-sided Rayleigh quotient y^T B x / (y^T x);
-    convergence requires both residual norms and the root change to fall
-    below tol * max(1, rho).
-    """
-    n = op.shape[0]
-    sigma = 0.5 * float(np.max(op.matvec(np.ones(n))))
-    rho_prev = np.inf
-    rho = 0.0
-    res_r = res_l = np.inf
-
-    for it in range(1, max_iter + 1):
-        w = op.matvec(u)
-        z = op.rmatvec(v)
-        vu = float(v @ u)
-        if vu <= 0:
-            raise ConvergenceError(
-                "left/right iterates lost overlap; operator may be reducible",
-                iterations=it, residuals=(res_r, res_l))
-        rho = float(v @ w) / vu
-        scale = max(1.0, abs(rho))
-        res_r = float(np.linalg.norm(w - rho * u))
-        res_l = float(np.linalg.norm(z - rho * v))
-        if not (math.isfinite(rho) and math.isfinite(res_r) and math.isfinite(res_l)):
-            raise ConvergenceError(
-                f"non-finite iterate at iteration {it} (rho = {rho}, "
-                f"residuals {res_r}/{res_l}): the operator or a start vector "
-                "holds inf or NaN, or its products overflow",
-                iterations=it, residuals=(res_r, res_l))
-        if (res_r <= tol * scale and res_l <= tol * scale
-                and abs(rho - rho_prev) <= tol * scale):
-            x = _fix_sign(u)
-            y = _fix_sign(v)
-            kappa = 1.0 / float(y @ x)
-            return PerronTriple(rho=rho, x=x, y=y, kappa=kappa,
-                                residuals=(res_r, res_l), iterations=it)
-        w += sigma * u
-        z += sigma * v
-        nw = np.linalg.norm(w)
-        nz = np.linalg.norm(z)
-        if nw == 0 or nz == 0:
-            raise ConvergenceError(
-                "iterate annihilated; operator has a zero row or column",
-                iterations=it, residuals=(res_r, res_l))
-        u = w / nw
-        v = z / nz
-        rho_prev = rho
-
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(rho ~ {rho:.6g}, residuals {res_r:.3e}/{res_l:.3e})",
-        iterations=max_iter, residuals=(res_r, res_l))
 
 
 def perron_dense_oracle(m: np.ndarray, imag_tol: float = 1e-8) -> PerronTriple:

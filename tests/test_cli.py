@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,24 @@ def test_convert_roundtrip(capsys, tmp_path):
     assert np.allclose(assemble_dense(general), assemble_dense(original))
 
 
+def test_total_communicability_above_the_old_dense_size(capsys, tmp_path):
+    # a ring in each of 4 layers with gamma = 1: every row of B sums to
+    # 2 + 3 gamma = 5, so exp(B) 1 = e^5 1 and c_tn0 = NL (e^5 - 1), at
+    # NL = 5004
+    N, L = 1251, 4
+    p = tmp_path / "rings.edges"
+    p.write_text(f"{N} {L}\n" + "".join(f"{l} {i} {i % N + 1} 1.0\n"
+                                        for l in range(1, L + 1)
+                                        for i in range(1, N + 1)),
+                 encoding="utf-8")
+    code, out, err = run_cli(capsys, "communicability", str(p), "--total",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)["report"]
+    assert rep["c_tn0"] == pytest.approx(N * L * math.expm1(5), rel=1e-5)
+    assert rep["c_tn0_over_kappa_cpn"] == pytest.approx(1.0, rel=1e-5)
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "no_such_file.edges")
     assert code == 1
@@ -327,10 +346,6 @@ def test_bad_flag_values_rejected(capsys):
     code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
                              "--auto", "--seed", "-1")
     assert (code, out, err) == (1, "", "error: --seed must be nonnegative\n")
-    for cap in ("-5", "0"):
-        code, out, err = run_cli(capsys, "communicability", DEMO, "--directed",
-                                 "--total", "--dense-cap", cap)
-        assert (code, out, err) == (1, "", "error: --dense-cap must be >= 1\n")
 
 
 def test_experiment_flags_rows_whose_resolve_does_not_converge(capsys,
@@ -459,6 +474,31 @@ def test_undecodable_input_while_loading_is_input_error(capsys, tmp_path,
                              "--input-format", fmt)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {p}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_input_to_convert_is_input_error(capsys, tmp_path):
+    p = tmp_path / "bad.edges"
+    p.write_bytes(b"3 2\n1 1 2 1.0\n1 2 3 1.0\xff\n")
+    code, out, err = run_cli(capsys, "convert", str(p),
+                             "--input-format", "multiplex")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (("spectrum", DEMO, "--gamma", "abc"),
+     "perronnet spectrum: argument --gamma: invalid float value: 'abc'"),
+    (("communicability", DEMO, "--total", "--dense-cap", "5"),
+     "unrecognized arguments: --dense-cap 5"),
+    (("rank", "sideways", DEMO), "perronnet rank: argument rank_mode: "),
+    ((), "perronnet: the following arguments are required: command"),
+], ids=["bad-float", "removed-option", "bad-choice", "no-command"])
+def test_usage_error_is_input_error(capsys, args, message):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: perronnet") and message in err
     assert err.count("\n") == 1
 
 

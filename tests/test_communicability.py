@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from perronnet import (InputError, eigentensors, exp0,
+from perronnet import (InputError, assemble_dense, eigentensors, exp0,
                        hub_authority_communicability,
                        marginal_layer_centralities, perron,
                        perron_communicability, perron_dense_oracle,
@@ -176,7 +176,7 @@ def test_versatility_monolayer_is_left_vector():
 
 
 # ---------------------------------------------------------------------------
-# total communicability (dense comparison quantity)
+# total communicability (comparison quantity)
 
 def test_total_communicability_single_zero_node():
     net = multiplex_from_layers([np.zeros((1, 1))], gamma=0.0)
@@ -205,10 +205,25 @@ def test_total_communicability_tracks_kappa_times_cpn():
     assert abs(ratio - 1.0) <= 0.10
 
 
-def test_total_communicability_respects_cap(demo_net):
-    from perronnet.errors import DenseCapError
-    with pytest.raises(DenseCapError):
-        total_communicability0(demo_net, dense_cap=5)
+def random_net(kind, seed, directed):
+    from conftest import multilayer_from_dense
+    if kind == "multiplex":
+        return random_multiplex_net(seed, N=7, L=3, gamma=0.6,
+                                    directed=directed)
+    _, B = random_general_net(seed, N=6, L=3)
+    if not directed:
+        B = B + B.T
+    return multilayer_from_dense(B, 6, 3, directed=directed)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("kind", ["multiplex", "general"])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_total_communicability_matches_dense_expm(kind, directed, seed):
+    from scipy.linalg import expm
+    net = random_net(kind, seed, directed)
+    expected = float(expm(assemble_dense(net)).sum() - net.dim)
+    assert total_communicability0(net) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,8 @@ def test_non_finite_iterate_fails_at_once():
 
 
 def test_non_finite_iterate_names_its_iteration():
-    # the two-cycle converges slowly from a skewed start; its products turn
-    # to NaN from the third iteration on (call 0 is the shift estimate)
+    # the two-cycle from a skewed start; its products turn to NaN from
+    # the fourth on
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     calls = []
 
@@ -222,9 +222,9 @@ def test_non_finite_iterate_names_its_iteration():
 
     op = LinearOperator((2, 2), matvec=matvec, rmatvec=lambda v: B.T @ v,
                         dtype=float)
-    with pytest.raises(ConvergenceError, match="iteration 3 ") as ei:
+    with pytest.raises(ConvergenceError, match="iteration 4 ") as ei:
         perron(op, x0=np.array([1.0, 2.0]))
-    assert ei.value.iterations == 3
+    assert ei.value.iterations == 4
     assert len(calls) == 4
 
 
@@ -328,8 +328,22 @@ def two_components_one_way():
     return B
 
 
+def jordan_block():
+    return np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+def nilpotent_pair():
+    return np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def triangular_pair():
+    # simple root 2 with right vector (1, 1) and left vector (0, 1)
+    return np.array([[1.0, 1.0], [0.0, 2.0]])
+
+
 @pytest.mark.parametrize("make", [directed_path, ring_minus_one_arc,
-                                  two_components_one_way])
+                                  two_components_one_way, jordan_block,
+                                  nilpotent_pair, triangular_pair])
 def test_reducible_operator_fails_fast_or_returns_valid_triple(make):
     B = make()
     t0 = time.perf_counter()
@@ -340,6 +354,36 @@ def test_reducible_operator_fails_fast_or_returns_valid_triple(make):
         assert exc.iterations is not None and exc.residuals is not None
         return
     assert_valid_triple(t, B)
+
+
+@pytest.mark.parametrize("make", [jordan_block, nilpotent_pair])
+def test_defective_order_two_operator_has_orthogonal_vectors(make):
+    # the only eigenvector on each side is a unit vector, and the two are
+    # orthogonal
+    with pytest.raises(ConvergenceError, match=r"\(y\^T x = 0\)"):
+        perron(op_from_dense(make()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_operator_has_root_zero(n):
+    t = perron(op_from_dense(np.zeros((n, n))))
+    assert t.rho == 0.0
+    assert np.array_equal(t.x, np.full(n, 1.0 / np.sqrt(n)))
+    assert t.residuals == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("B", [[[0.0, 2.0], [1.0, 0.0]],
+                               [[0.5, 2.0], [0.25, 1.0]],
+                               [[3.0]]])
+def test_order_below_three_counts_products_and_matches_oracle(B):
+    op, calls = counted(op_from_dense(B))
+    t = perron(op)
+    assert t.iterations == len(calls)
+    assert_valid_triple(t, B)
+    ref = perron_dense_oracle(np.array(B))
+    assert t.rho == pytest.approx(ref.rho, rel=1e-12)
+    assert np.allclose(t.x, ref.x, atol=1e-10)
+    assert np.allclose(t.y, ref.y, atol=1e-10)
 
 
 def test_regular_graph_returns_its_start_vector():
