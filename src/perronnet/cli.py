@@ -1,13 +1,24 @@
 """Command-line front end.
 
-Subcommands: spectrum, communicability, sensitivity, rank {add,remove},
-experiment, convert.  Outputs are deterministic given (input, flags,
-seed): a human-readable table by default (4 decimal places), or machine
-CSV/JSON via --format with all numbers at 6 significant digits.
+Subcommands, each taking only the options listed (any other option is a
+usage error):
+
+  spectrum INPUT         --input-format --gamma --directed --format --tol
+  communicability INPUT  the spectrum options, --top-k --total
+  sensitivity INPUT      the spectrum options, --epsilon --top-k --structured
+  rank add|remove INPUT  the sensitivity options, --recompute
+  experiment INPUT       the sensitivity options, --seed --mode --edges-file
+                         --auto --no-mirror
+  convert INPUT          --input-format --gamma --directed --format -o
+
+Outputs are deterministic given (input, flags, seed): a human-readable
+table by default (4 decimal places), or machine CSV/JSON via --format
+with all numbers at 6 significant digits.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2
-numerical failure, 3 infeasible request.  Input paths not found
-directly are also resolved against $PERRON_DATA_DIR.
+numerical failure (a result that is not finite too), 3 infeasible
+request.  Input paths not found directly are also resolved against
+$PERRON_DATA_DIR.
 """
 
 from __future__ import annotations
@@ -17,8 +28,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,45 +35,27 @@ import numpy as np
 from .communicability import perron_communicability, total_communicability0
 from .eigen import perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
-                     PerronNetError)
-from .model import (EdgeKey, editable_arcs, is_strongly_connected,
-                    load_multilayer, load_multiplex, supra_operator)
+                     ParseError, PerronNetError)
+from .model import (EdgeKey, _read_edge_lines, editable_arcs,
+                    is_strongly_connected, load_multilayer, load_multiplex,
+                    supra_operator)
 from .recommend import (perturbation_experiment, rank_insertions,
                         rank_removals)
 from .sensitivity import (first_order_delta_rho, sensitivity_matrix,
                           structured_condition_number, wilkinson)
 
-
-@dataclass
-class RunConfig:
-    input_path: Path
-    input_format: str  # 'multiplex' | 'multilayer'
-    gamma: float = 1.0
-    directed: bool = False
-    epsilon: float = 0.3
-    top_k: int = 5
-    seed: int = 42
-    tol: float = 1e-10
-    output: str = "table"  # 'table' | 'csv' | 'json'
-    structured: bool = False
-    recompute: bool = False
-    mirror: bool = True
-
-    def __post_init__(self):
-        for flag, value in (("--gamma", self.gamma), ("--epsilon", self.epsilon),
-                            ("--tol", self.tol)):
-            if not math.isfinite(value):
-                raise InputError(f"{flag} must be finite, got {value}")
-        if self.gamma < 0:
-            raise InputError("--gamma must be nonnegative")
-        if self.epsilon <= 0:
-            raise InputError("--epsilon must be positive")
-        if self.top_k < 1:
-            raise InputError("--top-k must be >= 1")
-        if self.tol <= 0:
-            raise InputError("--tol must be positive")
-        if self.seed < 0:
-            raise InputError("--seed must be nonnegative")
+# value checks of the options a subcommand holds, as (dest, requirement,
+# message), in the order they are made; ``{}`` is the value
+_CHECKS = (
+    ("gamma", math.isfinite, "--gamma must be finite, got {}"),
+    ("epsilon", math.isfinite, "--epsilon must be finite, got {}"),
+    ("tol", math.isfinite, "--tol must be finite, got {}"),
+    ("gamma", lambda v: v >= 0, "--gamma must be nonnegative"),
+    ("epsilon", lambda v: v > 0, "--epsilon must be positive"),
+    ("top_k", lambda v: v >= 1, "--top-k must be >= 1"),
+    ("tol", lambda v: v > 0, "--tol must be positive"),
+    ("seed", lambda v: v >= 0, "--seed must be nonnegative"),
+)
 
 
 def _resolve_path(raw: str) -> Path:
@@ -79,51 +70,35 @@ def _resolve_path(raw: str) -> Path:
     raise InputError(f"input file not found: {raw}")
 
 
-@contextmanager
-def _decoded(path: Path):
-    """Report input bytes that are not UTF-8 as an input error naming the
-    file, instead of letting UnicodeDecodeError through."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc})") from None
-
-
 def _sniff_format(path: Path) -> str:
     """Infer the edge-list flavor from the first data line after the header:
     4 columns -> multiplex, 5 -> general multilayer."""
-    with _decoded(path), open(path, "r", encoding="utf-8") as fh:
-        seen_header = False
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not seen_header:
-                seen_header = True
-                continue
-            n = len(line.split())
-            if n == 4:
-                return "multiplex"
-            if n == 5:
-                return "multilayer"
-            raise InputError(f"cannot infer input format from {n}-column line")
+    lines = _read_edge_lines(path)
+    next(lines, None)  # the header
+    for _lineno, tokens in lines:
+        n = len(tokens)
+        if n == 4:
+            return "multiplex"
+        if n == 5:
+            return "multilayer"
+        raise InputError(f"cannot infer input format from {n}-column line")
     raise InputError("file has no edge lines; pass --input-format explicitly")
 
 
-def load_network(cfg: RunConfig):
-    with _decoded(cfg.input_path):
-        if cfg.input_format == "multiplex":
-            return load_multiplex(cfg.input_path, gamma=cfg.gamma,
-                                  directed=cfg.directed)
-        return load_multilayer(cfg.input_path, directed=cfg.directed)
+def load_network(ns: argparse.Namespace):
+    if ns.input_format == "multiplex":
+        return load_multiplex(ns.input, gamma=ns.gamma, directed=ns.directed)
+    return load_multilayer(ns.input, directed=ns.directed)
 
 
-def _solve(cfg: RunConfig, net):
+def _solve(ns: argparse.Namespace):
+    """The input network and its Perron triple."""
+    net = load_network(ns)
     if not is_strongly_connected(net):
         print("warning: supra graph is not strongly connected; the dominant "
               "root may not be simple and positivity of the eigenvectors is "
               "not guaranteed", file=sys.stderr)
-    return perron(supra_operator(net), tol=cfg.tol)
+    return net, perron(supra_operator(net), tol=ns.tol)
 
 
 def _edge_str(e: EdgeKey) -> str:
@@ -134,9 +109,8 @@ def _edge_str(e: EdgeKey) -> str:
 # ---------------------------------------------------------------------------
 # report assembly: each command returns (scalars, columns, rows)
 
-def cmd_spectrum(cfg: RunConfig):
-    net = load_network(cfg)
-    t = _solve(cfg, net)
+def cmd_spectrum(ns: argparse.Namespace):
+    net, t = _solve(ns)
     report = {
         "rho": t.rho,
         "kappa": t.kappa,
@@ -150,9 +124,8 @@ def cmd_spectrum(cfg: RunConfig):
     return report, None, None
 
 
-def cmd_communicability(cfg: RunConfig, with_total: bool = False):
-    net = load_network(cfg)
-    t = _solve(cfg, net)
+def cmd_communicability(ns: argparse.Namespace):
+    net, t = _solve(ns)
     rep = perron_communicability(t, net.N, net.L)
     report = {
         "rho": t.rho,
@@ -162,36 +135,36 @@ def cmd_communicability(cfg: RunConfig, with_total: bool = False):
         "upper_basic": rep.upper_basic,
         "phi": rep.phi,
     }
-    if with_total:
+    if ns.total:
         c0 = total_communicability0(net)
+        scale = t.kappa * rep.c_pn  # 0 on a network without arcs
         report["c_tn0"] = c0
-        report["c_tn0_over_kappa_cpn"] = c0 / (t.kappa * rep.c_pn)
+        report["c_tn0_over_kappa_cpn"] = c0 / scale if scale else None
     for l in range(net.L):
         report[f"c_Y[{l + 1}]"] = float(rep.c_Y[l])
     for l in range(net.L):
         report[f"c_X[{l + 1}]"] = float(rep.c_X[l])
-    order = np.argsort(-rep.versatility, kind="stable")[:cfg.top_k]
+    order = np.argsort(-rep.versatility, kind="stable")[:ns.top_k]
     rows = [{"node": int(i) + 1, "versatility": float(rep.versatility[i])}
             for i in order]
     return report, ["node", "versatility"], rows
 
 
-def cmd_sensitivity(cfg: RunConfig):
-    net = load_network(cfg)
-    t = _solve(cfg, net)
+def cmd_sensitivity(ns: argparse.Namespace):
+    net, t = _solve(ns)
     W = wilkinson(t)
     report = {
         "rho": t.rho,
         "kappa": t.kappa,
         "sensitivity_fro_norm": sensitivity_matrix(t, net.N, net.L).frobenius_norm(),
-        "worst_case_shift_at_epsilon": first_order_delta_rho(t, W, cfg.epsilon),
+        "worst_case_shift_at_epsilon": first_order_delta_rho(t, W, ns.epsilon),
     }
     if net.multiplex:
         report["kappa_D"] = structured_condition_number(t, "D", net)
         report["kappa_S"] = structured_condition_number(t, "S", net)
-    cand = "existing" if cfg.structured else "all"
-    top = rank_insertions(t, net, cfg.top_k, candidate_set=cand)
-    bottom = rank_removals(t, net, cfg.top_k)
+    cand = "existing" if ns.structured else "all"
+    top = rank_insertions(t, net, ns.top_k, candidate_set=cand)
+    bottom = rank_removals(t, net, ns.top_k)
     rows = []
     for r in top:
         rows.append({"direction": "increase", "edge": _edge_str(r.edge),
@@ -202,88 +175,72 @@ def cmd_sensitivity(cfg: RunConfig):
     return report, ["direction", "edge", "score"], rows
 
 
-def cmd_rank(cfg: RunConfig, mode: str):
-    net = load_network(cfg)
-    t = _solve(cfg, net)
-    report = {"rho": t.rho, "kappa": t.kappa, "mode": mode}
-    rows = []
-    if mode == "add":
-        cand = "existing" if cfg.structured else "all"
-        ranked = rank_insertions(t, net, cfg.top_k, candidate_set=cand,
-                                 eps=cfg.epsilon, recompute=cfg.recompute,
-                                 tol=cfg.tol)
-        cols = ["edge", "score"] + (["rho_new"] if cfg.recompute else [])
-        for r in ranked:
-            row = {"edge": _edge_str(r.edge), "score": r.score}
-            if cfg.recompute:
-                row["rho_new"] = r.rho_after
-            rows.append(row)
+def cmd_rank(ns: argparse.Namespace):
+    net, t = _solve(ns)
+    report = {"rho": t.rho, "kappa": t.kappa, "mode": ns.rank_mode}
+    if ns.rank_mode == "add":
+        cand = "existing" if ns.structured else "all"
+        ranked = rank_insertions(t, net, ns.top_k, candidate_set=cand,
+                                 eps=ns.epsilon, recompute=ns.recompute,
+                                 tol=ns.tol)
+        cols = ["edge", "score"]
     else:
-        ranked = rank_removals(t, net, cfg.top_k, require_connected=True,
-                               recompute=cfg.recompute, tol=cfg.tol)
+        ranked = rank_removals(t, net, ns.top_k, require_connected=True,
+                               recompute=ns.recompute, tol=ns.tol)
         cols = ["edge", "score", "connected_after"]
-        if cfg.recompute:
-            cols.append("rho_new")
-        for r in ranked:
-            row = {"edge": _edge_str(r.edge), "score": r.score,
-                   "connected_after": r.connected_after}
-            if cfg.recompute:
-                row["rho_new"] = r.rho_after
-            rows.append(row)
+    if ns.recompute:
+        cols.append("rho_new")
+    rows = []
+    for r in ranked:
+        row = {"edge": _edge_str(r.edge), "score": r.score,
+               "connected_after": r.connected_after, "rho_new": r.rho_after}
+        rows.append({c: row[c] for c in cols})
     return report, cols, rows
 
 
 def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
     """Edges of an --edges-file, each checked against the ids of ``net``."""
     edges = []
-    with _decoded(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            try:
-                vals = [int(tk) for tk in toks]
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: edge lines must be integers") from None
-            if net.multiplex and len(vals) == 3:
-                i, j, l = vals
-                e = EdgeKey(i, j, l, l)
-            elif len(vals) == 4:
-                e = EdgeKey(*vals)
-            else:
-                raise InputError(
-                    f"{path}:{lineno}: expected 'i j k l' (or 'i j l' for "
-                    "multiplex input)")
-            try:
-                e.validate(net.N, net.L)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            edges.append(e)
+    for lineno, toks in _read_edge_lines(path):
+        try:
+            vals = [int(tk) for tk in toks]
+        except ValueError:
+            raise ParseError("edge lines must be integers", path,
+                             lineno) from None
+        if net.multiplex and len(vals) == 3:
+            i, j, l = vals
+            e = EdgeKey(i, j, l, l)
+        elif len(vals) == 4:
+            e = EdgeKey(*vals)
+        else:
+            raise ParseError("expected 'i j k l' (or 'i j l' for multiplex "
+                             "input)", path, lineno)
+        try:
+            e.validate(net.N, net.L)
+        except InputError as exc:
+            raise ParseError(str(exc), path, lineno) from None
+        edges.append(e)
     return edges
 
 
-def cmd_experiment(cfg: RunConfig, mode: str, edges_file: str | None,
-                   auto: bool):
-    net = load_network(cfg)
-    t = _solve(cfg, net)
-    if auto:
-        if mode == "increase":
-            cand = "existing" if cfg.structured else "all"
-            picked = rank_insertions(t, net, cfg.top_k, candidate_set=cand)
+def cmd_experiment(ns: argparse.Namespace):
+    net, t = _solve(ns)
+    if ns.auto:
+        if ns.mode == "increase":
+            cand = "existing" if ns.structured else "all"
+            picked = rank_insertions(t, net, ns.top_k, candidate_set=cand)
         else:
-            picked = rank_removals(t, net, cfg.top_k)
+            picked = rank_removals(t, net, ns.top_k)
         edges = [r.edge for r in picked]
-    elif edges_file is not None:
-        edges = _parse_edges_file(_resolve_path(edges_file), net)
+    elif ns.edges_file is not None:
+        edges = _parse_edges_file(_resolve_path(ns.edges_file), net)
     else:
         raise InputError("experiment needs --edges-file or --auto")
     rows_out = perturbation_experiment(
-        net, edges, eps=cfg.epsilon, mode=mode, seed=cfg.seed,
-        mirror=cfg.mirror, tol=cfg.tol, triple=t)
-    report = {"rho": t.rho, "kappa": t.kappa, "mode": mode,
-              "epsilon": cfg.epsilon, "seed": cfg.seed}
+        net, edges, eps=ns.epsilon, mode=ns.mode, seed=ns.seed,
+        mirror=not ns.no_mirror, tol=ns.tol, triple=t)
+    report = {"rho": t.rho, "kappa": t.kappa, "mode": ns.mode,
+              "epsilon": ns.epsilon, "seed": ns.seed}
     cols = ["edge", "score", "rho_new", "random_edge", "random_rho_new", "note"]
     rows = []
     for r in rows_out:
@@ -302,12 +259,12 @@ def cmd_experiment(cfg: RunConfig, mode: str, edges_file: str | None,
     return report, cols, rows
 
 
-def cmd_convert(cfg: RunConfig, out_path: str | None):
+def cmd_convert(ns: argparse.Namespace):
     """Materialize a multiplex file (with its gamma coupling) as a general
     multilayer edge list."""
-    if cfg.input_format != "multiplex":
+    if ns.input_format != "multiplex":
         raise InputError("convert expects a multiplex input file")
-    net = load_network(cfg)
+    net = load_network(ns)
     a, b, w = editable_arcs(net)
     if not net.directed:  # each edge once, as its arc with i < j
         keep = a < b
@@ -324,9 +281,9 @@ def cmd_convert(cfg: RunConfig, out_path: str | None):
                     for i in range(1, net.N + 1):
                         lines.append(f"{k} {i} {l} {i} {net.gamma:.17g}")
     text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-        return {"written": out_path, "lines": len(lines)}, None, None
+    if ns.output_file:
+        Path(ns.output_file).write_text(text, encoding="utf-8")
+        return {"written": ns.output_file, "lines": len(lines)}, None, None
     sys.stdout.write(text)
     return None, None, None
 
@@ -335,11 +292,7 @@ def cmd_convert(cfg: RunConfig, out_path: str | None):
 # formatting
 
 def _fmt6(v):
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float(f"{v:.6g}")
-        return v
-    return v
+    return float(f"{v:.6g}") if isinstance(v, float) else v
 
 
 def _csv_cell(v):
@@ -396,24 +349,28 @@ def emit(report, cols, rows, output: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("input", help="edge-list file (resolved against "
-                   "$PERRON_DATA_DIR when not found directly)")
-    p.add_argument("--input-format", choices=["auto", "multiplex", "multilayer"],
-                   default="auto")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="multiplex inter-layer coupling weight (default 1.0)")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--structured", action="store_true",
-                   help="restrict add-candidates to existing intra-layer edges")
-    p.add_argument("--recompute", action="store_true",
-                   help="re-solve the root for each ranked candidate")
-    p.add_argument("--format", choices=["table", "csv", "json"],
-                   default="table", dest="output")
+# the arguments that subcommands add by name
+_ARGS = {
+    "rank_mode": dict(choices=["add", "remove"]),
+    "input": dict(help="edge-list file (resolved against $PERRON_DATA_DIR "
+                       "when not found directly)"),
+    "--input-format": dict(choices=["auto", "multiplex", "multilayer"],
+                           default="auto"),
+    "--gamma": dict(type=float, default=1.0,
+                    help="multiplex inter-layer coupling weight (default 1.0)"),
+    "--directed": dict(action="store_true"),
+    "--format": dict(choices=["table", "csv", "json"], default="table",
+                     dest="output"),
+    "--tol": dict(type=float, default=1e-10),
+    "--epsilon": dict(type=float, default=0.3),
+    "--top-k": dict(type=int, default=5),
+    "--structured": dict(action="store_true",
+                         help="restrict add-candidates to existing intra-layer "
+                              "edges"),
+}
+_INPUT = ("input", "--input-format", "--gamma", "--directed", "--format")
+_SOLVE = _INPUT + ("--tol",)
+_RANK = _SOLVE + ("--epsilon", "--top-k", "--structured")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,24 +388,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "multilayer networks")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="Perron root and condition numbers")
-    _add_common(sp)
+    def subcommand(name, func, help, *args):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for arg in args:
+            p.add_argument(arg, **_ARGS[arg])
+        return p
 
-    cp = sub.add_parser("communicability", help="communicability report")
-    _add_common(cp)
+    subcommand("spectrum", cmd_spectrum, "Perron root and condition numbers",
+               *_SOLVE)
+
+    cp = subcommand("communicability", cmd_communicability,
+                    "communicability report", *_SOLVE, "--top-k")
     cp.add_argument("--total", action="store_true",
                     help="also compute the total communicability "
                          "1'(exp(B) - I)1 for comparison")
 
-    sn = sub.add_parser("sensitivity", help="per-edge sensitivity summary")
-    _add_common(sn)
+    subcommand("sensitivity", cmd_sensitivity, "per-edge sensitivity summary",
+               *_RANK)
 
-    rk = sub.add_parser("rank", help="rank edge insertions or removals")
-    rk.add_argument("rank_mode", choices=["add", "remove"])
-    _add_common(rk)
+    rk = subcommand("rank", cmd_rank, "rank edge insertions or removals",
+                    "rank_mode", *_RANK)
+    rk.add_argument("--recompute", action="store_true",
+                    help="re-solve the root for each ranked candidate")
 
-    ex = sub.add_parser("experiment", help="re-solved perturbation experiments")
-    _add_common(ex)
+    ex = subcommand("experiment", cmd_experiment,
+                    "re-solved perturbation experiments", *_RANK)
+    ex.add_argument("--seed", type=int, default=42)
     ex.add_argument("--mode", choices=["increase", "decrease", "remove"],
                     default="increase")
     ex.add_argument("--edges-file", default=None,
@@ -458,47 +424,29 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--no-mirror", action="store_true",
                     help="perturb single arcs instead of both directions")
 
-    cv = sub.add_parser("convert", help="materialize a multiplex file as a "
-                                        "general multilayer edge list")
-    _add_common(cv)
+    cv = subcommand("convert", cmd_convert, "materialize a multiplex file as "
+                    "a general multilayer edge list", *_INPUT)
     cv.add_argument("-o", "--output-file", default=None)
 
     return ap
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    path = _resolve_path(ns.input)
-    fmt = ns.input_format
-    if fmt == "auto":
-        fmt = _sniff_format(path)
-    return RunConfig(
-        input_path=path, input_format=fmt, gamma=ns.gamma,
-        directed=ns.directed, epsilon=ns.epsilon, top_k=ns.top_k,
-        seed=ns.seed, tol=ns.tol, output=ns.output,
-        structured=ns.structured, recompute=ns.recompute,
-        mirror=not getattr(ns, "no_mirror", False))
-
-
 def run(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = _config_from(ns)
-    if ns.command == "spectrum":
-        result = cmd_spectrum(cfg)
-    elif ns.command == "communicability":
-        result = cmd_communicability(cfg, with_total=ns.total)
-    elif ns.command == "sensitivity":
-        result = cmd_sensitivity(cfg)
-    elif ns.command == "rank":
-        result = cmd_rank(cfg, ns.rank_mode)
-    elif ns.command == "experiment":
-        result = cmd_experiment(cfg, ns.mode, ns.edges_file, ns.auto)
-    elif ns.command == "convert":
-        result = cmd_convert(cfg, ns.output_file)
-    else:  # pragma: no cover
-        raise InputError(f"unknown command {ns.command}")
-    report, cols, rows = result
+    ns.input = _resolve_path(ns.input)
+    if ns.input_format == "auto":
+        ns.input_format = _sniff_format(ns.input)
+    for dest, holds, message in _CHECKS:
+        if hasattr(ns, dest) and not holds(getattr(ns, dest)):
+            raise InputError(message.format(getattr(ns, dest)))
+    report, cols, rows = ns.func(ns)
+    for values in ([report] if report else []) + (rows or []):
+        for key, v in values.items():
+            # an overflow, say, which machine formats cannot carry
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConvergenceError(f"{key} is not finite ({v})")
     if report is not None or rows is not None:
-        sys.stdout.write(emit(report, cols, rows, cfg.output))
+        sys.stdout.write(emit(report, cols, rows, ns.output))
     return 0
 
 

@@ -25,8 +25,11 @@ from .model import Network, assemble_sparse, supra_operator
 
 
 def exp0(t: float) -> float:
-    """e^t - 1, stable for small arguments."""
-    return math.expm1(t)
+    """e^t - 1, stable for small arguments; inf past the float range."""
+    try:
+        return math.expm1(t)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ class ParseError(InputError):
 
 
 class ConvergenceError(PerronNetError):
-    """Iterative eigensolver failed to converge; carries diagnostics."""
+    """Iterative eigensolver failed to converge, or a result left the float
+    range; carries diagnostics."""
 
     def __init__(self, message, iterations=None, residuals=None):
         self.iterations = iterations

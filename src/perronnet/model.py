@@ -175,9 +175,13 @@ def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # which name the first offending line in file order.
 
 def _read_edge_lines(path):
-    """Yield (line_number, tokens) for data lines; '#' comments and blanks skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from _data_lines(fh)
+    """Yield (line_number, tokens) for data lines; '#' comments and blanks
+    skipped.  Bytes that are not UTF-8 raise a ParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from _data_lines(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc})", path) from None
 
 
 def _data_lines(lines):
@@ -287,7 +291,7 @@ def _read_per_line(path, nids, usage) -> _EdgeRows:
                 w.append(math.nan)
                 weight_error = f"bad weight {tokens[nids]!r}"
                 break
-    except (ParseError, UnicodeDecodeError) as exc:
+    except ParseError as exc:
         error = exc
     try:
         ids = np.array(ids, dtype=np.int64).reshape(-1, nids)
@@ -471,11 +475,11 @@ def assemble_sparse(net: Network) -> sp.csr_matrix:
     return (net.arcs + net.gamma * coupling).tocsr()
 
 
-def assemble_dense(net: Network, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense supra-adjacency matrix; refuses above ``dense_cap``."""
-    if net.dim > dense_cap:
-        raise DenseCapError(
-            f"dense assembly of order {net.dim} exceeds cap {dense_cap}")
+def assemble_dense(net: Network) -> np.ndarray:
+    """Dense supra-adjacency matrix; refuses above ``DEFAULT_DENSE_CAP``."""
+    if net.dim > DEFAULT_DENSE_CAP:
+        raise DenseCapError(f"dense assembly of order {net.dim} exceeds cap "
+                            f"{DEFAULT_DENSE_CAP}")
     return assemble_sparse(net).toarray()
 
 

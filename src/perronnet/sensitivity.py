@@ -96,10 +96,11 @@ class SensitivityMatrix(LinearOperator):
         return (self.scale * float(self.y[a]) * float(self.x[b])
                 * float(self._mask_at(a, b)))
 
-    def toarray(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    def toarray(self) -> np.ndarray:
         n = self.shape[0]
-        if n > dense_cap:
-            raise DenseCapError(f"materializing order {n} exceeds cap {dense_cap}")
+        if n > DEFAULT_DENSE_CAP:
+            raise DenseCapError(
+                f"materializing order {n} exceeds cap {DEFAULT_DENSE_CAP}")
         pos = np.arange(n)
         return np.outer(self.scale * self.y, self.x) * self._mask_at(pos[:, None], pos)
 

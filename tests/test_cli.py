@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -202,6 +203,37 @@ def test_total_communicability_above_the_old_dense_size(capsys, tmp_path):
     assert rep["c_tn0_over_kappa_cpn"] == pytest.approx(1.0, rel=1e-5)
 
 
+def test_communicability_total_without_arcs_has_no_ratio(capsys, tmp_path):
+    # rho = 0, so c_pn = 0 and c_tn0 / (kappa c_pn) is undefined
+    p = tmp_path / "empty.edges"
+    p.write_text("1 2\n", encoding="utf-8")
+    outs = {}
+    for fmt in ("table", "csv", "json"):
+        code, outs[fmt], err = run_cli(capsys, "communicability", str(p),
+                                       "--input-format", "multilayer",
+                                       "--total", "--format", fmt)
+        assert code == 0 and "not strongly connected" in err
+    rep = json.loads(outs["json"])["report"]
+    assert rep["c_tn0"] == 0 and rep["c_tn0_over_kappa_cpn"] is None
+    assert "\nc_tn0_over_kappa_cpn,\n" in outs["csv"]
+    assert "\nc_tn0_over_kappa_cpn  \n" in outs["table"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("weight, args, key", [
+    ("1000", (), "c_pn"),  # e^rho - 1 is past the float range
+    ("707", ("--total",), "c_tn0"),  # c_pn is finite, 1'exp(B)1 is not
+])
+def test_overflow_is_a_numerical_failure(capsys, tmp_path, weight, args, key,
+                                         fmt):
+    p = tmp_path / "pair.edges"
+    p.write_text(f"2 1\n1 1 2 {weight}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "communicability", str(p), *args,
+                             "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: {key} is not finite (inf)\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "no_such_file.edges")
     assert code == 1
@@ -339,10 +371,10 @@ def test_experiment_solves_the_base_network_once(capsys, monkeypatch):
 def test_bad_flag_values_rejected(capsys):
     code, _, err = run_cli(capsys, "spectrum", DEMO, "--gamma", "-1")
     assert code == 1
-    code, _, err = run_cli(capsys, "spectrum", DEMO, "--epsilon", "0")
-    assert code == 1
-    code, _, err = run_cli(capsys, "spectrum", DEMO, "--top-k", "0")
-    assert code == 1
+    code, _, err = run_cli(capsys, "sensitivity", DEMO, "--epsilon", "0")
+    assert (code, err) == (1, "error: --epsilon must be positive\n")
+    code, _, err = run_cli(capsys, "sensitivity", DEMO, "--top-k", "0")
+    assert (code, err) == (1, "error: --top-k must be >= 1\n")
     code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
                              "--auto", "--seed", "-1")
     assert (code, out, err) == (1, "", "error: --seed must be nonnegative\n")
@@ -487,19 +519,57 @@ def test_undecodable_input_to_convert_is_input_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_undecodable_edges_file_is_input_error(capsys, tmp_path):
+    ef = tmp_path / "edges.txt"
+    ef.write_bytes(b"2 4 3 2\n1 \xff 1 1\n")
+    code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
+                             "--edges-file", str(ef))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {ef}: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args, message", [
     (("spectrum", DEMO, "--gamma", "abc"),
      "perronnet spectrum: argument --gamma: invalid float value: 'abc'"),
     (("communicability", DEMO, "--total", "--dense-cap", "5"),
      "unrecognized arguments: --dense-cap 5"),
+    (("spectrum", DEMO, "--directed", "--top-k", "3"),
+     "perronnet: unrecognized arguments: --top-k 3"),
+    (("convert", DEMO, "--tol", "1e-9"),
+     "perronnet: unrecognized arguments: --tol 1e-9"),
     (("rank", "sideways", DEMO), "perronnet rank: argument rank_mode: "),
     ((), "perronnet: the following arguments are required: command"),
-], ids=["bad-float", "removed-option", "bad-choice", "no-command"])
+], ids=["bad-float", "removed-option", "option-spectrum-does-not-read",
+        "option-convert-does-not-read", "bad-choice", "no-command"])
 def test_usage_error_is_input_error(capsys, args, message):
     code, out, err = run_cli(capsys, *args)
     assert code == 1 and out == ""
     assert err.startswith("error: perronnet") and message in err
     assert err.count("\n") == 1
+
+
+SPECTRUM = {"input", "--input-format", "--gamma", "--directed", "--format",
+            "--tol"}
+SENSITIVITY = SPECTRUM | {"--epsilon", "--top-k", "--structured"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {"/".join(a.option_strings) or a.dest for a in p._actions
+                  if not isinstance(a, argparse._HelpAction)}
+           for name, p in sub.choices.items()}
+    assert got == {
+        "spectrum": SPECTRUM,
+        "communicability": SPECTRUM | {"--top-k", "--total"},
+        "sensitivity": SENSITIVITY,
+        "rank": SENSITIVITY | {"rank_mode", "--recompute"},
+        "experiment": SENSITIVITY | {"--seed", "--mode", "--edges-file",
+                                     "--auto", "--no-mirror"},
+        "convert": SPECTRUM - {"--tol"} | {"-o/--output-file"},
+    }
+    assert sum(map(len, got.values())) == 54
 
 
 def _determinism_inputs(tmp_path):

@@ -298,8 +298,9 @@ def test_fault_before_undecodable_chunk_is_reported(tmp_path):
         load_multiplex(p, gamma=0.0, directed=True)
     assert ei.value.line == 2 and "node id 11 out of range" in str(ei.value)
     p.write_bytes(b"10 1\n1 1 2 1\n" + b"1 2 \xff 1\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError) as ei:
         load_multiplex(p, gamma=0.0, directed=True)
+    assert str(ei.value).startswith(f"{p}: not UTF-8 text (")
 
 
 def test_numpy_reader_takes_plain_files(tmp_path, monkeypatch):

@@ -267,9 +267,9 @@ def test_operator_sums_and_products_match_dense():
 
 
 def test_dense_cap_enforced():
-    net = random_multiplex_net(6, N=4, L=2, gamma=1.0)
-    with pytest.raises(DenseCapError):
-        assemble_dense(net, dense_cap=7)
+    net = Network(5001, 1, sp.csr_matrix((5001, 5001)), directed=True)
+    with pytest.raises(DenseCapError, match="order 5001 exceeds cap 5000"):
+        assemble_dense(net)
 
 
 def test_undirected_load_gives_symmetric_assembly(tmp_path):
