@@ -12,8 +12,9 @@ usage error):
   convert INPUT          --input-format --gamma --directed --format -o
 
 Outputs are deterministic given (input, flags, seed): a human-readable
-table by default (4 decimal places), or machine CSV/JSON via --format
-with all numbers at 6 significant digits.
+table by default (4 decimal places, 6 significant digits from 1e16 on),
+or machine CSV/JSON via --format with all numbers at 6 significant
+digits.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2
 numerical failure (a result that is not finite too), 3 infeasible
@@ -305,7 +306,8 @@ def _fmt_table_val(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.4f}"
+        # from 1e16 on, '.4f' prints more digits than a float holds
+        return f"{v:.4f}" if abs(v) < 1e16 else _csv_cell(v)
     return str(v)
 
 

@@ -13,8 +13,9 @@ dense matrix.
 Node-layer pairs are flattened as  (node i, layer k)  ->  N*(k-1) + i
 with 1-based i and k throughout the public API.
 
-Networks and operators are immutable after construction; mutation
-helpers return new values.
+Networks and operators are immutable after construction.  Every edit is
+one supra update ``(rows, cols, deltas)`` (:func:`edge_update`), which
+:func:`apply_update` applies to a new network.
 """
 
 from __future__ import annotations
@@ -206,6 +207,9 @@ def _parse_header(lines, path):
         raise ParseError(f"bad header: {exc}", path, lineno) from None
     if N < 1 or L < 1:
         raise ParseError("N and L must be positive", path, lineno)
+    if N * L > np.iinfo(np.int64).max:  # supra positions are int64
+        raise ParseError(f"N*L must be at most 2**63 - 1, got {N * L}",
+                         path, lineno)
     return N, L, lineno
 
 
@@ -303,7 +307,7 @@ def _read_per_line(path, nids, usage) -> _EdgeRows:
 
 def _range_checks(t: _EdgeRows, columns):
     """Range checks of the id columns, as ``(mask, message(row))`` pairs,
-    and the ids with every out-of-range id zeroed, as int64 where they fit.
+    and the ids with every out-of-range id zeroed, as int64.
 
     ``columns`` lists ``(column, name, upper bound)`` in the order a line
     is checked.
@@ -316,12 +320,8 @@ def _range_checks(t: _EdgeRows, columns):
         checks.append((out_of_range[:, c],
                        lambda r, c=c, name=name, hi=hi:
                            f"{name} {int(ids[r, c])} out of range 1..{hi}"))
-    safe = np.where(out_of_range, 0, ids)
-    try:
-        safe = safe.astype(np.int64)
-    except OverflowError:  # ids in range of a header N past int64
-        pass
-    return checks, safe
+    # an id in range is at most N, which _parse_header keeps in int64
+    return checks, np.where(out_of_range, 0, ids).astype(np.int64)
 
 
 def _weight_check(t: _EdgeRows):
@@ -498,6 +498,39 @@ def is_strongly_connected(net: Network) -> bool:
 # ---------------------------------------------------------------------------
 # mutation
 
+def edge_update(net: Network, e: EdgeKey, delta: float):
+    """The supra update ``(rows, cols, deltas)`` that changes the weight of
+    edge ``e`` by ``delta``: its arc and, on undirected input, the mirror
+    arc.  Raises InputError for an edge out of range, and on a multiplex
+    for an inter-layer edge or a self-loop, the gamma coupling being fixed
+    by the model."""
+    e.validate(net.N, net.L)
+    if net.multiplex and e.k != e.l:
+        raise InputError("multiplex edits must be intra-layer (k == l)")
+    if net.multiplex and e.i == e.j:
+        raise InputError("multiplex layers cannot carry self-loops")
+    r, c = flat_index(e.i, e.k, net.N), flat_index(e.j, e.l, net.N)
+    rows, cols = ([r], [c]) if net.directed or r == c else ([r, c], [c, r])
+    return np.array(rows), np.array(cols), np.full(len(rows), float(delta))
+
+
+def apply_update(net: Network, update) -> Network:
+    """Return a new network whose stored arcs are ``net.arcs + E`` for the
+    supra update E = ``(rows, cols, deltas)``; an entry that becomes
+    exactly 0 is removed.  Raises InputError when an entry would become
+    negative."""
+    rows, cols, deltas = update
+    E = sp.csr_matrix((deltas, (rows, cols)), shape=net.arcs.shape)
+    arcs = net.arcs + E
+    if arcs.nnz and arcs.data.min() < 0:  # stored arcs are positive
+        new = np.asarray(arcs[rows, cols]).ravel()
+        p = int(np.argmax(new < 0))
+        raise InputError(f"edge weight would become negative ({float(new[p])})"
+                         f" at supra entry ({int(rows[p])},{int(cols[p])})")
+    arcs.eliminate_zeros()
+    return replace(net, arcs=arcs)
+
+
 def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
     """Return a new network with the weight of edge ``e`` changed by ``delta``.
 
@@ -509,42 +542,4 @@ def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
     e.validate(net.N, net.L)
     if delta == 0:
         return net
-    check_editable(net, e)
-    arcs = _bump(net.arcs, flat_index(e.i, e.k, net.N),
-                 flat_index(e.j, e.l, net.N), delta, mirror=not net.directed)
-    return replace(net, arcs=arcs)
-
-
-def check_editable(net: Network, e: EdgeKey) -> None:
-    """Raise InputError unless edge ``e`` of ``net`` may be edited: a
-    multiplex edit must stay inside one layer and must not be a self-loop,
-    the gamma coupling being fixed by the model."""
-    if net.multiplex and e.k != e.l:
-        raise InputError("multiplex edits must be intra-layer (k == l)")
-    if net.multiplex and e.i == e.j:
-        raise InputError("multiplex layers cannot carry self-loops")
-
-
-def edit_cells(net: Network, e: EdgeKey) -> tuple[tuple[int, int], ...]:
-    """Supra cells (row, col) that :func:`apply_edge_delta` changes for an
-    edit of edge ``e``: its arc and, on undirected input, the mirror cell."""
-    return _cells(flat_index(e.i, e.k, net.N), flat_index(e.j, e.l, net.N),
-                  mirror=not net.directed)
-
-
-def _cells(r, c, mirror):
-    return ((r, c), (c, r)) if (mirror and r != c) else ((r, c),)
-
-
-def _bump(A, r, c, delta, mirror=False):
-    """Return csr copy of A with entry (r, c) [and (c, r)] changed by delta."""
-    cells = _cells(r, c, mirror)
-    for rr, cc in cells:
-        new = float(A[rr, cc]) + delta
-        if new < 0:
-            raise InputError(
-                f"edge weight would become negative ({new}) at supra entry ({rr},{cc})")
-    rows, cols = zip(*cells)
-    out = A + sp.csr_matrix(([delta] * len(cells), (rows, cols)), shape=A.shape)
-    out.eliminate_zeros()
-    return out
+    return apply_update(net, edge_update(net, e, delta))

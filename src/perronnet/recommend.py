@@ -21,17 +21,18 @@ perturbed network (the first-order score is only an estimate) and pairs
 every row with a seeded random baseline edge treated the same way.
 
 Each exact re-solve request (an edge, a mode, eps and whether to mirror)
-becomes its list of arc edits, checked once by :func:`_edits`.  All the
-requests of one call are re-solved together by
+becomes one supra update ``(rows, cols, deltas)``, checked once by
+:func:`_edits`.  All the requests of one call are re-solved together by
 :func:`~perronnet.eigen.perron_block` on the base network's operator,
-each as its one or two supra entry updates, without copying the network;
-a row is accepted only when it passes the certification ``perron()``
-applies.  A row the block pass does not accept is solved alone by
-``perron()`` on its mutated network, which reports why a row cannot be
-solved.  Both passes start from the base Perron pair when both of its
-vectors are strictly positive, and cold otherwise.  A removal that must
-keep the supra graph strongly connected is checked on the network
-mutated by the same edits.
+without copying the network; a row is accepted only when it passes the
+certification ``perron()`` applies.  A row the block pass does not
+accept is solved alone by ``perron()`` on the network
+:func:`~perronnet.model.apply_update` makes of its update, which reports
+why a row cannot be solved.  Both passes start from the base Perron pair
+when both of its vectors are strictly positive, and cold otherwise.  A
+removal that must keep the supra graph strongly connected is checked on
+that network too, once the base network is: removing arcs never makes a
+graph strongly connected.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .eigen import PerronTriple, perron, perron_block
 from .errors import ConvergenceError, InfeasibleError, InputError
 # perfbench/spans.py times perron, supra_operator, is_strongly_connected,
 # apply_edge_delta and sensitivity_entry by replacing these names in this
-# module, so they stay imported by name
-from .model import (EdgeKey, Network, apply_edge_delta, check_editable,
-                    edit_cells, editable_arcs, is_strongly_connected,
+# module, so they stay imported by name; apply_edge_delta is imported for
+# that tracer only, this module editing through apply_update
+from .model import (EdgeKey, Network, apply_edge_delta, apply_update,
+                    edge_update, editable_arcs, is_strongly_connected,
                     supra_operator, unflatten_index)
 from .sensitivity import arc_sensitivity, sensitivity_entry
 
@@ -211,13 +213,17 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     Undirected networks report one row per unordered edge; the coupling
     entries of a multiplex are never candidates.  With
     ``require_connected`` the scan walks the sorted list lazily and keeps
-    only removals that leave the supra graph strongly connected.
+    only removals that leave the supra graph strongly connected, after
+    refusing a base network that is not.
     """
     if top_k < 1:
         raise InputError("top_k must be >= 1")
     a, b = _removable_arcs(net)
     if not a.size:
         raise InfeasibleError("network has no removable edges")
+    disconnected = "no removal leaves the network strongly connected"
+    if require_connected and not is_strongly_connected(net):
+        raise InfeasibleError(disconnected)
     score = arc_sensitivity(t, a, b)
     order = _tie_order(a, b, net, score)
 
@@ -226,36 +232,35 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
         if len(out) >= top_k:
             break
         e = _edge_at(a[p], b[p], net.N)
-        edits = _edits(net, e, "remove") if require_connected or recompute else None
+        update = _edits(net, e, "remove") if require_connected or recompute else None
         connected = None
         if require_connected:
-            connected = is_strongly_connected(_mutated(net, edits))
+            connected = is_strongly_connected(apply_update(net, update))
             if not connected:
                 continue
         out.append(RankedEdge(edge=e, score=float(score[p]), rho_before=t.rho,
                               connected_after=connected))
-        requests.append(edits)
+        requests.append(update)
     if require_connected and not out:
-        raise InfeasibleError("no removal leaves the network strongly connected")
+        raise InfeasibleError(disconnected)
     if recompute:
         out = _with_roots(net, t, out, requests, tol)
     return out
 
 
 def _edits(net: Network, e: EdgeKey, mode: str, eps: float = 0.0,
-           mirror: bool = False) -> list[tuple[EdgeKey, float]]:
-    """The arc edits, as (arc, delta) pairs, of one request: edge ``e``
+           mirror: bool = False):
+    """The supra update ``(rows, cols, deltas)`` of one request: edge ``e``
     raised by eps ('increase'), lowered by eps ('decrease') or zeroed
     ('remove'), and, when mirroring, its reverse arc too.
 
-    Undirected networks mirror every edit already (see apply_edge_delta).
+    Undirected networks mirror every edit already (see edge_update).
     A decrease or removal needs an existing edge, and a decrease an eps
     below its weight.  On directed networks a mirrored increase touches
     both arcs; a mirrored decrease or removal touches the reverse arc only
     where that arc exists, and a decrease must stay below its weight.
     Raises InputError when a check fails.
     """
-    e.validate(net.N, net.L)
     if mode == "increase":
         delta = eps
     else:
@@ -265,33 +270,21 @@ def _edits(net: Network, e: EdgeKey, mode: str, eps: float = 0.0,
         if mode == "decrease" and eps >= w:
             raise InputError(f"eps={eps} not below weight {w} of {e}")
         delta = -eps if mode == "decrease" else -w
-    check_editable(net, e)
-    out = [(e, delta)]
+    update = edge_update(net, e, delta)
     r = e.reversed()
     if mirror and net.directed and r != e:
         w_rev = net.weight(r)
         if mode == "remove":
-            if w_rev > 0:
-                out.append((r, -w_rev))
-        elif delta > 0 or (w_rev > 0 and -delta < w_rev):
-            out.append((r, delta))
-        elif w_rev > 0:
+            delta = -w_rev
+        elif delta < 0 and w_rev == 0:  # no reverse arc to lower
+            delta = 0.0
+        elif delta < 0 and -delta >= w_rev:
             raise InputError(f"mirrored decrease {-delta} not below reverse "
                              f"weight {w_rev} of {r}")
-    return out
-
-
-def _mutated(net: Network, edits) -> Network:
-    for e, delta in edits:
-        net = apply_edge_delta(net, e, delta)
-    return net
-
-
-def _supra_updates(net: Network, edits):
-    """(rows, cols, deltas) of the supra entries that ``edits`` change, the
-    same cells as :func:`_mutated`."""
-    cells = [(r, c, d) for e, d in edits for r, c in edit_cells(net, e)]
-    return tuple(np.array(v) for v in zip(*cells))
+        if delta:
+            update = tuple(np.concatenate(v) for v in
+                           zip(update, edge_update(net, r, delta)))
+    return update
 
 
 def _warm_start(t: PerronTriple):
@@ -304,29 +297,28 @@ def _warm_start(t: PerronTriple):
 
 
 def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
-    """Exact Perron root of ``net`` after each list of arc edits in
+    """Exact Perron root of ``net`` after each supra update in
     ``requests``, or the error that flags the row: an InputError in place
-    of a request's edits as it is, or the InputError or ConvergenceError
+    of a request's update as it is, or the InputError or ConvergenceError
     its solve raised.
 
     All are solved at once by :func:`~perronnet.eigen.perron_block` on
-    the base operator, each as its few supra entry updates; a row the
-    block pass does not accept is solved alone by ``perron`` on its
-    mutated network.  Both start from :func:`_warm_start`.
+    the base operator; a row the block pass does not accept is solved
+    alone by ``perron`` on the network :func:`apply_update` makes of its
+    update.  Both start from :func:`_warm_start`.
     """
     roots = list(requests)
-    todo = [i for i, edits in enumerate(requests)
-            if not isinstance(edits, InputError)]
+    todo = [i for i, update in enumerate(requests)
+            if not isinstance(update, InputError)]
     if not todo:
         return roots
     x0, y0 = _warm_start(t)
-    block = perron_block(supra_operator(net),
-                         [_supra_updates(net, requests[i]) for i in todo],
+    block = perron_block(supra_operator(net), [requests[i] for i in todo],
                          tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
     for i, solved in zip(todo, block):
         if solved is None:
             try:
-                solved = perron(supra_operator(_mutated(net, requests[i])),
+                solved = perron(supra_operator(apply_update(net, requests[i])),
                                 tol=tol, x0=x0, y0=y0)
             except (InputError, ConvergenceError) as exc:
                 roots[i] = exc
@@ -337,7 +329,7 @@ def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
 
 def _with_roots(net, t, ranked, requests, tol) -> list[RankedEdge]:
     """``ranked`` with each row's rho_after re-solved exactly from its
-    arc edits; a failed solve raises."""
+    supra update; a failed solve raises."""
     out = []
     for r, rho in zip(ranked, _exact_roots(net, t, requests, tol)):
         if isinstance(rho, Exception):

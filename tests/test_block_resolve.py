@@ -12,14 +12,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from perronnet import (ConvergenceError, EdgeKey, Network, assemble_dense,
-                       assemble_sparse, load_demo_network, perron,
-                       perron_dense_oracle, rank_insertions, rank_removals,
-                       supra_operator)
+from perronnet import (ConvergenceError, EdgeKey, Network, apply_edge_delta,
+                       assemble_dense, assemble_sparse, load_demo_network,
+                       perron, perron_dense_oracle, rank_insertions,
+                       rank_removals, supra_operator)
 from perronnet.eigen import _STALL_STEPS, perron_block
-from perronnet.model import editable_arcs, unflatten_index
-from perronnet.recommend import (_edits, _exact_roots, _mutated,
-                                 _supra_updates, _warm_start)
+from perronnet.model import apply_update, editable_arcs, unflatten_index
+from perronnet.recommend import _edits, _exact_roots, _warm_start
 
 from conftest import (multilayer_from_dense, multiplex_from_layers,
                       random_general_dense, random_general_net,
@@ -81,8 +80,8 @@ def edges_for(net, existing, count=6, seed=0):
 
 
 def requests_for(net, mode, mirror, count=6, eps=EPS):
-    """Arc edits of seeded requests: absent arcs raised for an increase,
-    stored arcs otherwise."""
+    """Supra updates of seeded requests: absent arcs raised for an
+    increase, stored arcs otherwise."""
     return [_edits(net, e, mode, eps, mirror)
             for e in edges_for(net, mode != "increase", count)]
 
@@ -103,9 +102,8 @@ def assert_certified(t, net, tol=TOL):
 
 def block_solve(net, t, requests, tol=TOL):
     x0, y0 = _warm_start(t)
-    return perron_block(supra_operator(net),
-                        [_supra_updates(net, edits) for edits in requests],
-                        tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
+    return perron_block(supra_operator(net), requests, tol=tol, x0=x0, y0=y0,
+                        symmetric=not net.directed)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +117,8 @@ def test_block_roots_match_per_row_solves(name, mode, mirror):
     t = perron(supra_operator(net), tol=1e-12)
     requests = requests_for(net, mode, mirror)
     x0, y0 = _warm_start(t)
-    for edits, got in zip(requests, block_solve(net, t, requests)):
-        mutated = _mutated(net, edits)
+    for update, got in zip(requests, block_solve(net, t, requests)):
+        mutated = apply_update(net, update)
         want = perron(supra_operator(mutated), tol=TOL, x0=x0, y0=y0)
         if got is None:
             continue
@@ -149,8 +147,8 @@ def test_accepted_columns_do_not_depend_on_the_block():
     t = perron(supra_operator(net), tol=1e-12)
     requests = requests_for(net, "remove", mirror=False)
     together = block_solve(net, t, requests)
-    for edits, got in zip(requests, together):
-        alone, = block_solve(net, t, [edits])
+    for update, got in zip(requests, together):
+        alone, = block_solve(net, t, [update])
         assert (got is None) == (alone is None)
         if got is not None:
             assert got.rho == alone.rho and got.iterations == alone.iterations
@@ -161,15 +159,30 @@ def test_empty_block_makes_no_products():
     assert perron_block(supra_operator(net), []) == []
 
 
+def edited_by_public_calls(net, e, mode, eps):
+    """The network after a mirrored request, as the chain of public
+    apply_edge_delta calls: edge e raised by eps or removed, then on
+    directed input its reverse arc the same way."""
+    base = net
+    r = e.reversed()
+    for f in [e] + ([r] if net.directed and r != e else []):
+        delta = eps if mode == "increase" else -base.weight(f)
+        net = apply_edge_delta(net, f, delta)
+    return net
+
+
 def test_supra_updates_are_the_cells_of_the_mutation():
     for name in sorted(NETWORKS):
         net = NETWORKS[name]()
         for mode in ("increase", "remove"):
-            for edits in requests_for(net, mode, mirror=True, count=3):
-                rows, cols, deltas = _supra_updates(net, edits)
+            for e in edges_for(net, mode != "increase", count=3):
+                update = _edits(net, e, mode, EPS, mirror=True)
+                rows, cols, deltas = update
                 E = sp.csr_matrix((deltas, (rows, cols)), shape=net.arcs.shape)
-                want = _mutated(net, edits).arcs.toarray()
+                want = edited_by_public_calls(net, e, mode, EPS).arcs.toarray()
                 assert np.array_equal((net.arcs + E).toarray(), want)
+                assert np.array_equal(apply_update(net, update).arcs.toarray(),
+                                      want)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +216,8 @@ def test_fallback_returns_certified_roots(make, eps):
     requests = [_edits(net, e, "increase", eps)
                 for e in edges_for(net, existing=True, count=3)]
     assert block_solve(net, t, requests) == [None] * len(requests)
-    for edits, rho in zip(requests, _exact_roots(net, t, requests, TOL)):
-        oracle = perron_dense_oracle(assemble_dense(_mutated(net, edits)))
+    for update, rho in zip(requests, _exact_roots(net, t, requests, TOL)):
+        oracle = perron_dense_oracle(assemble_dense(apply_update(net, update)))
         assert rho == pytest.approx(oracle.rho, rel=1e-10)
 
 
@@ -228,8 +241,7 @@ def test_demo_columns_leave_the_block_after_a_few_steps():
     op = LinearOperator(base.shape, matvec=base.matvec, rmatvec=base.rmatvec,
                         matmat=matmat, rmatmat=base.rmatmat, dtype=float)
     x0, y0 = _warm_start(t)
-    updates = [_supra_updates(net, edits) for edits in requests]
-    assert perron_block(op, updates, x0=x0, y0=y0) == [None] * 10
+    assert perron_block(op, requests, x0=x0, y0=y0) == [None] * 10
     # 8 steps when written
     assert len(steps) <= 2 * _STALL_STEPS + 2
 
@@ -274,5 +286,5 @@ def test_removal_resolves_of_a_large_directed_network_need_no_fallback():
     # at most 25 steps, of one product per side each (about 17 on this
     # network when written)
     assert max(g.iterations for g in got) <= 2 * 25
-    for edits, g in zip(requests, got):
-        assert_certified(g, _mutated(net, edits))
+    for update, g in zip(requests, got):
+        assert_certified(g, apply_update(net, update))

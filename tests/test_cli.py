@@ -17,6 +17,7 @@ from perronnet import (EdgeKey, demo_network_path, load_multilayer, perron,
 from perronnet import cli, recommend
 from perronnet.cli import main
 from perronnet.errors import ConvergenceError
+from perronnet.model import apply_update
 
 from conftest import brute_insertion_ranking, random_general_net
 
@@ -234,6 +235,23 @@ def test_overflow_is_a_numerical_failure(capsys, tmp_path, weight, args, key,
     assert err == f"numerical failure: {key} is not finite (inf)\n"
 
 
+def test_table_prints_values_from_1e16_at_six_significant_digits(capsys,
+                                                                  tmp_path):
+    # c_pn of this file is about 2.2e307, which '.4f' prints with 308 digits
+    p = tmp_path / "pair.edges"
+    p.write_text("2 1\n1 1 2 707\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "communicability", str(p))
+    assert code == 0
+    assert "\nc_pn         2.22448e+307\n" in out
+    assert "\nlower        1.11224e+307\n" in out
+    assert "\nphi          0.0000\n" in out
+    fmt = cli._fmt_table_val
+    assert [fmt(v) for v in (1e16, -1e16, 1.234567e20, 9999999999999998.0,
+                             -9999999999999998.0, 0.5, 0.0, 3)] == [
+        "1e+16", "-1e+16", "1.23457e+20", "9999999999999998.0000",
+        "-9999999999999998.0000", "0.5000", "0.0000", "3"]
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(capsys, "spectrum", "no_such_file.edges")
     assert code == 1
@@ -254,6 +272,31 @@ def test_infeasible_request_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rank", "remove", str(p), "--gamma", "0")
     assert code == 3
     assert "connected" in err
+
+
+# node 1 is a source: no arc enters it, so no network of these arcs is
+# strongly connected
+SOURCE = "4 1\n1 1 1 2 1\n1 2 1 3 1\n1 3 1 4 1\n1 4 1 2 1\n1 3 1 2 0.5\n"
+
+
+@pytest.mark.parametrize("args", [(), ("--recompute",)])
+def test_removal_from_a_source_node_network_checks_the_base_once(
+        capsys, tmp_path, monkeypatch, args):
+    p = tmp_path / "source.edges"
+    p.write_text(SOURCE, encoding="utf-8")
+    checked, original = [], recommend.is_strongly_connected
+
+    def counted(net):
+        checked.append(net)
+        return original(net)
+
+    monkeypatch.setattr(recommend, "is_strongly_connected", counted)
+    code, out, err = run_cli(capsys, "rank", "remove", str(p), "--directed",
+                             *args)
+    assert (code, out) == (3, "")
+    assert err.endswith("\ninfeasible: no removal leaves the network "
+                        "strongly connected\n")
+    assert len(checked) <= 1
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
@@ -455,9 +498,9 @@ def test_resolves_start_cold_when_a_base_vector_has_a_zero(capsys, tmp_path):
                 assert r["note"]
                 continue
             i, j, k, l = (int(v) for v in r["edge"].split("-"))
-            edits = recommend._edits(net, EdgeKey(i, j, k, l), mode, 0.3,
-                                     mirror=True)
-            cold = perron(supra_operator(recommend._mutated(net, edits)))
+            update = recommend._edits(net, EdgeKey(i, j, k, l), mode, 0.3,
+                                      mirror=True)
+            cold = perron(supra_operator(apply_update(net, update)))
             assert r["rho_new"] == pytest.approx(cold.rho, rel=1e-5)
 
 

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import perronnet.model as model
+from perronnet import cli
 from perronnet.errors import ParseError
 from perronnet.model import Network, load_multilayer, load_multiplex
 
@@ -45,6 +46,9 @@ def _ref_header(lines, path):
         raise ParseError(f"bad header: {exc}", path, lineno) from None
     if N < 1 or L < 1:
         raise ParseError("N and L must be positive", path, lineno)
+    if N * L > 2**63 - 1:
+        raise ParseError(f"N*L must be at most 2**63 - 1, got {N * L}",
+                         path, lineno)
     return N, L
 
 
@@ -319,9 +323,10 @@ def test_numpy_reader_takes_plain_files(tmp_path, monkeypatch):
     assert load_multilayer(p, directed=False).edge_count() == 3
 
 
-@pytest.mark.parametrize("N", [2**62, 2**63 - 1, 10**30])
+@pytest.mark.parametrize("N", [2**40, 2**62 - 1, 2**62, 2**63 - 1, 10**30])
 def test_huge_header_keeps_every_check(tmp_path, N):
-    # the duplicate keys of such a file do not fit in int64
+    # the duplicate keys of such a file do not fit in int64; from N = 2**62
+    # on, N*L = 2N does not either, and the header is refused
     p = tmp_path / "huge.edges"
     for body, kw in (("1 1 2 1\n1 5 6 1\n1 2 1 1\n", {"directed": False}),
                      (f"1 1 {N} 1\n1 {N} 1 1\n1 1 {N} 1\n", {"directed": True}),
@@ -335,3 +340,22 @@ def test_huge_header_keeps_every_check(tmp_path, N):
         want = _outcome(ref_load_multilayer, p, **kw)
         assert want[0] == "error"
         assert _outcome(load_multilayer, p, **kw) == want
+
+
+@pytest.mark.parametrize("header", ["3000000000 4000000000", f"{2**62} 2",
+                                    f"{10**30} 1"])
+def test_header_past_int64_is_refused(tmp_path, capsys, header):
+    # every line but the header is valid, so the header's error is the
+    # first, and no matrix of order N*L is ever sized
+    N, L = (int(v) for v in header.split())
+    want = f"N*L must be at most 2**63 - 1, got {N * L}"
+    for body, load, kw in (("1 1 2 1\n", load_multiplex, {"gamma": 1.0}),
+                           ("1 1 1 2 1\n", load_multilayer, {})):
+        p = tmp_path / "huge.edges"
+        p.write_text(f"# comment\n{header}\n{body}", encoding="utf-8")
+        with pytest.raises(ParseError) as ei:
+            load(p, **kw)
+        assert str(ei.value) == f"{p}:2: {want}"
+        assert cli.main(["spectrum", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {p}:2: {want}\n"

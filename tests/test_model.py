@@ -8,7 +8,7 @@ from perronnet import (EdgeKey, InputError, Network, ParseError,
                        apply_edge_delta, assemble_sparse, cli, assemble_dense, is_strongly_connected,
                        load_multilayer, load_multiplex, supra_operator)
 from perronnet.errors import DenseCapError
-from perronnet.model import _bump
+from perronnet.model import apply_update
 
 from conftest import (bfs_strongly_connected, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
@@ -409,8 +409,8 @@ def test_multiplex_rejects_stored_inter_layer_arcs():
         assert Network(2, 2, arcs.tocsr(), directed).edge_count() == arcs.nnz
 
 
-def _bump_via_lil(A, r, c, delta, mirror):
-    """Reference edit: the same sums on a LIL copy of the block."""
+def _edit_via_lil(A, r, c, delta, mirror):
+    """Reference edit: the same sums on a LIL copy of the matrix."""
     A = A.tolil(copy=True)
     for rr, cc in ((r, c), (c, r)) if (mirror and r != c) else ((r, c),):
         A[rr, cc] = A[rr, cc] + delta
@@ -419,23 +419,28 @@ def _bump_via_lil(A, r, c, delta, mirror):
     return out
 
 
-def test_bump_matches_lil_reference_bitwise():
+def test_apply_update_matches_lil_reference_bitwise():
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(400):
         n = int(rng.integers(1, 6))
         D = (rng.random((n, n)) < 0.5) * rng.uniform(0.1, 2.0, (n, n))
         A = sp.csr_matrix(D)
+        net = Network(n, 1, A, directed=True)
         r, c = (int(v) for v in rng.integers(0, n, size=2))
         mirror = bool(rng.random() < 0.5)
         w = float(A[r, c])
         delta = float(rng.choice([-w or 0.5, -0.5 * w or 0.25,
                                   rng.uniform(0.01, 1.0)]))
+        cells = [(r, c), (c, r)] if mirror and r != c else [(r, c)]
+        rows, cols = (np.array(v) for v in zip(*cells))
+        update = (rows, cols, np.full(len(cells), delta))
         if min(w, float(A[c, r]) if mirror else w) + delta < 0:
             with pytest.raises(InputError, match="negative"):
-                _bump(A, r, c, delta, mirror)
+                apply_update(net, update)
             continue
-        got, want = _bump(A, r, c, delta, mirror), _bump_via_lil(A, r, c, delta, mirror)
+        got = apply_update(net, update).arcs
+        want = _edit_via_lil(A, r, c, delta, mirror)
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
