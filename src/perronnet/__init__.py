@@ -23,9 +23,8 @@ _EXPORTS = {
         "ParseError", "PerronNetError"),
     "model": (
         "EdgeKey", "Network", "apply_edge_delta", "assemble_dense",
-        "assemble_sparse", "flat_index", "is_strongly_connected",
-        "load_multilayer", "load_multiplex", "supra_operator",
-        "unflatten_index"),
+        "flat_index", "is_strongly_connected", "load_multilayer",
+        "load_multiplex", "supra_operator", "unflatten_index"),
     "recommend": (
         "ExperimentRow", "RankedEdge", "perturbation_experiment",
         "rank_insertions", "rank_removals"),

@@ -37,9 +37,8 @@ from .communicability import perron_communicability, total_communicability0
 from .eigen import perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      ParseError, PerronNetError)
-from .model import (EdgeKey, _read_edge_lines, editable_arcs,
-                    is_strongly_connected, load_multilayer, load_multiplex,
-                    supra_operator)
+from .model import (EdgeKey, _read_edge_lines, is_strongly_connected,
+                    load_multilayer, load_multiplex, supra_operator)
 from .recommend import (perturbation_experiment, rank_insertions,
                         rank_removals)
 from .sensitivity import (first_order_delta_rho, sensitivity_matrix,
@@ -266,21 +265,17 @@ def cmd_convert(ns: argparse.Namespace):
     if ns.input_format != "multiplex":
         raise InputError("convert expects a multiplex input file")
     net = load_network(ns)
-    a, b, w = editable_arcs(net)
-    if not net.directed:  # each edge once, as its arc with i < j
+    B = net.supra.tocoo()
+    a, b, w = B.row, B.col, B.data
+    if not net.directed:  # each edge once, as its arc with a < b
         keep = a < b
         a, b, w = a[keep], b[keep], w[keep]
     (k, i), (l, j) = np.divmod(a, net.N), np.divmod(b, net.N)
-    order = np.lexsort((j, l, i, k))
+    # the layers' arcs in (k, i, l, j) order, then the coupling in (k, l, i)
+    order = np.lexsort((j, i, l, k, k != l))
     cols = (v[order].tolist() for v in (k + 1, i + 1, l + 1, j + 1, w))
     lines = [f"{net.N} {net.L}"]
     lines += [f"{k} {i} {l} {j} {w:.17g}" for k, i, l, j, w in zip(*cols)]
-    if net.gamma > 0:
-        for k in range(1, net.L + 1):
-            for l in range(1, net.L + 1):
-                if (k < l) if not net.directed else (k != l):
-                    for i in range(1, net.N + 1):
-                        lines.append(f"{k} {i} {l} {i} {net.gamma:.17g}")
     text = "\n".join(lines) + "\n"
     if ns.output_file:
         Path(ns.output_file).write_text(text, encoding="utf-8")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .eigen import PerronTriple, perron
 from .errors import InputError
-from .model import Network, assemble_sparse, supra_operator
+from .model import Network, supra_operator
 
 
 def exp0(t: float) -> float:
@@ -123,7 +123,7 @@ def total_communicability0(net: Network) -> float:
     """
     from scipy.sparse.linalg import expm_multiply
     n = net.dim
-    return float(expm_multiply(assemble_sparse(net), np.ones(n)).sum() - n)
+    return float(expm_multiply(net.supra, np.ones(n)).sum() - n)
 
 
 def hub_authority_communicability(net: Network, tol: float = 1e-10,

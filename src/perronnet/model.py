@@ -6,9 +6,11 @@ edges from nodes in layer k to nodes in layer l.  One class,
 :class:`Network`, stores the editable arcs of B as one supra-indexed CSR
 matrix.  A multiplex is the case whose arcs lie in the diagonal blocks
 and whose inter-layer coupling, uniform and diagonal with weight gamma,
-is fixed: it is never stored, but applied implicitly by the operator, a
-``scipy.sparse.linalg.LinearOperator``, and never materialized as a
-dense matrix.
+is fixed by the model and not editable.  ``Network.supra`` is B itself:
+the arcs plus that coupling as sparse entries, built once per network
+and read by the operator (a ``scipy.sparse.linalg.LinearOperator``), the
+connectivity check, the dense oracle and ``convert``.  B is never made
+dense outside the capped :func:`assemble_dense`.
 
 Node-layer pairs are flattened as  (node i, layer k)  ->  N*(k-1) + i
 with 1-based i and k throughout the public API.
@@ -25,6 +27,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -86,9 +89,10 @@ class Network:
     A general network (``gamma`` None) stores every arc.  A multiplex
     stores its intra-layer arcs only, all in the diagonal blocks; its
     uniform diagonal inter-layer coupling of finite weight gamma >= 0 is
-    fixed by the model and applied implicitly.  All stored weights are
-    strictly positive and finite, and an undirected network's arcs are
-    symmetric.  The network keeps its own canonical copy of ``arcs``.
+    fixed by the model and lives only in :attr:`supra`.  All stored
+    weights are strictly positive and finite, and an undirected network's
+    arcs are symmetric.  The network keeps its own canonical copy of
+    ``arcs``.
     """
 
     N: int
@@ -126,13 +130,23 @@ class Network:
     def multiplex(self) -> bool:
         return self.gamma is not None
 
+    @cached_property
+    def supra(self) -> sp.csr_matrix:
+        """The NL x NL supra-adjacency matrix B in CSR form, built on first
+        use: the stored arcs plus, on a multiplex with gamma > 0, the
+        coupling gamma * kron(ones - I_L, I_N).  Without coupling this is
+        ``arcs`` itself, not a copy."""
+        if not self.gamma:
+            return self.arcs
+        coupling = sp.kron(np.ones((self.L, self.L)) - np.eye(self.L),
+                           sp.identity(self.N, format="csr"), format="csr")
+        return (self.arcs + self.gamma * coupling).tocsr()
+
     def weight(self, e: EdgeKey) -> float:
         """Weight of the arc ``e``: a stored arc, or a multiplex coupling."""
         e.validate(self.N, self.L)
-        if self.multiplex and e.k != e.l:
-            return self.gamma if e.i == e.j else 0.0
-        return float(self.arcs[flat_index(e.i, e.k, self.N),
-                               flat_index(e.j, e.l, self.N)])
+        return float(self.supra[flat_index(e.i, e.k, self.N),
+                                flat_index(e.j, e.l, self.N)])
 
     def edges(self):
         """Iterate the stored arcs as (EdgeKey, weight) in supra row order.
@@ -434,45 +448,15 @@ def load_multilayer(path, directed: bool = False) -> Network:
 # operators and assembly
 
 def supra_operator(net: Network) -> LinearOperator:
-    """Matrix-free supra-adjacency operator B, with products B v and B^T v
-    and, on an NL x k block V, B V and B^T V.
-
-    The stored arcs multiply as one CSR matrix and a precomputed CSR
-    transpose; a multiplex adds its gamma coupling blockwise:
-    (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m), column by
-    column on a block.
-    """
+    """Supra-adjacency operator B, with products B v and B^T v and, on an
+    NL x k block V, B V and B^T V: CSR products with ``net.supra`` and its
+    CSR transpose, which on undirected input is ``net.supra`` itself."""
     from scipy.sparse.linalg import LinearOperator
 
-    N, L, g = net.N, net.L, net.gamma or 0.0
-    arcs, arcs_t = net.arcs, net.arcs.T.tocsr()
-
-    def apply(m, v, cols):
-        v = np.asarray(v, dtype=float).reshape(cols)
-        out = m @ v
-        if g != 0.0:
-            V = v.reshape((L, N) + cols[1:])
-            out += (g * (V.sum(axis=0) - V)).reshape(cols)
-        return out
-
-    n = net.dim
-    return LinearOperator(
-        (n, n), dtype=float,
-        matvec=lambda v: apply(arcs, v, (n,)),
-        rmatvec=lambda v: apply(arcs_t, v, (n,)),
-        matmat=lambda V: apply(arcs, V, (n, V.shape[1])),
-        rmatmat=lambda V: apply(arcs_t, V, (n, V.shape[1])))
-
-
-def assemble_sparse(net: Network) -> sp.csr_matrix:
-    """The NL x NL supra-adjacency matrix in CSR form: the stored arcs plus
-    a multiplex's gamma coupling.  Without coupling this is ``net.arcs``
-    itself, not a copy."""
-    if not net.gamma:
-        return net.arcs
-    coupling = sp.kron(np.ones((net.L, net.L)) - np.eye(net.L),
-                       sp.identity(net.N, format="csr"), format="csr")
-    return (net.arcs + net.gamma * coupling).tocsr()
+    B = net.supra
+    B_t = B.T.tocsr() if net.directed else B
+    return LinearOperator(B.shape, dtype=float, matvec=B.dot, rmatvec=B_t.dot,
+                          matmat=B.dot, rmatmat=B_t.dot)
 
 
 def assemble_dense(net: Network) -> np.ndarray:
@@ -480,7 +464,7 @@ def assemble_dense(net: Network) -> np.ndarray:
     if net.dim > DEFAULT_DENSE_CAP:
         raise DenseCapError(f"dense assembly of order {net.dim} exceeds cap "
                             f"{DEFAULT_DENSE_CAP}")
-    return assemble_sparse(net).toarray()
+    return net.supra.toarray()
 
 
 def is_strongly_connected(net: Network) -> bool:
@@ -490,8 +474,8 @@ def is_strongly_connected(net: Network) -> bool:
         return True
     from scipy.sparse.csgraph import connected_components
 
-    B = assemble_sparse(net)
-    n_comp, _ = connected_components(B, directed=True, connection="strong")
+    n_comp, _ = connected_components(net.supra, directed=True,
+                                     connection="strong")
     return n_comp == 1
 
 

@@ -118,6 +118,17 @@ def random_multiplex_net(seed, N, L, gamma=1.0, density=0.3, directed=False):
 # ---------------------------------------------------------------------------
 # independent oracles
 
+def supra_reference(net):
+    """Dense supra matrix of ``net`` from its dense stored arcs (a
+    multiplex's layers) plus gamma * kron(ones - I_L, I_N), built without
+    ``Network.supra``."""
+    B = net.arcs.toarray()
+    if net.multiplex:
+        L, N = net.L, net.N
+        B = B + net.gamma * np.kron(np.ones((L, L)) - np.eye(L), np.eye(N))
+    return B
+
+
 def dense_perron_pair(B):
     """Perron triple via numpy's full eigensolver, selecting the real
     positive eigenvalue on the spectral circle.  Independent of the

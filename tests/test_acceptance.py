@@ -41,13 +41,16 @@ def uniform_perturbation(n):
 
 
 def _timed(key):
+    # CPU time of this thread, so that waiting for a core on a loaded host
+    # does not count; not process_time(), which would also count OpenBLAS
+    # helper threads busy-waiting for work
     class _Ctx:
         def __enter__(self):
-            self.t0 = time.perf_counter()
+            self.t0 = time.thread_time()
             return self
 
         def __exit__(self, *exc):
-            _t5_elapsed[key] = time.perf_counter() - self.t0
+            _t5_elapsed[key] = time.thread_time() - self.t0
     return _Ctx()
 
 

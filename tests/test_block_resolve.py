@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
 from perronnet import (ConvergenceError, EdgeKey, Network, apply_edge_delta,
-                       assemble_dense, assemble_sparse, load_demo_network,
+                       assemble_dense, load_demo_network,
                        perron, perron_dense_oracle, rank_insertions,
                        rank_removals, supra_operator)
 from perronnet.eigen import _STALL_STEPS, perron_block
@@ -64,7 +64,7 @@ def edges_for(net, existing, count=6, seed=0):
     rng = np.random.default_rng(seed)
     a, b, _w = editable_arcs(net)
     if not existing:
-        B = assemble_sparse(net).toarray()
+        B = net.supra.toarray()
         a, b = np.nonzero(B == 0)
         ok = a != b
         if net.multiplex:
@@ -90,7 +90,7 @@ def assert_certified(t, net, tol=TOL):
     """The certification of perron(), recomputed on the mutated network's
     assembled matrix: unit nonnegative vectors, y^T x > 0 and both
     residuals within tol * max(1, rho)."""
-    B = assemble_sparse(net)
+    B = net.supra
     bound = tol * max(1.0, abs(t.rho))
     for v in (t.x, t.y):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InfeasibleError, InputError, Network,
-                       apply_edge_delta, assemble_sparse, cli, flat_index,
+                       apply_edge_delta, cli, flat_index,
                        is_strongly_connected, load_multiplex, perron,
                        rank_insertions, rank_removals, sensitivity_entry,
                        supra_operator)
@@ -288,7 +288,7 @@ def test_editable_arcs_list_stored_arcs_without_coupling():
     assert got == want
     gen, _ = random_general_net(106, N=4, L=2)
     rows, cols, w = editable_arcs(gen)
-    B = assemble_sparse(gen).toarray()
+    B = gen.supra.toarray()
     assert np.array_equal(B[rows, cols], w)
     assert len(w) == np.count_nonzero(B)
 
@@ -343,8 +343,20 @@ def ref_convert_lines(net):
     return lines
 
 
+def ref_coupling_lines(net):
+    """Coupling lines of ``convert``, after the edge lines: node i in
+    layer k to node i in layer l in (k, l, i) order, weight gamma, each
+    layer pair once (k < l) on undirected networks; none at gamma 0."""
+    if net.gamma == 0:
+        return []
+    return [f"{k} {i} {l} {i} {net.gamma:.17g}"
+            for k in range(1, net.L + 1) for l in range(1, net.L + 1)
+            if (k != l if net.directed else k < l)
+            for i in range(1, net.N + 1)]
+
+
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0])
 def test_convert_matches_reference_walk(capsys, tmp_path, directed, gamma):
     net = random_multiplex_net(107, N=6, L=3, gamma=1.0, density=0.5,
                                directed=directed)
@@ -363,5 +375,6 @@ def test_convert_matches_reference_walk(capsys, tmp_path, directed, gamma):
     assert lines[0] == "6 3"
     assert lines[1:1 + len(edges)] == edges
     coupling = lines[1 + len(edges):]
+    assert coupling == ref_coupling_lines(loaded)
     assert len(coupling) == (0 if gamma == 0 else
                              6 * (6 if directed else 3))

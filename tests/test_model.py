@@ -1,18 +1,21 @@
 """Network construction, file loading, operators, mutation, connectivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from perronnet import (EdgeKey, InputError, Network, ParseError,
-                       apply_edge_delta, assemble_sparse, cli, assemble_dense, is_strongly_connected,
-                       load_multilayer, load_multiplex, supra_operator)
+                       apply_edge_delta, assemble_dense, cli,
+                       is_strongly_connected, load_multilayer, load_multiplex,
+                       supra_operator)
 from perronnet.errors import DenseCapError
 from perronnet.model import apply_update
 
 from conftest import (bfs_strongly_connected, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
-                      random_multiplex_net)
+                      random_multiplex_net, supra_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,30 @@ def test_demo_network_dense_pattern(demo_net):
 
 
 # ---------------------------------------------------------------------------
-# operators vs dense assembly
+# the supra matrix, and operators vs dense assembly
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("gamma", [None, 0.0, 0.7, 1.0])
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_supra_is_the_coupled_reference_bitwise(directed, gamma, L):
+    # gamma None reads the multiplex's arcs as a general network
+    base = random_multiplex_net(40 + L, N=5, L=L, gamma=1.0, density=0.4,
+                                directed=directed)
+    net = replace(base, gamma=gamma)
+    B = net.supra
+    assert B.format == "csr" and B.has_sorted_indices
+    want = supra_reference(net)
+    assert B.toarray().tobytes() == want.tobytes()
+    assert B.nnz == np.count_nonzero(want)
+    assert net.supra is B  # built once per network
+    if not gamma:
+        assert B is net.arcs
+    # an edit makes a new network with its own supra matrix
+    e, w = next(net.edges())
+    edited = apply_edge_delta(net, e, -w)
+    assert edited.supra.toarray().tobytes() == supra_reference(edited).tobytes()
+    assert B.toarray().tobytes() == want.tobytes()
+
 
 def test_supra_operator_trivial_coupling():
     net = multiplex_from_layers([np.zeros((1, 1)), np.zeros((1, 1))], gamma=1.0)
@@ -199,7 +225,7 @@ def test_multiplex_operator_matches_dense():
     for seed, gamma in ((3, 1.0), (4, 0.25), (5, 0.0)):
         net = random_multiplex_net(seed, N=6, L=3, gamma=max(gamma, 1e-9))
         op = supra_operator(net)
-        B = assemble_dense(net)
+        B = supra_reference(net)
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(net.dim)
         assert np.allclose(op.matvec(v), B @ v, rtol=1e-12, atol=1e-12)
@@ -231,7 +257,7 @@ def test_operator_products_are_float_for_int_and_list_input():
             random_general_net(9, N=4, L=3)[0]]
     for net in nets:
         op = supra_operator(net)
-        B = assemble_dense(net)
+        B = supra_reference(net)
         v = np.arange(net.dim)
         for prod, M in ((op.matvec, B), (op.rmatvec, B.T)):
             for arg in (v, v.tolist()):
@@ -248,7 +274,7 @@ def test_operator_sums_and_products_match_dense():
     rng = np.random.default_rng(3)
     for net in nets:
         op = supra_operator(net)
-        B = assemble_dense(net)
+        B = supra_reference(net)
         t = perron(op)
         perts = [wilkinson(t)]
         if net.multiplex:
@@ -372,7 +398,8 @@ def _csr_bytes(m):
 def test_one_mutation_path_for_multiplex_and_general(tmp_path, directed,
                                                      gamma):
     # a multiplex and the general network parsed from its convert output
-    # assemble to the same supra matrix, before and after each edit
+    # assemble to the same supra matrix, before and after each edit, and
+    # that matrix is the reference built from the layers and gamma
     net = random_multiplex_net(21, N=5, L=3, gamma=1.0, density=0.4,
                                directed=directed)
     src, out = tmp_path / "m.edges", tmp_path / "g.edges"
@@ -384,7 +411,8 @@ def test_one_mutation_path_for_multiplex_and_general(tmp_path, directed,
                     + (["--directed"] if directed else [])) == 0
     mpx = load_multiplex(src, gamma=gamma, directed=directed)
     gen = load_multilayer(out, directed=directed)
-    assert _csr_bytes(assemble_sparse(mpx)) == _csr_bytes(assemble_sparse(gen))
+    assert _csr_bytes(mpx.supra) == _csr_bytes(gen.supra)
+    assert gen.arcs.toarray().tobytes() == supra_reference(mpx).tobytes()
     stored = [e for e, _ in mpx.edges()]
     absent = [EdgeKey(i, j, l, l) for l in (1, 2, 3) for i in range(1, 6)
               for j in range(1, 6) if i != j
@@ -393,8 +421,11 @@ def test_one_mutation_path_for_multiplex_and_general(tmp_path, directed,
              (stored[-2], 0.5), (stored[0], -mpx.weight(stored[0])),
              (stored[-1], -mpx.weight(stored[-1]))]
     for e, delta in edits:
-        got = [assemble_sparse(apply_edge_delta(n, e, delta)) for n in (mpx, gen)]
+        edited = [apply_edge_delta(n, e, delta) for n in (mpx, gen)]
+        got = [n.supra for n in edited]
         assert _csr_bytes(got[0]) == _csr_bytes(got[1]), (e, delta)
+        assert (got[1].toarray().tobytes()
+                == supra_reference(edited[0]).tobytes()), (e, delta)
     assert any(d < 0 for _, d in edits) and absent
 
 
