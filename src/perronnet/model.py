@@ -6,11 +6,11 @@ edges from nodes in layer k to nodes in layer l.  One class,
 :class:`Network`, stores the editable arcs of B as one supra-indexed CSR
 matrix.  A multiplex is the case whose arcs lie in the diagonal blocks
 and whose inter-layer coupling, uniform and diagonal with weight gamma,
-is fixed by the model and not editable.  ``Network.supra`` is B itself:
-the arcs plus that coupling as sparse entries, built once per network
-and read by the operator (a ``scipy.sparse.linalg.LinearOperator``), the
-connectivity check, the dense oracle and ``convert``.  B is never made
-dense outside the capped :func:`assemble_dense`.
+is fixed by the model and not editable.  ``Network.supra`` is B itself,
+the arcs plus that coupling as sparse entries, built once per network;
+the operator, a ``scipy.sparse.linalg.LinearOperator``, applies the
+coupling implicitly.  B is never made dense outside
+:func:`assemble_dense`.
 
 Node-layer pairs are flattened as  (node i, layer k)  ->  N*(k-1) + i
 with 1-based i and k throughout the public API.
@@ -27,7 +27,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -89,10 +89,10 @@ class Network:
     A general network (``gamma`` None) stores every arc.  A multiplex
     stores its intra-layer arcs only, all in the diagonal blocks; its
     uniform diagonal inter-layer coupling of finite weight gamma >= 0 is
-    fixed by the model and lives only in :attr:`supra`.  All stored
-    weights are strictly positive and finite, and an undirected network's
-    arcs are symmetric.  The network keeps its own canonical copy of
-    ``arcs``.
+    fixed by the model: :attr:`supra` stores it, the operator applies it
+    implicitly.  All stored weights are strictly positive and finite, and
+    an undirected network's arcs are symmetric.  The network keeps its own
+    canonical copy of ``arcs``.
     """
 
     N: int
@@ -448,15 +448,32 @@ def load_multilayer(path, directed: bool = False) -> Network:
 # operators and assembly
 
 def supra_operator(net: Network) -> LinearOperator:
-    """Supra-adjacency operator B, with products B v and B^T v and, on an
-    NL x k block V, B V and B^T V: CSR products with ``net.supra`` and its
-    CSR transpose, which on undirected input is ``net.supra`` itself."""
+    """Matrix-free supra-adjacency operator B, with products B v and B^T v
+    and, on an NL x k block V, B V and B^T V.
+
+    The stored arcs multiply as one CSR matrix and its CSR transpose (on
+    undirected input the matrix itself); a multiplex adds its gamma
+    coupling blockwise, (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k}
+    v_(m), at O(NL) per column, where ``net.supra`` stores NL(L - 1)
+    coupling entries.
+    """
     from scipy.sparse.linalg import LinearOperator
 
-    B = net.supra
-    B_t = B.T.tocsr() if net.directed else B
-    return LinearOperator(B.shape, dtype=float, matvec=B.dot, rmatvec=B_t.dot,
-                          matmat=B.dot, rmatmat=B_t.dot)
+    N, L, g = net.N, net.L, net.gamma or 0.0
+    arcs = net.arcs
+    arcs_t = arcs.T.tocsr() if net.directed else arcs
+
+    def apply(m, V):
+        V = np.asarray(V, dtype=float)
+        out = m @ V
+        if g != 0.0:
+            W = V.reshape((L, N) + V.shape[1:])
+            out += (g * (W.sum(axis=0) - W)).reshape(V.shape)
+        return out
+
+    B, B_t = partial(apply, arcs), partial(apply, arcs_t)
+    return LinearOperator(arcs.shape, dtype=float, matvec=B, rmatvec=B_t,
+                          matmat=B, rmatmat=B_t)
 
 
 def assemble_dense(net: Network) -> np.ndarray:

@@ -43,7 +43,8 @@ def uniform_perturbation(n):
 def _timed(key):
     # CPU time of this thread, so that waiting for a core on a loaded host
     # does not count; not process_time(), which would also count OpenBLAS
-    # helper threads busy-waiting for work
+    # helper threads busy-waiting for work.  With OPENBLAS_NUM_THREADS=1,
+    # as CI runs it, this thread does all the BLAS work and never spins
     class _Ctx:
         def __enter__(self):
             self.t0 = time.thread_time()
