@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .eigen import PerronTriple, perron
 from .errors import InputError
@@ -115,7 +116,8 @@ def perron_communicability(t: PerronTriple, N: int, L: int) -> CommunicabilityRe
 
 def total_communicability0(net: Network) -> float:
     """1^T (exp(B) - I) 1 from the action of exp(B) on the ones vector
-    (Al-Mohy and Higham, 2011), on the sparse supra matrix.
+    (Al-Mohy and Higham, 2011), on the sparse supra matrix; inf past the
+    float range.
 
     The comparison quantity of Perron communicability: for networks
     whose Perron root dominates the rest of the spectrum this is
@@ -123,7 +125,20 @@ def total_communicability0(net: Network) -> float:
     """
     from scipy.sparse.linalg import expm_multiply
     n = net.dim
-    return float(expm_multiply(net.supra, np.ones(n)).sum() - n)
+    total = float(expm_multiply(net.supra, np.ones(n)).sum())
+    if math.isfinite(total):
+        return total - n
+    # the products overflow once 1^T exp(B) 1 passes about 1e307; with c the
+    # log of the largest float, s = 1^T exp(B - cI) 1 = e^-c 1^T exp(B) 1 is
+    # at most 1 for every finite value.  (A bound on rho such as the largest
+    # row sum can exceed log(1^T exp(B) 1) by over 745 on a skewed directed
+    # network, and then s underflows to 0.)
+    c = math.log(np.finfo(float).max)
+    s = float(expm_multiply(net.supra - c * sp.identity(n), np.ones(n)).sum())
+    try:
+        return math.exp(c + math.log(s)) - n
+    except OverflowError:
+        return math.inf
 
 
 def hub_authority_communicability(net: Network, tol: float = 1e-10,

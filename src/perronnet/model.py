@@ -22,7 +22,6 @@ one supra update ``(rows, cols, deltas)`` (:func:`edge_update`), which
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from collections.abc import Callable
@@ -119,7 +118,7 @@ class Network:
                 raise InputError("a multiplex stores intra-layer arcs only")
         # undirected edge semantics (one candidate per pair, mirrored edits)
         # hold only for a symmetric matrix
-        if not self.directed and (arcs != arcs.T).nnz:
+        if not self.directed and not _same_csr(arcs, arcs.T.tocsr()):
             raise InputError("an undirected network needs a symmetric weight matrix")
 
     @property
@@ -164,6 +163,14 @@ class Network:
         return self.arcs.nnz
 
 
+def _same_csr(m, other) -> bool:
+    """True iff two CSR matrices in canonical form (sorted indices, no
+    duplicate or explicit zero entries), which is one form per matrix,
+    hold the same arrays."""
+    return all(np.array_equal(getattr(m, v), getattr(other, v))
+               for v in ("indptr", "indices", "data"))
+
+
 def _check_gamma(gamma) -> None:
     if not (0 <= gamma < math.inf):
         raise InputError(f"gamma must be finite and nonnegative, got {gamma}")
@@ -187,7 +194,17 @@ def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # comments are skipped.  A file is parsed in one numpy pass when numpy's
 # reader takes it, and line by line otherwise (ids such as '1_0' or
 # non-ASCII digits, an unparsable line).  Both feed the same array checks,
-# which name the first offending line in file order.
+# which name the first offending line in file order.  numpy reads the
+# path itself: handed a text stream, its reader goes line by line in
+# Python, about a third slower.  The header and the line numbers come from
+# one read of the text, the rows from numpy's; every row's ids are checked
+# against the header's N and L, so a file that changes between the two
+# reads still gives a network of the order the header sets, or an error.
+
+# suffixes numpy's reader decompresses by; such a file is read line by line,
+# as the text it holds
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _read_edge_lines(path):
     """Yield (line_number, tokens) for data lines; '#' comments and blanks
@@ -255,14 +272,14 @@ def _read_edge_rows(path, nids, usage) -> _EdgeRows:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         return _read_per_line(path, nids, usage)
-    N, L, header_line = _parse_header(_data_lines(io.StringIO(text)), path)
-    if _has_inline_comment(text):
+    N, L, header_line = _parse_header(_data_lines(_text_lines(text)), path)
+    if _has_inline_comment(text) or path.suffix in _COMPRESSED:
         return _read_per_line(path, nids, usage)
     try:
         with warnings.catch_warnings():
             # "input contained no data" on a header-only file
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(text), comments="#",
+            rows = np.loadtxt(path, encoding="utf-8", comments="#",
                               skiprows=header_line, ndmin=1,
                               dtype=[("ids", np.int64, (nids,)),
                                      ("w", np.float64)])
@@ -270,10 +287,20 @@ def _read_edge_rows(path, nids, usage) -> _EdgeRows:
         return _read_per_line(path, nids, usage)
 
     def lineno(r):
-        data = islice(_data_lines(io.StringIO(text)), r + 1, None)
+        data = islice(_data_lines(_text_lines(text)), r + 1, None)
         return next(data)[0]
 
     return _EdgeRows(N, L, rows["ids"], rows["w"], lineno)
+
+
+def _text_lines(text):
+    """The lines of ``text``, as iterating a text file gives them, without
+    copying the text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _has_inline_comment(text):
@@ -321,21 +348,27 @@ def _read_per_line(path, nids, usage) -> _EdgeRows:
 
 def _range_checks(t: _EdgeRows, columns):
     """Range checks of the id columns, as ``(mask, message(row))`` pairs,
-    and the ids with every out-of-range id zeroed, as int64.
+    and the ids with every out-of-range id set to 1, as int64.
 
     ``columns`` lists ``(column, name, upper bound)`` in the order a line
-    is checked.
+    is checked; a column whose ids all lie in range has no check.
     """
     ids = t.ids
-    out_of_range = np.zeros(ids.shape, dtype=bool)
+    out_of_range = None
     checks = []
     for c, name, hi in columns:
+        if ids.size == 0 or (1 <= ids[:, c].min() and ids[:, c].max() <= hi):
+            continue
+        if out_of_range is None:
+            out_of_range = np.zeros(ids.shape, dtype=bool)
         out_of_range[:, c] = (ids[:, c] < 1) | (ids[:, c] > hi)
         checks.append((out_of_range[:, c],
                        lambda r, c=c, name=name, hi=hi:
                            f"{name} {int(ids[r, c])} out of range 1..{hi}"))
+    if out_of_range is None:  # every id in range, so int64
+        return checks, ids
     # an id in range is at most N, which _parse_header keeps in int64
-    return checks, np.where(out_of_range, 0, ids).astype(np.int64)
+    return checks, np.where(out_of_range, 1, ids).astype(np.int64)
 
 
 def _weight_check(t: _EdgeRows):
@@ -349,20 +382,14 @@ def _weight_check(t: _EdgeRows):
     return ~((w > 0) & (w < math.inf)), message
 
 
-def _repeats(cols, bounds):
-    """Mask of the rows whose key, one value per column, is on an earlier
-    row; column c holds values in 0..bounds[c]."""
-    size = math.prod(b + 1 for b in bounds)
-    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
-    key = np.zeros(len(cols[0]), dtype=dtype)
-    for c, b in zip(cols, bounds):
-        key = key * (b + 1) + c.astype(dtype)
-    order = np.argsort(key)
-    s = key[order]
-    mask = np.ones(key.size, dtype=bool)
-    if key.size:  # all but the earliest row of each run of equal keys
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        mask[np.minimum.reduceat(order, starts)] = False
+def _repeats(keys, rows, count):
+    """Mask of the ``count`` rows that own an arc whose key is on an arc
+    of an earlier row, from the sorted arc keys and the row of each."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.repeat(np.minimum.reduceat(rows, starts),
+                      np.diff(np.r_[starts, keys.size]))
+    mask = np.zeros(count, dtype=bool)
+    mask[rows[rows > first]] = True
     return mask
 
 
@@ -383,14 +410,36 @@ def _raise_first_fault(t: _EdgeRows, path, checks):
         raise t.error
 
 
-def _from_coo(N, L, a, b, w, directed, gamma=None) -> Network:
-    """Network of the arcs from 0-based supra position a to b; undirected
-    input stores each arc's mirror too, a self-loop once."""
+def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
+             gamma=None) -> Network:
+    """Network of the rows' arcs from 0-based supra position a to b, once
+    no row fails ``checks`` or repeats an edge of an earlier row, which
+    ``duplicate(row)`` names; undirected input stores each arc's mirror
+    too, a self-loop once.
+
+    One sort of the arc keys a * NL + b finds the repeated arcs and gives
+    the CSR order; :func:`_repeats` names a repeat's row only once one is
+    known, and no array of order NL is sized before every check passes.
+    """
+    n = t.N * t.L
+    rows, w = np.arange(a.size), t.w
     if not directed:
         rev = a != b
-        a, b, w = (np.concatenate((p, q[rev])) for p, q in ((a, b), (b, a), (w, w)))
-    arcs = sp.csr_matrix((w, (a, b)), shape=(N * L, N * L))
-    return Network(N, L, arcs, directed, gamma)
+        a, b = np.concatenate((a, b[rev])), np.concatenate((b, a[rev]))
+        rows, w = np.concatenate((rows, rows[rev])), np.concatenate((w, w[rev]))
+    # as Python ints past int64 (as in recommend._tie_order)
+    dtype = np.int64 if n * n <= np.iinfo(np.int64).max else object
+    keys = a.astype(dtype, copy=False) * n + b
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        checks.append((_repeats(keys, rows[order], t.w.size), duplicate))
+    _raise_first_fault(t, path, checks)
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    arcs = sp.csr_matrix((w[order], b[order], indptr), shape=(n, n))
+    return Network(t.N, t.L, arcs, directed, gamma)
 
 
 def load_multiplex(path, gamma: float, directed: bool = False) -> Network:
@@ -406,17 +455,13 @@ def load_multiplex(path, gamma: float, directed: bool = False) -> Network:
     checks, ids = _range_checks(
         t, ((0, "layer id", L), (1, "node id", N), (2, "node id", N)))
     l, i, j = ids.T
-    pair = (i, j) if directed else (np.minimum(i, j), np.maximum(i, j))
     checks += [
         (i == j, lambda r: "self-loops are not allowed in multiplex layers"),
         _weight_check(t),
-        (_repeats((l, *pair), (L, N, N)),
-         lambda r: f"duplicate edge ({i[r]},{j[r]}) in layer {l[r]}"),
     ]
-    _raise_first_fault(t, path, checks)
-
-    return _from_coo(N, L, N * (l - 1) + i - 1, N * (l - 1) + j - 1, t.w,
-                     directed, float(gamma))
+    return _network(t, path, checks, N * (l - 1) + i - 1, N * (l - 1) + j - 1,
+                    lambda r: f"duplicate edge ({i[r]},{j[r]}) in layer {l[r]}",
+                    directed, float(gamma))
 
 
 def load_multilayer(path, directed: bool = False) -> Network:
@@ -428,20 +473,10 @@ def load_multilayer(path, directed: bool = False) -> Network:
     checks, ids = _range_checks(t, ((0, "layer id", L), (2, "layer id", L),
                                     (1, "node id", N), (3, "node id", N)))
     k, i, l, j = ids.T
-    key = (k, i, l, j)
-    if not directed:  # the edge's node-layer pairs, smaller first
-        swap = (k > l) | ((k == l) & (i > j))
-        key = (np.where(swap, l, k), np.where(swap, j, i),
-               np.where(swap, k, l), np.where(swap, i, j))
-    checks += [
-        _weight_check(t),
-        (_repeats(key, (L, N, L, N)),
-         lambda r: f"duplicate edge ({i[r]},{k[r]})->({j[r]},{l[r]})"),
-    ]
-    _raise_first_fault(t, path, checks)
-
-    return _from_coo(N, L, N * (k - 1) + i - 1, N * (l - 1) + j - 1, t.w,
-                     directed)
+    checks.append(_weight_check(t))
+    return _network(t, path, checks, N * (k - 1) + i - 1, N * (l - 1) + j - 1,
+                    lambda r: f"duplicate edge ({i[r]},{k[r]})->({j[r]},{l[r]})",
+                    directed)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +519,22 @@ def assemble_dense(net: Network) -> np.ndarray:
     return net.supra.toarray()
 
 
-def is_strongly_connected(net: Network) -> bool:
+def is_strongly_connected(net: Network, update=None) -> bool:
     """True iff the NL-node directed graph of the supra matrix is strongly
-    connected (equivalently, the matrix is irreducible)."""
+    connected (equivalently, the matrix is irreducible); with a supra
+    update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
+    update, an entry that becomes 0 dropping its edge, as
+    :func:`apply_update` would leave it, without building that network."""
     if net.dim == 1:
         return True
     from scipy.sparse.csgraph import connected_components
 
-    n_comp, _ = connected_components(net.supra, directed=True,
-                                     connection="strong")
+    B = net.supra
+    if update is not None:
+        rows, cols, deltas = update
+        # a sum of CSR matrices stores no entry that comes out 0
+        B = B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape)
+    n_comp, _ = connected_components(B, directed=True, connection="strong")
     return n_comp == 1
 
 

@@ -14,7 +14,9 @@ removal baseline pool) are read from the supra-indexed arc arrays of
 :func:`~perronnet.model.editable_arcs`; an ``EdgeKey`` is built only for
 a row that is emitted or checked.
 Removal candidates are scanned in increasing score order, optionally
-skipping any whose removal disconnects the supra graph.
+skipping any whose removal disconnects the supra graph; only the arcs
+scored at most the m-th smallest score are put in that order, a window
+that doubles whenever the scan runs past it.
 
 The experiment harness re-solves the eigenproblem exactly for each
 perturbed network (the first-order score is only an estimate) and pairs
@@ -31,8 +33,8 @@ accept is solved alone by ``perron()`` on the network
 why a row cannot be solved.  Both passes start from the base Perron pair
 when both of its vectors are strictly positive, and cold otherwise.  A
 removal that must keep the supra graph strongly connected is checked on
-that network too, once the base network is: removing arcs never makes a
-graph strongly connected.
+the base supra matrix plus its update, once the base network is:
+removing arcs never makes a graph strongly connected.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def _tie_order(a: np.ndarray, b: np.ndarray, net: Network,
     if score is None:
         return np.argsort(tie, kind="stable")
     return np.lexsort((tie, score))
+
+
+def _lowest(score: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the scores at most the m-th smallest, ties included: the
+    arcs of a prefix of the order by score, at least m of them (all when
+    m reaches the count or the m-th smallest is NaN, which sorts last)."""
+    if m < score.size:
+        cut = np.partition(score, m - 1)[m - 1]
+        if not np.isnan(cut):
+            return np.flatnonzero(score <= cut)
+    return np.arange(score.size)
 
 
 def _removable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +227,9 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     entries of a multiplex are never candidates.  With
     ``require_connected`` the scan walks the sorted list lazily and keeps
     only removals that leave the supra graph strongly connected, after
-    refusing a base network that is not.
+    refusing a base network that is not.  Only a window of the lowest
+    scores is sorted, m = top_k of them and ties, doubled whenever the
+    scan runs past it: each window is a prefix of the full order.
     """
     if top_k < 1:
         raise InputError("top_k must be >= 1")
@@ -225,22 +240,27 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
     if require_connected and not is_strongly_connected(net):
         raise InfeasibleError(disconnected)
     score = arc_sensitivity(t, a, b)
-    order = _tie_order(a, b, net, score)
 
     out, requests = [], []
-    for p in order:
-        if len(out) >= top_k:
-            break
-        e = _edge_at(a[p], b[p], net.N)
-        update = _edits(net, e, "remove") if require_connected or recompute else None
-        connected = None
-        if require_connected:
-            connected = is_strongly_connected(apply_update(net, update))
-            if not connected:
-                continue
-        out.append(RankedEdge(edge=e, score=float(score[p]), rho_before=t.rho,
-                              connected_after=connected))
-        requests.append(update)
+    scanned, m = 0, top_k
+    while len(out) < top_k and scanned < a.size:
+        window = _lowest(score, m)
+        order = window[_tie_order(a[window], b[window], net, score[window])]
+        for p in order[scanned:]:
+            if len(out) >= top_k:
+                break
+            e = _edge_at(a[p], b[p], net.N)
+            update = (_edits(net, e, "remove") if require_connected or recompute
+                      else None)
+            connected = None
+            if require_connected:
+                connected = is_strongly_connected(net, update)
+                if not connected:
+                    continue
+            out.append(RankedEdge(edge=e, score=float(score[p]),
+                                  rho_before=t.rho, connected_after=connected))
+            requests.append(update)
+        scanned, m = order.size, 2 * order.size
     if require_connected and not out:
         raise InfeasibleError(disconnected)
     if recompute:

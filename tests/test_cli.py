@@ -223,7 +223,6 @@ def test_communicability_total_without_arcs_has_no_ratio(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("weight, args, key", [
     ("1000", (), "c_pn"),  # e^rho - 1 is past the float range
-    ("707", ("--total",), "c_tn0"),  # c_pn is finite, 1'exp(B)1 is not
 ])
 def test_overflow_is_a_numerical_failure(capsys, tmp_path, weight, args, key,
                                          fmt):
@@ -233,6 +232,32 @@ def test_overflow_is_a_numerical_failure(capsys, tmp_path, weight, args, key,
                              "--format", fmt)
     assert (code, out) == (2, "")
     assert err == f"numerical failure: {key} is not finite (inf)\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_total_past_the_float_range_is_a_numerical_failure(capsys, tmp_path,
+                                                           fmt):
+    # a skewed directed pair, rho = sqrt(84720 * 5.8833) = 706.0: c_pn and
+    # its bounds are below 1e307, 1'exp(B)1 = e^rho (1 + (a + b) / 2 rho)
+    # is about 2.5e308
+    p = tmp_path / "pair.edges"
+    p.write_text("2 1\n1 1 2 84720\n1 2 1 5.8833\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "communicability", str(p), "--directed",
+                             "--total", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: c_tn0 is not finite (inf)\n"
+
+
+def test_total_below_the_float_range_is_printed(capsys, tmp_path):
+    # 1'exp(B)1 - 2 = 2 (e^707 - 1), about 2.2e307, where the products of
+    # exp(B) 1 overflow
+    p = tmp_path / "pair.edges"
+    p.write_text("2 1\n1 1 2 707\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "communicability", str(p), "--total",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    want = float(f"{2 * math.expm1(707):.6g}")  # as json prints it
+    assert json.loads(out)["report"]["c_tn0"] == want
 
 
 def test_table_prints_values_from_1e16_at_six_significant_digits(capsys,

@@ -205,6 +205,25 @@ def test_total_communicability_tracks_kappa_times_cpn():
     assert abs(ratio - 1.0) <= 0.10
 
 
+def test_total_communicability_where_its_products_overflow():
+    # 2 (e^707 - 1) is about 2.2e307, past the range of the products
+    net = multiplex_from_layers([[[0, 707], [707, 0]]], gamma=0.0)
+    assert total_communicability0(net) == pytest.approx(2 * math.expm1(707),
+                                                        rel=1e-12)
+    # a skewed directed pair: 1'exp(B)1 = 2 cosh rho + (a + b) sinh(rho) / rho
+    # with rho = sqrt(ab), about 4.2e307; its largest row sum, a, exceeds the
+    # log of that by 79000
+    a, b = 80000.0, 6.2
+    net = multiplex_from_layers([[[0, a], [b, 0]]], gamma=0.0, directed=True)
+    rho = math.sqrt(a * b)
+    want = math.exp(rho + math.log1p((a + b) / (2 * rho))) - 2
+    assert total_communicability0(net) == pytest.approx(want, rel=1e-12)
+    # past the float range
+    net = multiplex_from_layers([[[0, 84720], [5.8833, 0]]], gamma=0.0,
+                                directed=True)
+    assert total_communicability0(net) == math.inf
+
+
 def random_net(kind, seed, directed):
     from conftest import multilayer_from_dense
     if kind == "multiplex":

@@ -359,3 +359,82 @@ def test_header_past_int64_is_refused(tmp_path, capsys, header):
         assert cli.main(["spectrum", str(p)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {p}:2: {want}\n"
+
+
+# ---------------------------------------------------------------------------
+# files of the benchmark's size
+
+def _big_lines(seed, N, L, general, directed, count, self_loops=0):
+    """``count`` distinct valid lines of a seeded network, as token lists,
+    ``self_loops`` of them supra self-loops (general networks only)."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(1, L + 1, size=4 * count)
+    l = rng.integers(1, L + 1, size=4 * count) if general else k
+    i, j = rng.integers(1, N + 1, size=(2, 4 * count))
+    loops = np.arange(4 * count) < self_loops
+    l, j = np.where(loops, k, l), np.where(loops, i, j)
+    lines, seen = [], set()
+    for row in zip(k.tolist(), i.tolist(), l.tolist(), j.tolist(),
+                   rng.integers(32, 97, size=4 * count).tolist()):
+        a, b, c, d, w = row
+        key = (a, b, c, d) if directed else min((a, b, c, d), (c, d, a, b))
+        if (not general and b == d) or key in seen:
+            continue
+        seen.add(key)
+        ids = (a, b, c, d) if general else (a, b, d)
+        lines.append([str(v) for v in ids] + [repr(w / 64)])
+        if len(lines) == count:
+            return lines
+    raise AssertionError("too few distinct lines")
+
+
+def _write_lines(path, N, L, lines):
+    path.write_text(f"{N} {L}\n" + "".join(" ".join(r) + "\n" for r in lines),
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize("general, directed, N, self_loops", [
+    (False, False, 2000, 0), (True, True, 1000, 0), (True, False, 500, 40)],
+    ids=["multiplex-undirected", "general-directed", "general-self-loops"])
+def test_benchmark_sized_files_match_the_reference(tmp_path, monkeypatch,
+                                                   general, directed, N,
+                                                   self_loops):
+    # the numpy reader takes every such file, and the one sort gives the
+    # reference's CSR arrays and dtypes byte for byte; a repeated line last,
+    # or an undirected edge given again as its mirror, is named at its line
+    def refuse(*args):
+        raise AssertionError("per-line parser used")
+
+    monkeypatch.setattr(model, "_read_per_line", refuse)
+    L = 4 if N > 500 else 3
+    lines = _big_lines(N, N, L, general, directed, 24000 if N > 500 else 6000,
+                       self_loops)
+    load, ref, kw = ((load_multilayer, ref_load_multilayer, {}) if general
+                     else (load_multiplex, ref_load_multiplex, {"gamma": 1.0}))
+    kw["directed"] = directed
+    p = tmp_path / "big.edges"
+    _write_lines(p, N, L, lines)
+    want = _outcome(ref, p, **kw)
+    assert want[0] == "ok" and _outcome(load, p, **kw) == want
+    first = lines[len(lines) // 3]
+    mirror = (first[2:4] + first[0:2] if general
+              else [first[0], first[2], first[1]]) + first[-1:]
+    for extra in ([first] + ([mirror] if not directed else [])):
+        _write_lines(p, N, L, lines + [extra])
+        want = _outcome(ref, p, **kw)
+        assert want[:2] == ("error", f"{p}:{len(lines) + 2}: " + (
+            f"duplicate edge ({extra[1]},{extra[0]})->({extra[3]},{extra[2]})"
+            if general else
+            f"duplicate edge ({extra[1]},{extra[2]}) in layer {extra[0]}"))
+        assert _outcome(load, p, **kw) == want
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_a_compressed_suffix_is_read_as_the_text_it_holds(tmp_path, suffix):
+    # numpy's reader would decompress such a path
+    body = "3 2\n1 1 2 0.5\n2 2 3 1.5\n"
+    plain, named = tmp_path / "net.edges", tmp_path / f"net.edges{suffix}"
+    plain.write_text(body, encoding="utf-8")
+    named.write_text(body, encoding="utf-8")
+    assert (_outcome(load_multiplex, named, gamma=1.0)
+            == _outcome(load_multiplex, plain, gamma=1.0))

@@ -11,7 +11,7 @@ from perronnet import (EdgeKey, InputError, Network, ParseError,
                        is_strongly_connected, load_multilayer, load_multiplex,
                        supra_operator)
 from perronnet.errors import DenseCapError
-from perronnet.model import apply_update
+from perronnet.model import apply_update, edge_update
 
 from conftest import (bfs_strongly_connected, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
@@ -337,6 +337,57 @@ def test_connectivity_matches_bfs_oracle():
         assert is_strongly_connected(net) == bfs_strongly_connected(B)
 
 
+def _bridged_nets(seed):
+    """Seeded networks on a ring or a tree, so that removing some of their
+    arcs disconnects them: general directed and undirected ones, and
+    multiplexes with gamma = 0 (one layer) and gamma > 0."""
+    rng = np.random.default_rng([61, seed])
+
+    def ring_and_chords(n, chords):
+        B = np.roll(np.eye(n), 1, axis=1) * rng.uniform(0.5, 1.5, (n, n))
+        for a, b in rng.integers(0, n, size=(chords, 2)):
+            B[a, b] = rng.uniform(0.5, 1.5)
+        np.fill_diagonal(B, 0.0)
+        return B
+
+    def tree_and_edges(n, extra):
+        T = np.zeros((n, n))
+        for b in range(1, n):
+            T[rng.integers(0, b), b] = rng.uniform(0.5, 1.5)
+        for a, b in rng.integers(0, n, size=(extra, 2)):
+            T[a, b] = rng.uniform(0.5, 1.5)
+        return np.triu(T, 1) + np.triu(T, 1).T
+
+    return [multilayer_from_dense(ring_and_chords(12, 4), 6, 2),
+            multilayer_from_dense(tree_and_edges(12, 3), 4, 3, directed=False),
+            multiplex_from_layers([tree_and_edges(10, 2)], gamma=0.0),
+            multiplex_from_layers([ring_and_chords(8, 2)], gamma=0.0,
+                                  directed=True),
+            multiplex_from_layers([ring_and_chords(6, 1)] * 3, gamma=0.7,
+                                  directed=True),
+            multiplex_from_layers([tree_and_edges(6, 1), np.zeros((6, 6))],
+                                  gamma=1.3)]
+
+
+def test_connectivity_after_an_update_matches_the_updated_network():
+    # the answer on net.supra plus the update, against the updated network
+    answers = set()
+    for seed in range(4):
+        for net in _bridged_nets(seed):
+            assert is_strongly_connected(net)
+            for e, w in net.edges():
+                update = edge_update(net, e, -w)
+                got = is_strongly_connected(net, update)
+                assert got == is_strongly_connected(apply_update(net, update))
+                answers.add(got)
+            # an increase, which may create an arc
+            e = EdgeKey(1, 2, 1, 1)
+            update = edge_update(net, e, 0.5)
+            assert is_strongly_connected(net, update) == is_strongly_connected(
+                apply_update(net, update))
+    assert answers == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # mutation
 
@@ -438,6 +489,24 @@ def test_multiplex_rejects_stored_inter_layer_arcs():
             Network(2, 2, arcs.tocsr(), directed, gamma=1.0)
         # the same arcs make a valid general network
         assert Network(2, 2, arcs.tocsr(), directed).edge_count() == arcs.nnz
+
+
+def test_undirected_network_needs_symmetric_weights():
+    # the pattern is symmetric, the weights are not
+    A = sp.csr_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
+                                [2.5, 0.0, 0.0]]))
+    with pytest.raises(InputError, match="symmetric"):
+        Network(3, 1, A, directed=False)
+    assert Network(3, 1, A, directed=True).edge_count() == 4
+    # symmetric once its repeated entries are summed, given with unsorted
+    # indices and a repeat in each row
+    A = sp.csr_matrix(([1.5, 0.5, 1.5, 2.0, 1.0, 0.5], [2, 1, 1, 0, 0, 0],
+                       [0, 3, 4, 6]), shape=(3, 3))
+    assert not A.has_sorted_indices
+    net = Network(3, 1, A, directed=False)
+    want = np.array([[0.0, 2.0, 1.5], [2.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    assert np.array_equal(net.arcs.toarray(), want)
+    assert net.arcs.has_canonical_format
 
 
 def _edit_via_lil(A, r, c, delta, mirror):

@@ -279,6 +279,67 @@ def test_empty_network_removal_is_infeasible():
         rank_removals(t, net, top_k=1)
 
 
+def full_removal_scan(t, net, top_k, require_connected):
+    """Removal rows (edge, score, connected_after) of a scan over every
+    removable arc in ``_tie_order``, each connectivity checked on the
+    network ``apply_update`` makes."""
+    from perronnet.model import apply_update, is_strongly_connected
+    from perronnet.sensitivity import arc_sensitivity
+    a, b = recommend._removable_arcs(net)
+    score = arc_sensitivity(t, a, b)
+    rows = []
+    for p in recommend._tie_order(a, b, net, score):
+        if len(rows) == top_k:
+            break
+        e = recommend._edge_at(a[p], b[p], net.N)
+        connected = None
+        if require_connected:
+            update = recommend._edits(net, e, "remove")
+            connected = is_strongly_connected(apply_update(net, update))
+            if not connected:
+                continue
+        rows.append((e, float(score[p]), connected))
+    return rows
+
+
+def counting_removal_windows(monkeypatch):
+    sizes, original = [], recommend._lowest
+
+    def counted(score, m):
+        window = original(score, m)
+        sizes.append(window.size)
+        return window
+
+    monkeypatch.setattr(recommend, "_lowest", counted)
+    return sizes
+
+
+def test_removal_windows_give_the_full_scan(monkeypatch):
+    ring = np.roll(np.eye(12), 1, axis=1)
+    ties = multiplex_from_layers([ring + ring.T] * 4, gamma=1.0)
+    rng = np.random.default_rng(62)
+    B = np.roll(np.eye(30), 1, axis=1) * rng.uniform(0.5, 1.5, (30, 30))
+    for a, b in rng.integers(0, 30, size=(8, 2)):
+        B[a, b] = rng.uniform(0.5, 1.5)
+    np.fill_diagonal(B, 0.0)
+    chords = multilayer_from_dense(B, 15, 2)  # only chords keep it connected
+    sizes = counting_removal_windows(monkeypatch)
+    grown = 0
+    for net in (ties, chords):
+        t = triple_of(net)
+        for top_k in (1, 3, 5, 40):
+            for require_connected in (False, True):
+                sizes.clear()
+                got = rank_removals(t, net, top_k,
+                                    require_connected=require_connected)
+                assert ([(r.edge, r.score, r.connected_after) for r in got]
+                        == full_removal_scan(t, net, top_k, require_connected))
+                grown += len(sizes) > 1
+                if net is ties:  # every score ties: one window of every arc
+                    assert sizes == [4 * 12]
+    assert grown >= 3
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
