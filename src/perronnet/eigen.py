@@ -19,13 +19,15 @@ Re-solves of many small perturbations B + E_j of one operator, each E_j
 a one- or two-entry update, go through :func:`perron_block`: one
 two-sided block power iteration on B whose n x k iterate holds one
 column per perturbation, so each step is one sparse-times-dense product
-per side plus each column's few update entries.  A column is accepted,
-and frozen, at the first step where it passes the certification of
-:func:`perron` (both residuals from fresh products within
-tol * max(1, rho), nonnegative unit vectors, y^T x > 0); a column not
-accepted within :data:`BLOCK_MAX_STEPS` steps, or whose residual does not
-shrink fast enough to reach its bound by then (a periodic, reducible or
-small-gap operator), is left to :func:`perron` alone.
+per side plus each column's few update entries.  A column is checked
+only at its own check steps, the first step and then the step at which
+its measured contraction predicts it passes; there it is accepted, and
+frozen, when it passes the certification of :func:`perron` (both
+residuals from fresh products within tol * max(1, rho), nonnegative unit
+vectors, y^T x > 0).  A column not accepted within
+:data:`BLOCK_MAX_STEPS` steps, or whose residual does not shrink fast
+enough to reach its bound by then (a periodic, reducible or small-gap
+operator), is left to :func:`perron` alone.
 
 ARPACK runs with the OpenBLAS that scipy bundles set to one thread.  Its
 BLAS calls are small matrix-vector products on n x ncv blocks, which
@@ -58,17 +60,17 @@ _POSITIVITY_SLACK = 1e-12
 # Steps after which perron_block hands a column to perron().  On the
 # benchmark's directed N=1000, L=4 networks (2-core machine) a warm ARPACK
 # re-solve makes about 28 products per side, at about 0.2 ms a product,
-# while a block step costs a column about 0.16 ms for both sides: 60 steps
-# cost about what one warm re-solve does (10 against 11 ms).  The cap
+# while a block step of ten columns costs a column about 0.09 ms for both
+# sides: 60 steps cost about half what one warm re-solve does.  The cap
 # admits a column whose error must shrink by 1e-7 at a gap ratio
 # |lambda_2| / rho up to about 0.76; those rows need 17-29 steps.
 BLOCK_MAX_STEPS = 60
 
-# Steps over which perron_block measures a column's contraction.  From
-# then on a column whose residual, shrinking at the rate it did over the
-# last _STALL_STEPS steps, would not reach its bound by BLOCK_MAX_STEPS is
-# handed to perron() at once, so a periodic or small-gap column costs a
-# few steps, not the whole cap.
+# Most steps between two checks of a column in perron_block.  At each
+# check a column whose residual, shrinking at the rate it did since its
+# previous check, would not reach its bound by BLOCK_MAX_STEPS is handed
+# to perron() at once, so a periodic or small-gap column costs a few
+# steps, not the whole cap.
 _STALL_STEPS = 5
 
 
@@ -313,6 +315,29 @@ def perron(op, tol: float = DEFAULT_TOL,
         "ill-conditioned or not simple, or the operator is reducible")
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of V."""
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
+def _unit_columns(V: np.ndarray, j: np.ndarray):
+    """Columns j of V rescaled to unit norm, in V too: returned as rows of
+    a contiguous copy, with their norms before."""
+    rows = V.T[j]
+    norms = _row_norms(rows)
+    rows /= norms[:, None]
+    V.T[j] = rows
+    return rows, norms
+
+
+def _residual_norms(W: np.ndarray, rho: np.ndarray,
+                    V: np.ndarray) -> np.ndarray:
+    """Norm of each row of W - rho V, rho holding one value per row; W is
+    overwritten with the residuals."""
+    W -= rho[:, None] * V
+    return _row_norms(W)
+
+
 def perron_block(op, updates, tol: float = DEFAULT_TOL,
                  x0: np.ndarray | None = None, y0: np.ndarray | None = None,
                  symmetric: bool = False) -> list[PerronTriple | None]:
@@ -327,20 +352,25 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     is x and no product with B^T is made.
 
     The n x k iterates X and Y hold one column per operator, all starting
-    from x0/y0 as in :func:`perron`.  Each step makes one product B X (and
-    B^T Y) and adds each column's entries of E_j to its own column; a
-    column is accepted at the first step where it passes the certification
-    :func:`perron` applies: the two-sided Rayleigh quotient rho =
-    y^T (B + E_j) x / (y^T x) of its unit iterates, both residual norms
-    from that step's fresh products within tol * max(1, rho), x and y
-    nonnegative and y^T x > 0.  An accepted column is frozen, so its
-    triple does not depend on the other columns.  A column not accepted
-    within :data:`BLOCK_MAX_STEPS` steps, whose residual over its bound,
-    shrinking at its rate over the last ``_STALL_STEPS`` steps, would
-    still exceed 1 at that cap, or whose iterate vanishes or stops being
-    finite, is returned as None, for :func:`perron` to solve alone: a
-    periodic, reducible or small-gap operator goes that way.
-    ``iterations`` counts the products made for the column.
+    from x0/y0 as in :func:`perron`, in the C order a CSR product takes
+    without a copy.  Each step makes one product B X (and B^T Y), adds
+    each column's entries of E_j to its own column and multiplies the
+    block by one power of two near 1/rho, which is exact, so no column's
+    bits depend on the other columns.  A column is certified only at its
+    own check steps: step 1, then the step at which its contraction since
+    its last check predicts it passes, at most ``_STALL_STEPS`` later.
+    There its x and y are rescaled to unit norm before the step's
+    products, and it is accepted, and frozen, when it passes the
+    certification :func:`perron` applies: the two-sided Rayleigh quotient
+    rho = y^T (B + E_j) x / (y^T x), both residual norms from those fresh
+    products within tol * max(1, rho), x and y nonnegative and
+    y^T x > 0.  A column not accepted within :data:`BLOCK_MAX_STEPS`
+    steps, whose residual over its bound, shrinking at its rate since its
+    last check, would still exceed 1 at that cap, or whose iterate
+    vanishes or stops being finite, is returned as None, for
+    :func:`perron` to solve alone: a periodic, reducible or small-gap
+    operator goes that way.  ``iterations`` counts the products made for
+    the column.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -354,62 +384,88 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     rows, cols, deltas = (np.concatenate(field) for field in zip(*updates))
     col = np.repeat(np.arange(len(updates)), [len(upd[0]) for upd in updates])
     active = np.arange(len(updates))
-    # the iterates are stored transposed, one row per operator, so that
-    # each column's sums and norms run over contiguous memory
-    X = np.repeat(u[None, :], len(updates), axis=0)
-    Y = X if symmetric else np.repeat(v[None, :], len(updates), axis=0)
+    X = np.repeat(u[:, None], len(updates), axis=1)
+    Y = X if symmetric else np.repeat(v[:, None], len(updates), axis=1)
     per_step = 1 if symmetric else 2
-    # each column's residual over its bound in the last _STALL_STEPS steps,
-    # step s at column s % _STALL_STEPS
-    excess_seen = np.empty((len(updates), _STALL_STEPS))
+    # each column's next check step, its last one (0: none yet) and its
+    # residual over its bound there
+    due = np.ones(len(updates), dtype=np.int64)
+    seen = np.zeros(len(updates), dtype=np.int64)
+    seen_excess = np.ones(len(updates))
+    scale = 1.0
     # a column that vanishes or overflows is handed to perron(), which
     # reports why; it must not warn here
     with np.errstate(all="ignore"):
         for step in range(1, BLOCK_MAX_STEPS + 1):
-            # rows of (B + E_j) x_j, and of (B + E_j)^T y_j
-            W = np.ascontiguousarray(op.matmat(X.T).T)
-            np.add.at(W, (col, rows), deltas * X[col, cols])
+            check = np.flatnonzero(due == step)
+            if check.size:
+                xt, norm_x = _unit_columns(X, check)
+                yt, norm_y = ((xt, norm_x) if symmetric
+                              else _unit_columns(Y, check))
+            # (B + E_j) x_j, and (B + E_j)^T y_j
+            W = np.asarray(op.matmat(X))
+            np.add.at(W, (rows, col), deltas * X[cols, col])
             if symmetric:
                 Z = W
             else:
-                Z = np.ascontiguousarray(op.rmatmat(Y.T).T)
-                np.add.at(Z, (col, cols), deltas * Y[col, rows])
-            yx = np.einsum("ij,ij->i", Y, X)
-            rho = np.einsum("ij,ij->i", Y, W) / yx
-            bound = tol * np.maximum(1.0, np.abs(rho))
-            res_r = np.linalg.norm(W - rho[:, None] * X, axis=1)
-            res_l = (res_r if symmetric
-                     else np.linalg.norm(Z - rho[:, None] * Y, axis=1))
-            done = ((res_r <= bound) & (res_l <= bound) & (yx > 0)
-                    & (X.min(axis=1) >= 0) & (Y.min(axis=1) >= 0))
-            for j in np.flatnonzero(done):
-                out[active[j]] = PerronTriple(
-                    rho=float(rho[j]), x=X[j].copy(), y=Y[j].copy(),
-                    kappa=1.0 / float(yx[j]),
-                    residuals=(float(res_r[j]), float(res_l[j])),
-                    iterations=per_step * step)
-            norm_w = np.linalg.norm(W, axis=1)
-            norm_z = norm_w if symmetric else np.linalg.norm(Z, axis=1)
-            keep = (~done & (norm_w > 0) & (norm_z > 0)
-                    & np.isfinite(norm_w + norm_z))
-            excess = np.maximum(res_r, res_l) / bound
-            slot = step % _STALL_STEPS
-            if step > _STALL_STEPS:
-                rate = (excess / excess_seen[:, slot]) ** (1.0 / _STALL_STEPS)
-                keep &= excess * rate ** (BLOCK_MAX_STEPS - step) <= 1.0
-            excess_seen[:, slot] = excess
-            if not keep.any():
-                break
-            if not keep.all():
-                sel = keep[col]
-                rows, cols, deltas = rows[sel], cols[sel], deltas[sel]
-                col = (np.cumsum(keep) - 1)[col[sel]]
-                active = active[keep]
-                W, Z = W[keep], Z[keep]
-                excess_seen = excess_seen[keep]
-                norm_w, norm_z = norm_w[keep], norm_z[keep]
-            X = W / norm_w[:, None]
-            Y = X if symmetric else Z / norm_z[:, None]
+                Z = np.asarray(op.rmatmat(Y))
+                np.add.at(Z, (cols, col), deltas * Y[rows, col])
+            # free the iterates, so that the certificate's row copies below
+            # do not raise the peak memory
+            del X, Y
+            if check.size:
+                wt = W.T[check]
+                yx = np.einsum("ij,ij->i", yt, xt)
+                rho = np.einsum("ij,ij->i", yt, wt) / yx
+                bound = tol * np.maximum(1.0, np.abs(rho))
+                res_r = _residual_norms(wt, rho, xt)
+                del wt
+                res_l = (res_r if symmetric
+                         else _residual_norms(Z.T[check], rho, yt))
+                done = ((res_r <= bound) & (res_l <= bound) & (yx > 0)
+                        & (xt.min(axis=1) >= 0) & (yt.min(axis=1) >= 0))
+                for i in np.flatnonzero(done):
+                    out[active[check[i]]] = PerronTriple(
+                        rho=float(rho[i]), x=xt[i].copy(), y=yt[i].copy(),
+                        kappa=1.0 / float(yx[i]),
+                        residuals=(float(res_r[i]), float(res_l[i])),
+                        iterations=per_step * step)
+                if step == 1:
+                    top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
+                    if top > 0:
+                        scale = math.ldexp(1.0, -math.frexp(top)[1])
+                excess = np.maximum(res_r, res_l) / bound
+                since = seen[check] > 0
+                rate = (excess / seen_excess[check]) ** (
+                    1.0 / (step - seen[check]))
+                keep = (~done & (norm_x > 0) & (norm_y > 0)
+                        & np.isfinite(norm_x + norm_y)
+                        & (~since | (excess * rate ** (BLOCK_MAX_STEPS - step)
+                                     <= 1.0)))
+                # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
+                wait = np.where(since, np.ceil(np.log(excess) / -np.log(rate)),
+                                _STALL_STEPS)
+                wait = np.fmax(np.fmin(wait, _STALL_STEPS), 1).astype(np.int64)
+                due[check] = np.minimum(step + wait, BLOCK_MAX_STEPS)
+                seen[check] = step
+                seen_excess[check] = excess
+                if not keep.all():
+                    stay = np.ones(active.size, dtype=bool)
+                    stay[check[~keep]] = False
+                    if not stay.any():
+                        break
+                    sel = stay[col]
+                    rows, cols, deltas = rows[sel], cols[sel], deltas[sel]
+                    col = (np.cumsum(stay) - 1)[col[sel]]
+                    active, due = active[stay], due[stay]
+                    seen, seen_excess = seen[stay], seen_excess[stay]
+                    # compress keeps the C order a mask index would not
+                    W = W.compress(stay, axis=1)
+                    Z = W if symmetric else Z.compress(stay, axis=1)
+            W *= scale
+            if not symmetric:
+                Z *= scale
+            X, Y = W, Z
     return out
 
 

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .errors import DenseCapError, InputError, ParseError
 
 # scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
-# users, is_strongly_connected and supra_operator, so that loading a
+# users, _one_strong_component and supra_operator, so that loading a
 # network imports neither
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
@@ -106,15 +106,24 @@ class Network:
         if self.multiplex:
             _check_gamma(self.gamma)
         arcs = sp.csr_matrix(self.arcs, dtype=float, copy=True)
-        arcs.sum_duplicates()
+        # a copy does not keep scipy's canonical flag: a matrix known to be
+        # canonical, such as a loader's, is not checked again
+        if getattr(self.arcs, "has_canonical_format", False):
+            arcs.has_canonical_format = True
+        else:
+            arcs.sum_duplicates()
         object.__setattr__(self, "arcs", arcs)
         if arcs.shape != (self.dim, self.dim):
             raise InputError("arcs must be an NL x NL matrix")
         if arcs.nnz and not (np.isfinite(arcs.data).all() and arcs.data.min() > 0):
             raise InputError("stored weights must be strictly positive and finite")
-        if self.multiplex:
-            layer = np.repeat(np.arange(self.L), self.N)
-            if (np.repeat(layer, np.diff(arcs.indptr)) != layer[arcs.indices]).any():
+        if self.multiplex and arcs.nnz:
+            # each row's column indices are sorted: its first and last one
+            # must lie in the row's own layer
+            r = np.flatnonzero(np.diff(arcs.indptr))
+            lo = r - r % self.N
+            if ((arcs.indices[arcs.indptr[r]] < lo).any()
+                    or (arcs.indices[arcs.indptr[r + 1] - 1] >= lo + self.N).any()):
                 raise InputError("a multiplex stores intra-layer arcs only")
         # undirected edge semantics (one candidate per pair, mirrored edits)
         # hold only for a symmetric matrix
@@ -140,6 +149,12 @@ class Network:
         coupling = sp.kron(np.ones((self.L, self.L)) - np.eye(self.L),
                            sp.identity(self.N, format="csr"), format="csr")
         return (self.arcs + self.gamma * coupling).tocsr()
+
+    @cached_property
+    def _strongly_connected(self) -> bool:
+        """:func:`is_strongly_connected` without an update, found on first
+        use: the CLI's warning and a connected removal scan share it."""
+        return _one_strong_component(self.supra)
 
     def weight(self, e: EdgeKey) -> float:
         """Weight of the arc ``e``: a stored arc, or a multiplex coupling."""
@@ -439,6 +454,7 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
     arcs = sp.csr_matrix((w[order], b[order], indptr), shape=(n, n))
+    arcs.has_canonical_format = True  # sorted by key, no repeat
     return Network(t.N, t.L, arcs, directed, gamma)
 
 
@@ -524,16 +540,23 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     connected (equivalently, the matrix is irreducible); with a supra
     update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
     update, an entry that becomes 0 dropping its edge, as
-    :func:`apply_update` would leave it, without building that network."""
-    if net.dim == 1:
+    :func:`apply_update` would leave it, without building that network.
+    Without an update the answer is found once per network."""
+    if update is None:
+        return net._strongly_connected
+    rows, cols, deltas = update
+    # a sum of CSR matrices stores no entry that comes out 0
+    return _one_strong_component(
+        net.supra + sp.csr_matrix((deltas, (rows, cols)), shape=net.supra.shape))
+
+
+def _one_strong_component(B) -> bool:
+    """True iff the directed graph of the square sparse matrix B has one
+    strong component."""
+    if B.shape[0] == 1:
         return True
     from scipy.sparse.csgraph import connected_components
 
-    B = net.supra
-    if update is not None:
-        rows, cols, deltas = update
-        # a sum of CSR matrices stores no entry that comes out 0
-        B = B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape)
     n_comp, _ = connected_components(B, directed=True, connection="strong")
     return n_comp == 1
 

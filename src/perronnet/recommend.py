@@ -90,18 +90,21 @@ def _edge_at(a, b, N: int) -> EdgeKey:
     return EdgeKey(i, j, k, l)
 
 
-def _tie_order(a: np.ndarray, b: np.ndarray, net: Network,
-               score=None) -> np.ndarray:
-    """Permutation sorting arcs (a, b) by ascending ``score`` when given,
-    then by the tie key (k, l, i, j), packed into one integer."""
+def _tie_key(a: np.ndarray, b: np.ndarray, net: Network) -> np.ndarray:
+    """The tie key (k, l, i, j) of each arc (a, b), packed into one
+    integer, unique per arc."""
     N, L = net.N, net.L
     # ((k L + l) N + i) N + j, as Python ints past int64 (as in _repeats)
     dtype = np.int64 if net.dim ** 2 <= np.iinfo(np.int64).max else object
     a, b = a.astype(dtype), b.astype(dtype)
-    tie = ((a // N * L + b // N) * N + a % N) * N + b % N
-    if score is None:
-        return np.argsort(tie, kind="stable")
-    return np.lexsort((tie, score))
+    return ((a // N * L + b // N) * N + a % N) * N + b % N
+
+
+def _tie_order(a: np.ndarray, b: np.ndarray, net: Network,
+               score: np.ndarray) -> np.ndarray:
+    """Permutation sorting arcs (a, b) by ascending ``score``, then by the
+    tie key."""
+    return np.lexsort((_tie_key(a, b, net), score))
 
 
 def _lowest(score: np.ndarray, m: int) -> np.ndarray:
@@ -429,9 +432,11 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
         a, b = _removable_arcs(net)
         if not a.size:
             return []
-        pool = _tie_order(a, b, net)
-        picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
-        return [_edge_at(a[pool[p]], b[pool[p]], net.N) for p in picks]
+        # the arcs at the drawn ranks of the tie-key order, which the
+        # unique keys fix without sorting them all
+        picks = rng.choice(a.size, size=min(count, a.size), replace=False)
+        arcs = np.argpartition(_tie_key(a, b, net), picks)[picks]
+        return [_edge_at(a[p], b[p], net.N) for p in arcs]
 
     if net.dim < 2 or (net.multiplex and net.N < 2):
         return []

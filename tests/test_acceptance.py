@@ -391,9 +391,26 @@ def test_c5f_brute_force_ranking_equivalence():
                   f"({_t5_elapsed['5f']:.2f}s)")
 
 
-def test_c5_total_runtime_budget():
-    total = sum(_t5_elapsed.values())
-    assert set(_t5_elapsed) == {"5a", "5b", "5c", "5d", "5e", "5f"}
+@pytest.fixture(scope="module")
+def t5_elapsed():
+    """The times of the six criterion-5 suites: each suite this module's
+    run has not timed yet, as when the budget test runs alone, is run and
+    timed here."""
+    suites = {"5a": test_c5a_oracle_equivalence_iterative_vs_dense,
+              "5b": test_c5b_structured_norm_identities,
+              "5c": test_c5c_communicability_identity_and_bounds,
+              "5d": test_c5d_finite_difference_slope,
+              "5e": test_c5e_wilkinson_optimality_random_search,
+              "5f": test_c5f_brute_force_ranking_equivalence}
+    for key, suite in suites.items():
+        if key not in _t5_elapsed:
+            suite()
+    return _t5_elapsed
+
+
+def test_c5_total_runtime_budget(t5_elapsed):
+    total = sum(t5_elapsed.values())
+    assert set(t5_elapsed) == {"5a", "5b", "5c", "5d", "5e", "5f"}
     assert total < 5.0
     _passed("5", f"property suites total {total:.2f}s < 5s")
 

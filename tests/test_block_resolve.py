@@ -185,6 +185,37 @@ def test_supra_updates_are_the_cells_of_the_mutation():
                                       want)
 
 
+@pytest.mark.parametrize("name", ["general-directed", "general-undirected"])
+def test_block_products_take_c_order_blocks(name):
+    # scipy's CSR kernel multiplies a C-order n x k block as it is; any
+    # other layout would cost a copy per product
+    net = NETWORKS[name]()
+    t = perron(supra_operator(net), tol=1e-12)
+    requests = requests_for(net, "remove", mirror=False)
+    base = supra_operator(net)
+    blocks = {"matmat": [], "rmatmat": []}
+
+    def recorded(side):
+        def product(V):
+            blocks[side].append(V)
+            return getattr(base, side)(V)
+        return product
+
+    op = LinearOperator(base.shape, matvec=base.matvec, rmatvec=base.rmatvec,
+                        matmat=recorded("matmat"), rmatmat=recorded("rmatmat"),
+                        dtype=float)
+    x0, y0 = _warm_start(t)
+    got = perron_block(op, requests, x0=x0, y0=y0, symmetric=not net.directed)
+    assert any(g is not None for g in got)
+    assert blocks["matmat"]
+    assert len(blocks["rmatmat"]) == (len(blocks["matmat"]) if net.directed
+                                      else 0)
+    for V in blocks["matmat"] + blocks["rmatmat"]:
+        assert V.ndim == 2 and V.shape[0] == net.dim
+        assert 1 <= V.shape[1] <= len(requests)
+        assert V.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # inputs the block pass hands to perron()
 

@@ -19,7 +19,7 @@ from perronnet import (EdgeKey, InfeasibleError, InputError, Network,
                        supra_operator)
 from perronnet.eigen import perron_block
 from perronnet.model import editable_arcs
-from perronnet.recommend import _draw_baselines, _tie_order
+from perronnet.recommend import _draw_baselines, _tie_key, _tie_order
 
 from conftest import (multilayer_from_dense, multiplex_from_layers,
                       random_general_dense, random_general_net,
@@ -264,9 +264,10 @@ def test_packed_tie_key_sorts_like_the_four_key_lexsort(N, L):
         if N > 60:  # spread the positions over the whole index range
             a, b = a * (net.dim // 60), b * (net.dim // 60) + 1
         score = rng.integers(0, 4, m) / 4.0  # many equal scores
-        for s in (score, None):
-            assert np.array_equal(_tie_order(a, b, net, s),
-                                  lexsort_tie_order(a, b, N, s))
+        assert np.array_equal(_tie_order(a, b, net, score),
+                              lexsort_tie_order(a, b, N, score))
+        assert np.array_equal(np.argsort(_tie_key(a, b, net), kind="stable"),
+                              lexsort_tie_order(a, b, N))
 
 
 def test_network_without_edges_has_no_existing_candidates():

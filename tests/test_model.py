@@ -10,6 +10,7 @@ from perronnet import (EdgeKey, InputError, Network, ParseError,
                        apply_edge_delta, assemble_dense, cli,
                        is_strongly_connected, load_multilayer, load_multiplex,
                        supra_operator)
+from perronnet import model
 from perronnet.errors import DenseCapError
 from perronnet.model import apply_update, edge_update
 
@@ -117,6 +118,21 @@ def test_load_multilayer_undirected_mirrors(tmp_path):
     B = assemble_dense(net)
     assert np.array_equal(B, B.T)
     assert net.weight(EdgeKey(2, 1, 2, 1)) == 0.7
+
+
+def test_loaders_build_canonical_arcs(tmp_path):
+    # the loaders mark their CSR canonical unchecked: rebuilt from the same
+    # arrays, scipy's own check must agree, lines given in any order
+    mpx = write(tmp_path, "3 2\n2 3 1 1.0\n1 2 3 0.5\n2 1 2 2.0\n1 1 3 1.5\n",
+                "mpx.edges")
+    gen = write(tmp_path, "3 2\n2 3 1 1 1.0\n1 2 2 3 0.5\n1 1 1 3 2.0\n"
+                "2 1 1 2 1.5\n", "gen.edges")
+    for directed in (False, True):
+        for net in (load_multiplex(mpx, 1.0, directed),
+                    load_multilayer(gen, directed)):
+            a = net.arcs
+            fresh = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+            assert fresh.has_canonical_format
 
 
 def test_load_multilayer_undirected_duplicate_via_reverse(tmp_path):
@@ -313,6 +329,24 @@ def test_strongly_connected_cycle_and_isolated():
     assert is_strongly_connected(cyc)
     iso = multiplex_from_layers([np.zeros((2, 2))], gamma=0.0)
     assert not is_strongly_connected(iso)
+
+
+def test_base_connectivity_is_found_once_per_network(monkeypatch):
+    # the CLI's warning and a connected removal scan ask the same question
+    passes = []
+    one_component = model._one_strong_component
+    monkeypatch.setattr(model, "_one_strong_component",
+                        lambda B: passes.append(B) or one_component(B))
+    net = random_general_net(3, N=5, L=2)[0]
+    assert is_strongly_connected(net) == is_strongly_connected(net)
+    assert len(passes) == 1
+    e, w = next(net.edges())
+    update = edge_update(net, e, -w)
+    assert is_strongly_connected(net, update) == is_strongly_connected(
+        net, update)
+    assert len(passes) == 3
+    is_strongly_connected(apply_update(net, update))
+    assert len(passes) == 4
 
 
 def test_demo_connected_after_arc_removal(demo_net):
