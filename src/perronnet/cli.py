@@ -346,7 +346,8 @@ def emit(report, cols, rows, output: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# the arguments that subcommands add by name
+# the arguments that subcommands add by name: flags, space-separated, and
+# the options of add_argument
 _ARGS = {
     "rank_mode": dict(choices=["add", "remove"]),
     "input": dict(help="edge-list file (resolved against $PERRON_DATA_DIR "
@@ -364,6 +365,22 @@ _ARGS = {
     "--structured": dict(action="store_true",
                          help="restrict add-candidates to existing intra-layer "
                               "edges"),
+    "--total": dict(action="store_true",
+                    help="also compute the total communicability "
+                         "1'(exp(B) - I)1 for comparison"),
+    "--recompute": dict(action="store_true",
+                        help="re-solve the root for each ranked candidate"),
+    "--seed": dict(type=int, default=42),
+    "--mode": dict(choices=["increase", "decrease", "remove"],
+                   default="increase"),
+    "--edges-file": dict(default=None,
+                         help="file of edges 'i j k l' (or 'i j l' for "
+                              "multiplex)"),
+    "--auto": dict(action="store_true",
+                   help="pick edges from the sensitivity ranking"),
+    "--no-mirror": dict(action="store_true",
+                        help="perturb single arcs instead of both directions"),
+    "-o --output-file": dict(default=None),
 }
 _INPUT = ("input", "--input-format", "--gamma", "--directed", "--format")
 _SOLVE = _INPUT + ("--tol",)
@@ -372,7 +389,30 @@ _RANK = _SOLVE + ("--epsilon", "--top-k", "--structured")
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as an input error (exit code 1); its
-    subparsers are of this class too."""
+    subparsers are of this class too.  The arguments named in ``lazy``
+    (keys of ``_ARGS``) are added on the parser's first parse or help
+    text, so that a run adds only its own subcommand's."""
+
+    def __init__(self, *args, lazy=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lazy = lazy
+
+    def _add_lazy(self):
+        lazy, self._lazy = self._lazy, ()
+        for name in lazy:
+            self.add_argument(*name.split(), **_ARGS[name])
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_lazy()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._add_lazy()
+        return super().format_usage()
+
+    def format_help(self):
+        self._add_lazy()
+        return super().format_help()
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
@@ -384,47 +424,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perron-root communicability and edge sensitivity of "
                     "multilayer networks")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, func, help, *args):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        for arg in args:
-            p.add_argument(arg, **_ARGS[arg])
-        return p
-
-    subcommand("spectrum", cmd_spectrum, "Perron root and condition numbers",
-               *_SOLVE)
-
-    cp = subcommand("communicability", cmd_communicability,
-                    "communicability report", *_SOLVE, "--top-k")
-    cp.add_argument("--total", action="store_true",
-                    help="also compute the total communicability "
-                         "1'(exp(B) - I)1 for comparison")
-
-    subcommand("sensitivity", cmd_sensitivity, "per-edge sensitivity summary",
-               *_RANK)
-
-    rk = subcommand("rank", cmd_rank, "rank edge insertions or removals",
-                    "rank_mode", *_RANK)
-    rk.add_argument("--recompute", action="store_true",
-                    help="re-solve the root for each ranked candidate")
-
-    ex = subcommand("experiment", cmd_experiment,
-                    "re-solved perturbation experiments", *_RANK)
-    ex.add_argument("--seed", type=int, default=42)
-    ex.add_argument("--mode", choices=["increase", "decrease", "remove"],
-                    default="increase")
-    ex.add_argument("--edges-file", default=None,
-                    help="file of edges 'i j k l' (or 'i j l' for multiplex)")
-    ex.add_argument("--auto", action="store_true",
-                    help="pick edges from the sensitivity ranking")
-    ex.add_argument("--no-mirror", action="store_true",
-                    help="perturb single arcs instead of both directions")
-
-    cv = subcommand("convert", cmd_convert, "materialize a multiplex file as "
-                    "a general multilayer edge list", *_INPUT)
-    cv.add_argument("-o", "--output-file", default=None)
-
+    for name, func, help, args in (
+            ("spectrum", cmd_spectrum, "Perron root and condition numbers",
+             _SOLVE),
+            ("communicability", cmd_communicability, "communicability report",
+             _SOLVE + ("--top-k", "--total")),
+            ("sensitivity", cmd_sensitivity, "per-edge sensitivity summary",
+             _RANK),
+            ("rank", cmd_rank, "rank edge insertions or removals",
+             ("rank_mode",) + _RANK + ("--recompute",)),
+            ("experiment", cmd_experiment,
+             "re-solved perturbation experiments",
+             _RANK + ("--seed", "--mode", "--edges-file", "--auto",
+                      "--no-mirror")),
+            ("convert", cmd_convert, "materialize a multiplex file as a "
+             "general multilayer edge list", _INPUT + ("-o --output-file",))):
+        sub.add_parser(name, help=help, lazy=args).set_defaults(func=func)
     return ap
 
 

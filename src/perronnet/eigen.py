@@ -4,10 +4,21 @@ The dominant eigenpair problem
 
     B x = rho x,    y^T B = rho y^T,
 
-is solved matrix-free by ARPACK's implicitly restarted Arnoldi method
-(Lehoucq, Sorensen and Yang, 1998) through ``scipy.sparse.linalg.eigs``:
-once on B for x and once on B^T for y, except that an x which already
-solves the left problem (every symmetric operator) is taken as y.
+is solved matrix-free once on B for x and once on B^T for y, except
+that an x which already solves the left problem (every symmetric
+operator) is taken as y.  A cold solve runs each side first by the power
+iteration of :func:`perron_block`, one column without an update, whose
+products are counted like every other; ARPACK's implicitly restarted
+Arnoldi method (Lehoucq, Sorensen and Yang, 1998), through
+``scipy.sparse.linalg.eigs``, solves a side that iteration hands over
+(a periodic, reducible or small-gap operator), every warm start and the
+machine-precision retry.  The power iteration pays where the spectral
+gap is large: on the benchmark's random networks it accepts each side
+in 30-55 products, where ARPACK spends most of its time in its own
+bookkeeping and its Python reverse-communication loop around products
+of a few tens of microseconds.  A side it hands over costs its first
+check step and at least one stall interval of products more than
+ARPACK alone.
 Operators of order < 3, which ARPACK cannot take, are solved densely
 from n products each; their vectors pass the same certification.  A
 dense full eigendecomposition is available as an independent oracle
@@ -214,21 +225,31 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _dominant(apply, start: np.ndarray, tol: float,
-              prod: _Products) -> tuple[np.ndarray, np.ndarray]:
+def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
+              power: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Unit nonnegative dominant eigenvector v of ``apply`` (a product with
     B or B^T) and its image apply(v).  The unit start vector is returned
-    as it is when its residual is already within tol * max(1, rho);
-    otherwise ARPACK starts from it, with relative tolerance ``tol``
-    (0: machine precision).  The explicit ``v0`` and the fixed ``rng``
-    (drawn from only when a Krylov space closes early) keep every run
-    deterministic.  ARPACK cannot take an operator of order < 3: its
-    n x n matrix, built from n products, goes to ``np.linalg.eig``, and
-    the eigenvalue of largest real part is taken, as ARPACK's is."""
+    as it is when its residual is already within tol * max(1, rho).
+    With ``power``, the power iteration of :func:`perron_block` (one
+    column, no update, this side only) runs on from its image, and its
+    vector is returned once it passes that block's certificate.
+    Otherwise, or when that iteration hands the vector over, ARPACK
+    starts from ``start``, with relative tolerance ``tol`` (0: machine
+    precision).  The explicit ``v0`` and the fixed ``rng`` (drawn from
+    only when a Krylov space closes early) keep every run deterministic.
+    ARPACK cannot take an operator of order < 3: its n x n matrix, built
+    from n products, goes to ``np.linalg.eig``, and the eigenvalue of
+    largest real part is taken, as ARPACK's is."""
     image = apply(start)
     rho = float(start @ image)
     if np.linalg.norm(image - rho * start) <= tol * max(1.0, abs(rho)):
         return start, image
+    if power:
+        empty = np.empty(0, dtype=np.int64)  # no update entries
+        (found,), (found_image,) = _power_columns(
+            apply, None, image[:, None], None, (empty,) * 4, tol)
+        if found is not None:
+            return found.x, found_image
     n = start.size
     if n < 3:
         vals, vecs = np.linalg.eig(np.column_stack([apply(e)
@@ -255,8 +276,9 @@ def perron(op, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
            y0: np.ndarray | None = None) -> PerronTriple:
-    """Perron triple of ``op`` by ARPACK, on B for x and on B^T for y (a
-    dense solve of the n x n matrix below order 3).
+    """Perron triple of ``op``, on B for x and on B^T for y: from a cold
+    start by a power iteration first, and by ARPACK for a side it hands
+    over (a dense solve of the n x n matrix below order 3).
 
     ``op`` is anything ``aslinearoperator`` takes: a ``LinearOperator``
     with ``rmatvec``, such as :func:`~perronnet.model.supra_operator`, or
@@ -265,32 +287,40 @@ def perron(op, tol: float = DEFAULT_TOL,
     Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
     vectors x0/y0 are supplied, e.g. the Perron pair of a nearby
-    operator.  Both solvers take the eigenvalue of largest real part, which
+    operator.  Without them each side first runs the power iteration of
+    :func:`perron_block` on its own, one column without an update; its
+    stall test hands a periodic, reducible or small-gap side to ARPACK
+    within a few steps.  A warm start goes to ARPACK at once.  Both
+    solvers take the eigenvalue of largest real part, which
     for a nonnegative irreducible operator is the Perron root even when
     the spectrum holds further eigenvalues of modulus rho (periodic
     graphs).  The root is the two-sided Rayleigh quotient
     y^T B x / (y^T x), and the triple is returned only when both residual
     norms, computed from fresh products, are within tol * max(1, rho).
-    A residual above that bound sends both sides to one more solve, to
-    machine precision; y^T x <= 0 fails at once.  ``iterations`` counts
-    operator products, at every order, and ``max_iter`` bounds them.
+    A residual above that bound sends both sides to one more solve by
+    ARPACK, to machine precision; y^T x <= 0 fails at once.
+    ``iterations`` counts operator products, those of the power
+    iteration and of ARPACK, at every order, and ``max_iter`` bounds
+    them.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     op = aslinearoperator(op)
     n = op.shape[0]
+    cold = x0 is None and y0 is None
     u = _start_vector(x0, n)
-    v = u.copy() if y0 is None and x0 is None else _start_vector(y0, n)
+    v = u.copy() if cold else _start_vector(y0, n)
     prod = _Products(op, max_iter)
     for arpack_tol in (tol, 0.0):
-        x, w = _dominant(prod.matvec, u, arpack_tol, prod)
+        power = cold and arpack_tol == tol
+        x, w = _dominant(prod.matvec, u, arpack_tol, prod, power)
         rho = float(x @ w)
         bound = tol * max(1.0, abs(rho))
         z = prod.rmatvec(x)
         if np.linalg.norm(z - rho * x) <= bound:
             y = x  # x also solves the left problem, e.g. B symmetric
         else:
-            y, z = _dominant(prod.rmatvec, v, arpack_tol, prod)
+            y, z = _dominant(prod.rmatvec, v, arpack_tol, prod, power)
         yx = float(y @ x)
         if yx <= 0:
             raise prod.fail(
@@ -322,10 +352,11 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 
 def _unit_columns(V: np.ndarray, j: np.ndarray):
     """Columns j of V rescaled to unit norm, in V too: returned as rows of
-    a contiguous copy, with their norms before."""
+    a contiguous copy, with their norms before.  A vanished column stays
+    0, so that its next product is finite."""
     rows = V.T[j]
     norms = _row_norms(rows)
-    rows /= norms[:, None]
+    np.divide(rows, norms[:, None], out=rows, where=norms[:, None] > 0)
     V.T[j] = rows
     return rows, norms
 
@@ -378,67 +409,95 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     n = op.shape[0]
     u = _start_vector(x0, n)
     v = u if y0 is None and x0 is None else _start_vector(y0, n)
-    out: list[PerronTriple | None] = [None] * len(updates)
     if not updates:
-        return out
+        return []
     rows, cols, deltas = (np.concatenate(field) for field in zip(*updates))
     col = np.repeat(np.arange(len(updates)), [len(upd[0]) for upd in updates])
-    active = np.arange(len(updates))
     X = np.repeat(u[:, None], len(updates), axis=1)
     Y = X if symmetric else np.repeat(v[:, None], len(updates), axis=1)
+    return _power_columns(op.matmat, None if symmetric else op.rmatmat,
+                          X, Y, (rows, cols, deltas, col), tol)[0]
+
+
+def _power_columns(matmat, rmatmat, X, Y, entries, tol):
+    """The block power iteration of :func:`perron_block` from the n x k
+    C-order start blocks X and Y, with products ``matmat`` by B and
+    ``rmatmat`` by B^T; ``rmatmat`` None is the symmetric case, in which
+    Y is X.  ``entries`` holds the update entries ``(rows, cols, deltas,
+    col)``, each of column ``col``.
+
+    Returns one PerronTriple or None per column, and for each accepted
+    column the image (B + E_j) x_j its certificate was computed from.
+    """
+    rows, cols, deltas, col = entries
+    k = X.shape[1]
+    symmetric = rmatmat is None
+    out: list[PerronTriple | None] = [None] * k
+    images: list[np.ndarray | None] = [None] * k
+    active = np.arange(k)
     per_step = 1 if symmetric else 2
     # each column's next check step, its last one (0: none yet) and its
     # residual over its bound there
-    due = np.ones(len(updates), dtype=np.int64)
-    seen = np.zeros(len(updates), dtype=np.int64)
-    seen_excess = np.ones(len(updates))
+    due = np.ones(k, dtype=np.int64)
+    seen = np.zeros(k, dtype=np.int64)
+    seen_excess = np.ones(k)
+    next_check = 1  # the least of due
     scale = 1.0
     # a column that vanishes or overflows is handed to perron(), which
     # reports why; it must not warn here
     with np.errstate(all="ignore"):
         for step in range(1, BLOCK_MAX_STEPS + 1):
-            check = np.flatnonzero(due == step)
-            if check.size:
+            checking = step == next_check
+            if checking:
+                check = np.flatnonzero(due == step)
                 xt, norm_x = _unit_columns(X, check)
                 yt, norm_y = ((xt, norm_x) if symmetric
                               else _unit_columns(Y, check))
             # (B + E_j) x_j, and (B + E_j)^T y_j
-            W = np.asarray(op.matmat(X))
-            np.add.at(W, (rows, col), deltas * X[cols, col])
+            W = np.asarray(matmat(X))
+            if rows.size:
+                np.add.at(W, (rows, col), deltas * X[cols, col])
             if symmetric:
                 Z = W
             else:
-                Z = np.asarray(op.rmatmat(Y))
-                np.add.at(Z, (cols, col), deltas * Y[rows, col])
+                Z = np.asarray(rmatmat(Y))
+                if rows.size:
+                    np.add.at(Z, (cols, col), deltas * Y[rows, col])
             # free the iterates, so that the certificate's row copies below
             # do not raise the peak memory
             del X, Y
-            if check.size:
+            if checking:
                 wt = W.T[check]
                 yx = np.einsum("ij,ij->i", yt, xt)
                 rho = np.einsum("ij,ij->i", yt, wt) / yx
                 bound = tol * np.maximum(1.0, np.abs(rho))
                 res_r = _residual_norms(wt, rho, xt)
                 del wt
-                res_l = (res_r if symmetric
-                         else _residual_norms(Z.T[check], rho, yt))
-                done = ((res_r <= bound) & (res_l <= bound) & (yx > 0)
-                        & (xt.min(axis=1) >= 0) & (yt.min(axis=1) >= 0))
+                if symmetric:
+                    res_l, worst, lowest = res_r, res_r, xt.min(axis=1)
+                else:
+                    res_l = _residual_norms(Z.T[check], rho, yt)
+                    worst = np.maximum(res_r, res_l)
+                    lowest = np.minimum(xt.min(axis=1), yt.min(axis=1))
+                done = (worst <= bound) & (yx > 0) & (lowest >= 0)
                 for i in np.flatnonzero(done):
                     out[active[check[i]]] = PerronTriple(
                         rho=float(rho[i]), x=xt[i].copy(), y=yt[i].copy(),
                         kappa=1.0 / float(yx[i]),
                         residuals=(float(res_r[i]), float(res_l[i])),
                         iterations=per_step * step)
+                    images[active[check[i]]] = W[:, check[i]].copy()
+                if check.size == active.size and done.all():
+                    break
                 if step == 1:
                     top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
                     if top > 0:
                         scale = math.ldexp(1.0, -math.frexp(top)[1])
-                excess = np.maximum(res_r, res_l) / bound
-                since = seen[check] > 0
-                rate = (excess / seen_excess[check]) ** (
-                    1.0 / (step - seen[check]))
-                keep = (~done & (norm_x > 0) & (norm_y > 0)
+                excess = worst / bound
+                last = seen[check]
+                since = last > 0
+                rate = (excess / seen_excess[check]) ** (1.0 / (step - last))
+                keep = (~done & (np.minimum(norm_x, norm_y) > 0)
                         & np.isfinite(norm_x + norm_y)
                         & (~since | (excess * rate ** (BLOCK_MAX_STEPS - step)
                                      <= 1.0)))
@@ -462,11 +521,12 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
                     # compress keeps the C order a mask index would not
                     W = W.compress(stay, axis=1)
                     Z = W if symmetric else Z.compress(stay, axis=1)
+                next_check = int(due.min())
             W *= scale
             if not symmetric:
                 Z *= scale
             X, Y = W, Z
-    return out
+    return out, images
 
 
 def perron_dense_oracle(m: np.ndarray, imag_tol: float = 1e-8) -> PerronTriple:

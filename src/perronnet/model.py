@@ -37,8 +37,8 @@ import scipy.sparse as sp
 from .errors import DenseCapError, InputError, ParseError
 
 # scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
-# users, _one_strong_component and supra_operator, so that loading a
-# network imports neither
+# users, _reaches, _one_strong_component and supra_operator, so that
+# loading a network imports neither
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
 
@@ -151,16 +151,26 @@ class Network:
         return (self.arcs + self.gamma * coupling).tocsr()
 
     @cached_property
+    def arcs_t(self) -> sp.csr_matrix:
+        """The CSR transpose of ``arcs``, built on first use; on undirected
+        input ``arcs`` itself."""
+        return self.arcs.T.tocsr() if self.directed else self.arcs
+
+    @cached_property
     def _strongly_connected(self) -> bool:
         """:func:`is_strongly_connected` without an update, found on first
         use: the CLI's warning and a connected removal scan share it."""
         return _one_strong_component(self.supra)
 
     def weight(self, e: EdgeKey) -> float:
-        """Weight of the arc ``e``: a stored arc, or a multiplex coupling."""
+        """Weight of the arc ``e``: a stored arc, or a multiplex coupling
+        (i == j, k != l), which is gamma."""
         e.validate(self.N, self.L)
-        return float(self.supra[flat_index(e.i, e.k, self.N),
-                                flat_index(e.j, e.l, self.N)])
+        if self.multiplex and e.i == e.j and e.k != e.l:
+            return float(self.gamma)
+        p = _position(self.arcs, flat_index(e.i, e.k, self.N),
+                      flat_index(e.j, e.l, self.N))
+        return float(self.arcs.data[p]) if p >= 0 else 0.0
 
     def edges(self):
         """Iterate the stored arcs as (EdgeKey, weight) in supra row order.
@@ -176,6 +186,14 @@ class Network:
 
     def edge_count(self) -> int:
         return self.arcs.nnz
+
+
+def _position(m, r: int, c: int) -> int:
+    """Position of the entry (r, c) in the arrays of the CSR matrix ``m``,
+    whose indices are sorted, or -1 when ``m`` stores none."""
+    lo, hi = m.indptr[r], m.indptr[r + 1]
+    p = lo + int(np.searchsorted(m.indices[lo:hi], c))
+    return p if p < hi and m.indices[p] == c else -1
 
 
 def _same_csr(m, other) -> bool:
@@ -502,8 +520,9 @@ def supra_operator(net: Network) -> LinearOperator:
     """Matrix-free supra-adjacency operator B, with products B v and B^T v
     and, on an NL x k block V, B V and B^T V.
 
-    The stored arcs multiply as one CSR matrix and its CSR transpose (on
-    undirected input the matrix itself); a multiplex adds its gamma
+    The stored arcs multiply as one CSR matrix and its CSR transpose,
+    ``net.arcs_t``, built once per network (on undirected input the
+    matrix itself); a multiplex adds its gamma
     coupling blockwise, (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k}
     v_(m), at O(NL) per column, where ``net.supra`` stores NL(L - 1)
     coupling entries.
@@ -511,8 +530,7 @@ def supra_operator(net: Network) -> LinearOperator:
     from scipy.sparse.linalg import LinearOperator
 
     N, L, g = net.N, net.L, net.gamma or 0.0
-    arcs = net.arcs
-    arcs_t = arcs.T.tocsr() if net.directed else arcs
+    arcs, arcs_t = net.arcs, net.arcs_t
 
     def apply(m, V):
         V = np.asarray(V, dtype=float)
@@ -541,13 +559,55 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
     update, an entry that becomes 0 dropping its edge, as
     :func:`apply_update` would leave it, without building that network.
-    Without an update the answer is found once per network."""
+    Without an update the answer is found once per network.
+
+    On a strongly connected base, an update that adds no edge keeps it so
+    iff the head v of each edge u -> v it drops is still reachable from
+    its tail u: one breadth-first search per distinct u decides it, and
+    an update that drops no edge needs none.  A base that is not strongly
+    connected, or an update that adds an edge, gets a strong-component
+    pass of the updated matrix."""
     if update is None:
         return net._strongly_connected
     rows, cols, deltas = update
-    # a sum of CSR matrices stores no entry that comes out 0
-    return _one_strong_component(
-        net.supra + sp.csr_matrix((deltas, (rows, cols)), shape=net.supra.shape))
+    B = net.supra
+    # the update's entries, repeats summed as a sparse sum does
+    sums = {}
+    for r, c, delta in zip(*(np.asarray(v).tolist() for v in update)):
+        sums[r, c] = sums.get((r, c), 0.0) + delta
+    at = {rc: _position(B, *rc) for rc in sums}
+    if not net._strongly_connected or any(
+            p < 0 and sums[rc] != 0 for rc, p in at.items()):
+        # a sum of CSR matrices stores no entry that comes out 0
+        return _one_strong_component(
+            B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape))
+    gone = [rc for rc, p in at.items() if p >= 0 and B.data[p] + sums[rc] == 0]
+    if not gone:
+        return True
+    # B without the dropped edges: each u -> v becomes the self-loop
+    # u -> u, which lies on no path between two other nodes (B + update
+    # builds the same graph at about three times the cost of a search)
+    indices = B.indices.copy()
+    for rc in gone:
+        indices[at[rc]] = rc[0]
+    return _reaches(sp.csr_matrix((B.data, indices, B.indptr), shape=B.shape),
+                    gone)
+
+
+def _reaches(graph, arcs) -> bool:
+    """True iff the head of each arc ``(tail, head)`` is reachable from its
+    tail in the directed graph of the sparse matrix ``graph``: one
+    breadth-first search per distinct tail."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    heads = {}
+    for u, v in arcs:
+        heads.setdefault(u, []).append(v)
+    for u, vs in heads.items():
+        reached = breadth_first_order(graph, u, return_predecessors=False)
+        if not all((reached == v).any() for v in vs):
+            return False
+    return True
 
 
 def _one_strong_component(B) -> bool:

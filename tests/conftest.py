@@ -183,11 +183,13 @@ def bfs_strongly_connected(B):
 
 def brute_insertion_ranking(rho, x, y, net, top_k, candidate_set="all"):
     """Enumerate every candidate pair's score directly from the dense outer
-    product; mirrors the documented pair semantics."""
+    product; mirrors the documented pair semantics and the documented
+    rounding (kappa * y_a) * x_b, as brute_removal_ranking does, so that
+    arcs whose scores tie in exact arithmetic fall to the tie key."""
     kappa = 1.0 / float(y @ x)
     N, L = net.N, net.L
     n = N * L
-    S = kappa * np.outer(y, x)
+    S = np.outer(kappa * y, x)
     best = {}
     for a in range(n):
         for b in range(n):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,6 +618,27 @@ def test_usage_error_is_input_error(capsys, args, message):
     assert err.count("\n") == 1
 
 
+GOLDEN_USAGE = Path(__file__).with_name("cli_usage_golden.json")
+
+
+def test_help_and_usage_errors_keep_the_eager_parsers_text(capsys,
+                                                           monkeypatch):
+    # each subcommand's arguments are added only when it parses or prints
+    # its help; the texts stay those of the parser that added them all
+    golden = json.loads(GOLDEN_USAGE.read_text(encoding="utf-8"))
+    if tuple(golden["python"]) != sys.version_info[:2]:
+        pytest.skip("argparse words its help differently on this Python")
+    monkeypatch.setenv("COLUMNS", str(golden["columns"]))
+    for case in golden["cases"]:
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["code"], case["stdout"],
+                                    case["stderr"]), case["argv"]
+
+
 SPECTRUM = {"input", "--input-format", "--gamma", "--directed", "--format",
             "--tol"}
 SENSITIVITY = SPECTRUM | {"--epsilon", "--top-k", "--structured"}
@@ -625,6 +647,9 @@ SENSITIVITY = SPECTRUM | {"--epsilon", "--top-k", "--structured"}
 def test_each_subcommand_takes_only_the_options_it_reads():
     [sub] = [a for a in cli.build_parser()._actions
              if isinstance(a, argparse._SubParsersAction)]
+    # a subparser adds its arguments on its first parse or help text
+    for p in sub.choices.values():
+        p.format_usage()
     got = {name: {"/".join(a.option_strings) or a.dest for a in p._actions
                   if not isinstance(a, argparse._HelpAction)}
            for name, p in sub.choices.items()}

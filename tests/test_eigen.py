@@ -6,10 +6,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from perronnet import (ConvergenceError, assemble_dense, condition_number,
-                       perron, perron_dense_oracle, supra_operator)
+from perronnet import (ConvergenceError, Network, assemble_dense,
+                       condition_number, perron, perron_dense_oracle,
+                       supra_operator)
+from perronnet import eigen
 from perronnet.eigen import _scipy_openblas
 
 from conftest import (dense_perron_pair, multilayer_from_dense,
@@ -441,6 +444,141 @@ def test_cold_solve_product_count_guard():
 
 
 # ---------------------------------------------------------------------------
+# the power phase of a cold solve, and its hand-over to ARPACK
+
+def benchmark_shaped_general(seed, N, L, arcs_per_node=6, inter=0.25):
+    """A directed general network shaped like the benchmark's: a ring
+    through every node-layer plus random arcs, a share ``inter`` of them
+    between layers."""
+    rng = np.random.default_rng(seed)
+    n, m = N * L, arcs_per_node * N * L
+    perm = rng.permutation(n)
+    k = rng.integers(0, L, m)
+    l = np.where(rng.random(m) < inter, (k + rng.integers(1, L, m)) % L, k)
+    a = np.concatenate([perm, k * N + rng.integers(0, N, m)])
+    b = np.concatenate([np.roll(perm, -1), l * N + rng.integers(0, N, m)])
+    keep = a != b
+    B = sp.csr_matrix((rng.integers(32, 97, keep.sum()) / 64.0,
+                       (a[keep], b[keep])), shape=(n, n))
+    return Network(N, L, B, True)
+
+
+def arpack_calls(monkeypatch):
+    """A list that grows by the operator of each call of ARPACK's
+    ``eigs``."""
+    seen = []
+    real = eigen.eigs
+
+    def eigs(A, *args, **kwargs):
+        seen.append(A)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigen, "eigs", eigs)
+    return seen
+
+
+def no_arpack(monkeypatch):
+    def eigs(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    monkeypatch.setattr(eigen, "eigs", eigs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: benchmark_shaped_general(3, N=1000, L=4),
+    lambda: random_multiplex_net(12, N=2000, L=4, gamma=1.0, density=0.003)])
+def test_cold_benchmark_shaped_solve_makes_no_arpack_call(monkeypatch, make):
+    net = make()
+    no_arpack(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op)
+    assert t.iterations == len(calls) <= 2 * eigen.BLOCK_MAX_STEPS + 4
+    B = net.supra
+    bound = 1e-10 * t.rho
+    assert np.linalg.norm(B @ t.x - t.rho * t.x) <= bound
+    assert np.linalg.norm(B.T @ t.y - t.rho * t.y) <= bound
+    assert (t.x >= 0).all() and (t.y >= 0).all()
+    if not net.directed:
+        assert np.array_equal(t.x, t.y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: benchmark_shaped_general(4, N=100, L=4),
+    lambda: random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)])
+def test_cold_power_phase_matches_the_dense_oracle(monkeypatch, make):
+    net = make()
+    no_arpack(monkeypatch)
+    t = perron(supra_operator(net))
+    B = assemble_dense(net)
+    oracle = perron_dense_oracle(B)
+    assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
+    assert np.abs(t.x - oracle.x).max() < 1e-8
+    assert np.abs(t.y - oracle.y).max() < 1e-8
+    assert t.kappa == pytest.approx(oracle.kappa, rel=1e-8)
+    assert_valid_triple(t, B)
+
+
+def two_dense_layers(gamma=1e-3, N=10):
+    # layers A and 1.001 A: the two leading eigenvalues lie within about
+    # 0.01 of each other, and the uniform start is orthogonal to neither
+    rng = np.random.default_rng(9)
+    A = np.triu(rng.uniform(0.5, 1.5, (N, N)), 1)
+    return multiplex_from_layers([A + A.T, 1.001 * (A + A.T)], gamma=gamma)
+
+
+def airlines_shaped():
+    # N=417, L=37 as the European airlines multiplex: 20-200 random edges
+    # per layer, and a ring through every node in layer 1
+    rng = np.random.default_rng(2024)
+    N, L = 417, 37
+    layers = []
+    for layer in range(L):
+        m = int(rng.integers(20, 201))
+        seen = set()
+        if layer == 0:
+            perm = rng.permutation(N)
+            seen = {(min(a, b), max(a, b))
+                    for a, b in zip(perm, np.roll(perm, -1))}
+        while len(seen) < m + (N if layer == 0 else 0):
+            a, b = rng.integers(0, N, 2)
+            if a != b:
+                seen.add((min(a, b), max(a, b)))
+        a, b = np.array(sorted(seen)).T
+        A = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(N, N))
+        layers.append(A + A.T)
+    return Network(N, L, sp.block_diag(layers, format="csr"), False,
+                   gamma=1.0)
+
+
+# the most products the power phase makes before it hands a side over:
+# its first check step and one stall interval, and a second interval
+# where the first still sees the start's transient die out (the small gap)
+@pytest.mark.parametrize("case, waste", [
+    ("periodic", eigen._STALL_STEPS + 1),
+    ("airlines-shaped", eigen._STALL_STEPS + 1),
+    ("small-gap", 2 * eigen._STALL_STEPS + 1)])
+def test_periodic_and_small_gap_sides_go_to_arpack(monkeypatch, demo_net,
+                                                   case, waste):
+    net = {"periodic": lambda: demo_net, "airlines-shaped": airlines_shaped,
+           "small-gap": two_dense_layers}[case]()
+    seen = arpack_calls(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op)
+    # ARPACK solved each side the power phase handed over, and iterations
+    # counts that phase's products too
+    sides = len(seen)
+    assert sides == (1 if net.multiplex else 2)
+    assert t.iterations == len(calls)
+    if net.dim <= 1000:
+        assert_valid_triple(t, assemble_dense(net))
+    # a warm start from the same vector goes to ARPACK at once
+    no_phase = perron(supra_operator(net), x0=np.full(net.dim, 1.0))
+    assert t.rho == no_phase.rho
+    wasted = t.iterations - no_phase.iterations
+    assert sides * (eigen._STALL_STEPS + 1) <= wasted <= sides * waste
+
+
+# ---------------------------------------------------------------------------
 # ARPACK's BLAS threads
 
 def test_arpack_runs_on_one_blas_thread_and_restores_the_count(demo_net):
@@ -464,7 +602,9 @@ def test_arpack_runs_on_one_blas_thread_and_restores_the_count(demo_net):
         assert get() == 2
         assert 1 in threads  # the products ARPACK asked for
         with pytest.raises(ConvergenceError):
-            perron(op, max_iter=3)  # raised inside ARPACK's reverse loop
+            # a warm start goes to ARPACK at once: raised inside its
+            # reverse loop
+            perron(op, max_iter=3, x0=np.linspace(1.0, 2.0, op.shape[0]))
         assert get() == 2
     finally:
         set_(before)
@@ -516,9 +656,12 @@ cols = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, 6 * n)])
 keep = rows != cols
 B = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
                    (rows[keep], cols[keep])), shape=(n, n))
-t = perron(supra_operator(Network(150, 4, B, True)))
-print(t.rho.hex(), t.kappa.hex(), t.iterations,
-      hashlib.sha256(t.x.tobytes() + t.y.tobytes()).hexdigest())
+op = supra_operator(Network(150, 4, B, True))
+# a cold solve, and a warm one from a skewed start, which ARPACK makes
+start = np.linspace(1.0, 2.0, n)
+for t in (perron(op), perron(op, x0=start, y0=start[::-1])):
+    print(t.rho.hex(), t.kappa.hex(), t.iterations,
+          hashlib.sha256(t.x.tobytes() + t.y.tobytes()).hexdigest())
 """
 
 

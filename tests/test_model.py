@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from perronnet import (EdgeKey, InputError, Network, ParseError,
                        apply_edge_delta, assemble_dense, cli,
@@ -195,6 +196,26 @@ def test_supra_is_the_coupled_reference_bitwise(directed, gamma, L):
     assert B.toarray().tobytes() == want.tobytes()
 
 
+def test_weight_reads_every_entry_of_the_supra_matrix():
+    nets = [random_general_net(5, N=4, L=3, density=0.3)[0],
+            multilayer_from_dense(supra_reference(random_multiplex_net(
+                6, N=4, L=3, density=0.4)), 4, 3, directed=False)]
+    for directed in (False, True):
+        mpx = random_multiplex_net(7, N=4, L=3, gamma=0.7, density=0.4,
+                                   directed=directed)
+        nets += [mpx, replace(mpx, gamma=0.0)]
+    for net in nets:
+        B = net.supra.toarray()
+        for a in range(net.dim):
+            for b in range(net.dim):
+                (i, k), (j, l) = (model.unflatten_index(v, net.N)
+                                  for v in (a, b))
+                assert net.weight(EdgeKey(i, j, k, l)) == B[a, b]
+        # the transposed arcs the operator multiplies by, cached
+        assert net.arcs_t is net.arcs_t
+        assert (net.arcs_t != net.arcs.T).nnz == 0
+
+
 def test_supra_operator_trivial_coupling():
     net = multiplex_from_layers([np.zeros((1, 1)), np.zeros((1, 1))], gamma=1.0)
     op = supra_operator(net)
@@ -333,10 +354,13 @@ def test_strongly_connected_cycle_and_isolated():
 
 def test_base_connectivity_is_found_once_per_network(monkeypatch):
     # the CLI's warning and a connected removal scan ask the same question
-    passes = []
+    passes, searches = [], []
     one_component = model._one_strong_component
     monkeypatch.setattr(model, "_one_strong_component",
                         lambda B: passes.append(B) or one_component(B))
+    search = csgraph.breadth_first_order
+    monkeypatch.setattr(csgraph, "breadth_first_order",
+                        lambda *a, **kw: searches.append(a) or search(*a, **kw))
     net = random_general_net(3, N=5, L=2)[0]
     assert is_strongly_connected(net) == is_strongly_connected(net)
     assert len(passes) == 1
@@ -344,9 +368,12 @@ def test_base_connectivity_is_found_once_per_network(monkeypatch):
     update = edge_update(net, e, -w)
     assert is_strongly_connected(net, update) == is_strongly_connected(
         net, update)
-    assert len(passes) == 3
+    # the base is strongly connected: one search per call from the tail of
+    # the dropped arc, and no strong-component pass, none cached
+    assert len(passes) == 1
+    assert len(searches) == 2
     is_strongly_connected(apply_update(net, update))
-    assert len(passes) == 4
+    assert len(passes) == 2
 
 
 def test_demo_connected_after_arc_removal(demo_net):
@@ -420,6 +447,104 @@ def test_connectivity_after_an_update_matches_the_updated_network():
             assert is_strongly_connected(net, update) == is_strongly_connected(
                 apply_update(net, update))
     assert answers == {True, False}
+
+
+def _by_components(net, update):
+    """The strong-component answer on the network the update makes."""
+    return model._one_strong_component(apply_update(net, update).supra)
+
+
+def _joined(*updates):
+    return tuple(np.concatenate(v) for v in zip(*updates))
+
+
+def test_reachability_matches_the_component_pass_on_mirrored_removals():
+    # both arcs of a directed pair, where the reverse arc exists
+    answers = set()
+    for seed in range(4):
+        dense = random_general_net(seed, N=4, L=2, density=0.4)[0]
+        assert is_strongly_connected(dense)
+        for net in _bridged_nets(seed) + [dense]:
+            for e, w in net.edges():
+                r = e.reversed()
+                if not net.directed or r == e or net.weight(r) == 0:
+                    continue
+                update = _joined(edge_update(net, e, -w),
+                                 edge_update(net, r, -net.weight(r)))
+                got = is_strongly_connected(net, update)
+                assert got == _by_components(net, update)
+                answers.add(got)
+    assert answers == {True, False}
+
+
+def test_an_update_that_keeps_every_arc_needs_no_search(monkeypatch):
+    searches = []
+    search = csgraph.breadth_first_order
+    monkeypatch.setattr(csgraph, "breadth_first_order",
+                        lambda *a, **kw: searches.append(a) or search(*a, **kw))
+    for net in _bridged_nets(0):
+        for e, w in net.edges():
+            # lowered but kept, and lowered by two entries that sum to less
+            # than its weight
+            for update in (edge_update(net, e, -w / 2),
+                           _joined(edge_update(net, e, -w / 4),
+                                   edge_update(net, e, -w / 4))):
+                assert is_strongly_connected(net, update)
+                assert _by_components(net, update)
+    assert searches == []
+
+
+def test_reachability_counts_repeated_entries_and_added_arcs():
+    answers = set()
+    for seed in range(2):
+        for net in _bridged_nets(seed):
+            edges = list(net.edges())
+            for (e, w), (f, _) in zip(edges, edges[1:] + edges[:1]):
+                # dropped in two halves; dropped while another arc is added
+                absent = EdgeKey(f.j, f.i, f.l, f.k)
+                for update in (_joined(edge_update(net, e, -w / 2),
+                                       edge_update(net, e, -w / 2)),
+                               _joined(edge_update(net, e, -w),
+                                       edge_update(net, absent, 0.5))):
+                    if net.multiplex and absent.i == absent.j:
+                        continue
+                    got = is_strongly_connected(net, update)
+                    assert got == _by_components(net, update)
+                    answers.add(got)
+    assert answers == {True, False}
+    # a directed ring 0 -> 1 -> ... -> 7 -> 0 without its arc 3 -> 4: the
+    # arcs 3 -> 5 and 2 -> 4 added with the removal keep it connected,
+    # 3 -> 5 alone does not
+    ring = multilayer_from_dense(np.roll(np.eye(8), 1, axis=1), 4, 2)
+    for added, want in (([5, 4], True), ([5], False)):
+        tails = [3] + [3, 2][:len(added)]
+        update = (np.array(tails), np.array([4] + added),
+                  np.array([-1.0] + [0.5] * len(added)))
+        assert is_strongly_connected(ring, update) is want
+        assert _by_components(ring, update) is want
+
+
+def test_disconnected_base_with_added_arcs_matches_the_component_pass():
+    # a directed ring without its arc 7 -> 0, then one arc added: that
+    # arc, or one that leaves 0 without an arc in, or a chord
+    n = 8
+    B = np.roll(np.eye(n), 1, axis=1)
+    B[n - 1, 0] = 0.0
+    net = multilayer_from_dense(B, 4, 2)
+    assert not is_strongly_connected(net)
+    cases = {(n - 1, 0): True, (n - 1, 1): False, (5, 2): False}
+    for (a, b), want in cases.items():
+        update = (np.array([a]), np.array([b]), np.array([0.5]))
+        assert is_strongly_connected(net, update) is want
+        assert _by_components(net, update) is want
+    # and with a chord 0 -> 2, an update that only lowers an arc or drops
+    # the chord, whose head stays reachable from its tail
+    B[0, 2] = 1.0
+    net = multilayer_from_dense(B, 4, 2)
+    for update in ((np.array([3]), np.array([4]), np.array([-0.5])),
+                   (np.array([0]), np.array([2]), np.array([-1.0]))):
+        assert is_strongly_connected(net, update) is False
+        assert _by_components(net, update) is False
 
 
 # ---------------------------------------------------------------------------
