@@ -151,7 +151,7 @@ def hub_authority_communicability(net: Network, tol: float = 1e-10,
     op = supra_operator(net)
     out = []
     for gram in (op @ op.H, op.H @ op):
-        t = perron(gram, tol=tol, max_iter=max_iter)
+        t = perron(gram, tol=tol, max_iter=max_iter, symmetric=True)
         s = float(t.x.sum())
         out.append(exp0(t.rho) * s * s)
     return tuple(out)

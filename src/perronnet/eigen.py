@@ -6,19 +6,36 @@ The dominant eigenpair problem
 
 is solved matrix-free once on B for x and once on B^T for y, except
 that an x which already solves the left problem (every symmetric
-operator) is taken as y.  A cold solve runs each side first by the power
-iteration of :func:`perron_block`, one column without an update, whose
-products are counted like every other; ARPACK's implicitly restarted
-Arnoldi method (Lehoucq, Sorensen and Yang, 1998), through
-``scipy.sparse.linalg.eigs``, solves a side that iteration hands over
-(a periodic, reducible or small-gap operator), every warm start and the
-machine-precision retry.  The power iteration pays where the spectral
-gap is large: on the benchmark's random networks it accepts each side
-in 30-55 products, where ARPACK spends most of its time in its own
-bookkeeping and its Python reverse-communication loop around products
-of a few tens of microseconds.  A side it hands over costs its first
-check step and at least one stall interval of products more than
-ARPACK alone.
+operator) is taken as y.  Which solver runs when:
+
+- a cold solve of an operator flagged symmetric (undirected input, Gram
+  operators) runs the plain Lanczos recurrence (Lanczos, 1950; Paige,
+  1976) on x.  It takes the largest eigenvalue, the Perron root also
+  where -rho is one (bipartite graphs).  Its error falls at a rate set
+  by the square root of the relative spectral gap, the power
+  iteration's by the gap itself: 27 products against 52-56 on the
+  benchmark's undirected multiplexes, and 40 on an airlines-shaped one
+  (N=417, L=37), which the power iteration hands to ARPACK.  A Ritz
+  vector that fails the sign test, as the zero entries of a reducible
+  operator's Perron vector can, goes to the power iteration;
+- any other cold solve runs each side first by the power iteration of
+  :func:`perron_block`, one column without an update.  It pays where
+  the spectral gap is large: on the benchmark's directed networks it
+  accepts each side in 30-55 products, where ARPACK spends most of its
+  time in its own bookkeeping and its Python reverse-communication loop
+  around products of a few tens of microseconds.  A side it hands over
+  (a periodic, reducible or small-gap operator) costs its first check
+  step and at least one stall interval of products more than ARPACK
+  alone;
+- ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen and
+  Yang, 1998), through ``scipy.sparse.linalg.eigs``, solves a side that
+  either hands over, every warm start and the machine-precision retry.
+
+Every product, of any solver, is counted in ``iterations`` and against
+the budget ``max_iter``, and a non-finite one fails at once.  Inner
+products and norms are summed by numpy's own loop, not BLAS, so that a
+triple's bits do not depend on the BLAS thread count.
+
 Operators of order < 3, which ARPACK cannot take, are solved densely
 from n products each; their vectors pass the same certification.  A
 dense full eigendecomposition is available as an independent oracle
@@ -107,7 +124,7 @@ class PerronTriple:
 def condition_number(t: PerronTriple) -> float:
     """kappa(rho) = 1 / (y^T x): worst-case first-order amplification of a
     unit-norm perturbation into a shift of the root."""
-    return 1.0 / float(t.y @ t.x)
+    return 1.0 / _dot(t.y, t.x)
 
 
 def _start_vector(v0, n: int) -> np.ndarray:
@@ -117,6 +134,16 @@ def _start_vector(v0, n: int) -> np.ndarray:
     if v0.shape != (n,) or (v0 <= 0).any():
         raise InputError("start vector must be strictly positive of length n")
     return v0 / np.linalg.norm(v0)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a^T b by numpy's own summation loop, not BLAS: the bits do not
+    depend on how many threads OpenBLAS would split a long vector over."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(_dot(v, v))
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -129,7 +156,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
             "computed eigenvector has nonpositive entries; the operator is "
             "likely reducible or the iteration broke down")
     np.clip(v, 0.0, None, out=v)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0:
         raise ConvergenceError("computed eigenvector vanished")
     return v / n
@@ -225,15 +252,89 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def _power(apply, start, image, tol):
+    """The power iteration of :func:`perron_block` (one column, no
+    update, one side) from the image of ``start``: its vector and image
+    once it passes that block's certificate, else None.  ``start`` itself
+    is not read; the signature is :func:`_lanczos`'s."""
+    empty = np.empty(0, dtype=np.int64)  # no update entries
+    (found,), (found_image,) = _power_columns(
+        apply, None, image[:, None], None, (empty,) * 4, tol)
+    return None if found is None else (found.x, found_image)
+
+
+def _lanczos(apply, start, image, tol):
+    """The dominant eigenvector of the symmetric ``apply`` and its image,
+    by the plain Lanczos recurrence from the unit ``start``, whose image
+    is given (Lanczos, 1950; in finite precision, Paige, 1976), or None.
+
+    The basis holds at most :data:`BLOCK_MAX_STEPS` vectors, grown as
+    needed.  The top Ritz pair of the tridiagonal matrix is checked at
+    step 1 and then at the step its estimated residual, shrinking at its
+    rate since the last check, predicts it passes, at most
+    ``_STALL_STEPS`` later.  When that estimate is within
+    tol * max(1, theta), the Ritz vector, with its sign fixed, is
+    returned with a fresh product, for :func:`perron` to certify.  A
+    recurrence that breaks down, its next vector below tol in norm, has
+    found an invariant subspace and is checked at once, where its
+    estimate passes.  A Ritz vector that fails the sign test is handed to
+    :func:`_power`; no pass within the cap returns None."""
+    cap = min(BLOCK_MAX_STEPS, start.size)
+    # one array per vector: they fit memory the heap already holds, where
+    # one growing block maps fresh pages (on the benchmark's multiplexes
+    # 2 MB more peak RSS than the power iteration, against under 1 MB)
+    basis = [start]
+    T = np.zeros((cap, cap))  # the tridiagonal matrix, upper half set
+    w = image.copy()
+    due, seen, seen_excess = 1, 0, 1.0
+    for step in range(1, cap + 1):
+        q = basis[-1]
+        if step > 1:
+            w -= T[step - 2, step - 1] * basis[-2]
+        T[step - 1, step - 1] = alpha = _dot(q, w)
+        w -= alpha * q
+        beta = _norm(w)
+        if step == due or step == cap or beta <= tol:
+            theta, s = np.linalg.eigh(T[:step, :step], UPLO="U")
+            bound = tol * max(1.0, abs(theta[-1]))
+            excess = beta * abs(s[-1, -1]) / bound
+            if excess <= 1.0:
+                x = np.zeros(start.size)
+                for c, v in zip(s[:, -1], basis):
+                    x += c * v
+                try:
+                    x = _fix_sign(x)
+                except ConvergenceError:
+                    # entries that are 0 in a reducible operator's Perron
+                    # vector (gamma = 0) come out of either sign here; the
+                    # power iteration keeps every iterate nonnegative
+                    del basis
+                    return _power(apply, start, image, tol)
+                return x, apply(x)
+            if step == cap:
+                return None
+            # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
+            wait = _STALL_STEPS
+            if seen:
+                rate = (excess / seen_excess) ** (1.0 / (step - seen))
+                if rate < 1.0:
+                    wait = min(wait, math.ceil(math.log(excess)
+                                               / -math.log(rate)))
+            due, seen, seen_excess = step + max(wait, 1), step, excess
+        T[step - 1, step] = beta
+        basis.append(w / beta)
+        w = apply(basis[-1])
+    return None
+
+
 def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
-              power: bool = False) -> tuple[np.ndarray, np.ndarray]:
+              first=None) -> tuple[np.ndarray, np.ndarray]:
     """Unit nonnegative dominant eigenvector v of ``apply`` (a product with
     B or B^T) and its image apply(v).  The unit start vector is returned
     as it is when its residual is already within tol * max(1, rho).
-    With ``power``, the power iteration of :func:`perron_block` (one
-    column, no update, this side only) runs on from its image, and its
-    vector is returned once it passes that block's certificate.
-    Otherwise, or when that iteration hands the vector over, ARPACK
+    Otherwise ``first``, :func:`_power` or :func:`_lanczos` when given,
+    runs on from its image, and its vector is returned when it finds one.
+    When it does not, or without it, ARPACK
     starts from ``start``, with relative tolerance ``tol`` (0: machine
     precision).  The explicit ``v0`` and the fixed ``rng`` (drawn from
     only when a Krylov space closes early) keep every run deterministic.
@@ -241,15 +342,13 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
     from n products, goes to ``np.linalg.eig``, and the eigenvalue of
     largest real part is taken, as ARPACK's is."""
     image = apply(start)
-    rho = float(start @ image)
-    if np.linalg.norm(image - rho * start) <= tol * max(1.0, abs(rho)):
+    rho = _dot(start, image)
+    if _norm(image - rho * start) <= tol * max(1.0, abs(rho)):
         return start, image
-    if power:
-        empty = np.empty(0, dtype=np.int64)  # no update entries
-        (found,), (found_image,) = _power_columns(
-            apply, None, image[:, None], None, (empty,) * 4, tol)
+    if first is not None:
+        found = first(apply, start, image, tol)
         if found is not None:
-            return found.x, found_image
+            return found
     n = start.size
     if n < 3:
         vals, vecs = np.linalg.eig(np.column_stack([apply(e)
@@ -275,23 +374,32 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
 def perron(op, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
-           y0: np.ndarray | None = None) -> PerronTriple:
+           y0: np.ndarray | None = None,
+           symmetric: bool = False) -> PerronTriple:
     """Perron triple of ``op``, on B for x and on B^T for y: from a cold
-    start by a power iteration first, and by ARPACK for a side it hands
-    over (a dense solve of the n x n matrix below order 3).
+    start by a power iteration first, or by the Lanczos recurrence when
+    ``symmetric``, and by ARPACK for a side either hands over (a dense
+    solve of the n x n matrix below order 3).
 
     ``op`` is anything ``aslinearoperator`` takes: a ``LinearOperator``
     with ``rmatvec``, such as :func:`~perronnet.model.supra_operator`, or
-    a dense or sparse matrix.
+    a dense or sparse matrix.  ``symmetric`` says that B is symmetric, as
+    on undirected input; only the choice of cold solver reads it.
 
     Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
     vectors x0/y0 are supplied, e.g. the Perron pair of a nearby
-    operator.  Without them each side first runs the power iteration of
-    :func:`perron_block` on its own, one column without an update; its
+    operator.  Without them each side first runs, with ``symmetric``, the
+    Lanczos recurrence of :func:`_lanczos`, which takes the largest
+    eigenvalue and so the Perron root also where -rho is one (bipartite
+    graphs), and hands a vector that fails the sign test to the power
+    iteration; without ``symmetric``, the power iteration of
+    :func:`perron_block` on its own, one column without an update, whose
     stall test hands a periodic, reducible or small-gap side to ARPACK
-    within a few steps.  A warm start goes to ARPACK at once.  Both
-    solvers take the eigenvalue of largest real part, which
+    within a few steps.  A side that either does not accept within
+    :data:`BLOCK_MAX_STEPS` products goes to ARPACK from the same start,
+    and a warm start goes to ARPACK at once.  ARPACK takes the eigenvalue
+    of largest real part, which
     for a nonnegative irreducible operator is the Perron root even when
     the spectrum holds further eigenvalues of modulus rho (periodic
     graphs).  The root is the two-sided Rayleigh quotient
@@ -299,9 +407,10 @@ def perron(op, tol: float = DEFAULT_TOL,
     norms, computed from fresh products, are within tol * max(1, rho).
     A residual above that bound sends both sides to one more solve by
     ARPACK, to machine precision; y^T x <= 0 fails at once.
-    ``iterations`` counts operator products, those of the power
-    iteration and of ARPACK, at every order, and ``max_iter`` bounds
-    them.
+    ``iterations`` counts operator products, at every order: those of the
+    Lanczos recurrence or the power iteration, with each accepted
+    vector's fresh product, those of ARPACK, and the product with B^T
+    that checks x against the left problem.  ``max_iter`` bounds them.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -312,24 +421,26 @@ def perron(op, tol: float = DEFAULT_TOL,
     v = u.copy() if cold else _start_vector(y0, n)
     prod = _Products(op, max_iter)
     for arpack_tol in (tol, 0.0):
-        power = cold and arpack_tol == tol
-        x, w = _dominant(prod.matvec, u, arpack_tol, prod, power)
-        rho = float(x @ w)
+        first = None
+        if cold and arpack_tol == tol:
+            first = _lanczos if symmetric else _power
+        x, w = _dominant(prod.matvec, u, arpack_tol, prod, first)
+        rho = _dot(x, w)
         bound = tol * max(1.0, abs(rho))
         z = prod.rmatvec(x)
-        if np.linalg.norm(z - rho * x) <= bound:
+        if _norm(z - rho * x) <= bound:
             y = x  # x also solves the left problem, e.g. B symmetric
         else:
-            y, z = _dominant(prod.rmatvec, v, arpack_tol, prod, power)
-        yx = float(y @ x)
+            y, z = _dominant(prod.rmatvec, v, arpack_tol, prod, first)
+        yx = _dot(y, x)
         if yx <= 0:
             raise prod.fail(
                 "left and right Perron vectors are orthogonal (y^T x = 0): "
                 "the operator is likely reducible")
-        rho = float(y @ w) / yx
+        rho = _dot(y, w) / yx
         bound = tol * max(1.0, abs(rho))
-        res_r = float(np.linalg.norm(w - rho * x))
-        res_l = float(np.linalg.norm(z - rho * y))
+        res_r = _norm(w - rho * x)
+        res_l = _norm(z - rho * y)
         prod.residuals = (res_r, res_l)
         if res_r <= bound and res_l <= bound:
             return PerronTriple(rho=rho, x=x, y=y, kappa=1.0 / yx,

@@ -37,8 +37,8 @@ import scipy.sparse as sp
 from .errors import DenseCapError, InputError, ParseError
 
 # scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
-# users, _reaches, _one_strong_component and supra_operator, so that
-# loading a network imports neither
+# users, _reaches, _coupled_connectivity, _one_strong_component and
+# supra_operator, so that loading a network imports neither
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
 
@@ -159,8 +159,12 @@ class Network:
     @cached_property
     def _strongly_connected(self) -> bool:
         """:func:`is_strongly_connected` without an update, found on first
-        use: the CLI's warning and a connected removal scan share it."""
-        return _one_strong_component(self.supra)
+        use: the CLI's warning and a connected removal scan share it.  A
+        multiplex with gamma > 0 is decided by :func:`_coupled_connectivity`
+        without building :attr:`supra`, where it can."""
+        if not self.gamma:
+            return _one_strong_component(self.arcs)
+        return _coupled_connectivity(self)
 
     def weight(self, e: EdgeKey) -> float:
         """Weight of the arc ``e``: a stored arc, or a multiplex coupling
@@ -608,6 +612,30 @@ def _reaches(graph, arcs) -> bool:
         if not all((reached == v).any() for v in vs):
             return False
     return True
+
+
+def _coupled_connectivity(net: Network) -> bool:
+    """Strong connectivity of a multiplex with gamma > 0 from the strong
+    components of its arcs alone.  The coupling joins the L copies of each
+    node both ways, so the components that hold one node's copies lie in
+    one strong component of B: when merging them leaves one class, B is
+    strongly connected.  On undirected input more than one class means it
+    is not.  On directed input a path of arcs can still run from one class
+    to another and back through another layer, and the strong-component
+    pass of ``net.supra`` decides."""
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(net.arcs, directed=True,
+                                         connection="strong")
+    if count == net.L:  # no arc leaves its layer: one component per layer
+        return True
+    copies = labels.reshape(net.L, net.N)
+    merge = sp.csr_matrix((np.ones(net.dim - net.N),
+                           (np.tile(copies[0], net.L - 1), copies[1:].ravel())),
+                          shape=(count, count))
+    if connected_components(merge, directed=False)[0] == 1:
+        return True
+    return net.directed and _one_strong_component(net.supra)
 
 
 def _one_strong_component(B) -> bool:

@@ -381,7 +381,8 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
         raise InputError("eps must be positive")
     if mode not in ("increase", "decrease", "remove"):
         raise InputError("mode must be 'increase', 'decrease' or 'remove'")
-    t = triple if triple is not None else perron(supra_operator(net), tol=tol)
+    t = triple if triple is not None else perron(
+        supra_operator(net), tol=tol, symmetric=not net.directed)
     if baseline_count is None:
         baseline_count = len(edges)
     baselines = _draw_baselines(t, net, mode, baseline_count, seed)

@@ -98,6 +98,13 @@ def random_general_net(seed, N, L, density=0.3):
     return multilayer_from_dense(B, N, L, directed=True), B
 
 
+def undirected_general_net(seed, N, L):
+    rng = np.random.default_rng(seed)
+    B = np.triu(random_general_dense(rng, N * L), 1)
+    B = B + B.T  # the cycle's arcs a -> a + 1 keep it connected
+    return multilayer_from_dense(B, N, L, directed=False), B
+
+
 def random_multiplex_net(seed, N, L, gamma=1.0, density=0.3, directed=False):
     """Random multiplex; a ring in layer 1 plus gamma > 0 coupling keeps the
     supra graph strongly connected."""
@@ -181,12 +188,19 @@ def bfs_strongly_connected(B):
     return covers(B > 0) and covers(B.T > 0)
 
 
+def condition_of(x, y):
+    """kappa = 1 / (y^T x), with y^T x summed as ``perron`` sums it, in
+    numpy's einsum loop: a BLAS dot may round the last bit the other way,
+    and the ranking oracles below break exact ties by kappa's bits."""
+    return 1.0 / float(np.einsum("i,i->", y, x))
+
+
 def brute_insertion_ranking(rho, x, y, net, top_k, candidate_set="all"):
     """Enumerate every candidate pair's score directly from the dense outer
     product; mirrors the documented pair semantics and the documented
     rounding (kappa * y_a) * x_b, as brute_removal_ranking does, so that
     arcs whose scores tie in exact arithmetic fall to the tie key."""
-    kappa = 1.0 / float(y @ x)
+    kappa = condition_of(x, y)
     N, L = net.N, net.L
     n = N * L
     S = np.outer(kappa * y, x)
@@ -224,7 +238,7 @@ def brute_insertion_ranking(rho, x, y, net, top_k, candidate_set="all"):
 
 
 def brute_removal_ranking(rho, x, y, net, top_k):
-    kappa = 1.0 / float(y @ x)
+    kappa = condition_of(x, y)
     N = net.N
     rows = []
     seen = set()

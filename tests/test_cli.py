@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import perronnet
-from perronnet import (EdgeKey, demo_network_path, load_multilayer, perron,
+from perronnet import (EdgeKey, assemble_dense, demo_network_path,
+                       load_multilayer, load_multiplex, perron,
                        supra_operator)
 from perronnet import cli, recommend
 from perronnet.cli import main
@@ -326,13 +327,35 @@ def test_removal_from_a_source_node_network_checks_the_base_once(
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
-    def exploding(op, tol=1e-10, max_iter=100000):
+    def exploding(op, tol=1e-10, max_iter=100000, symmetric=False):
         raise ConvergenceError("no convergence", iterations=1,
                                residuals=(1.0, 1.0))
     monkeypatch.setattr(cli, "perron", exploding)
     code, _, err = run_cli(capsys, "spectrum", DEMO, "--directed")
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_undirected_spectrum_runs_lanczos(capsys, tmp_path, monkeypatch):
+    # an even ring with uneven weights in each of two coupled layers: the
+    # supra graph is bipartite, so -rho is an eigenvalue, and the power
+    # iteration would hand the cold solve to ARPACK
+    from perronnet import eigen
+
+    def eigs(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    lines = ["6 2"] + [f"{k} {i} {i % 6 + 1} {0.5 + 0.1 * (i + k)}"
+                       for k in (1, 2) for i in range(1, 7)]
+    p = tmp_path / "rings.edges"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    B = assemble_dense(load_multiplex(p, gamma=1.0))
+    spectrum = np.linalg.eigvalsh(B)
+    assert spectrum[0] == pytest.approx(-spectrum[-1], rel=1e-12)
+    monkeypatch.setattr(eigen, "eigs", eigs)
+    code, out, _ = run_cli(capsys, "spectrum", str(p), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["rho"] == float(f"{spectrum[-1]:.6g}")
 
 
 def test_disconnected_input_warns_but_proceeds(capsys, tmp_path):

@@ -261,6 +261,27 @@ def test_hub_authority_share_spectral_radius(demo_net):
     assert th.rho == pytest.approx(ta.rho, rel=1e-9)
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_hub_and_authority_gram_solves_match_the_dense_oracle(monkeypatch,
+                                                              directed):
+    # B B^T and B^T B are symmetric for any B: both are solved by the
+    # Lanczos recurrence, with no ARPACK call
+    from perronnet import eigen
+
+    def eigs(*args, **kwargs):
+        raise AssertionError("ARPACK was called")
+
+    net = (random_general_net(15, N=6, L=2, density=0.2)[0] if directed
+           else random_multiplex_net(16, N=8, L=2, gamma=0.5))
+    B = assemble_dense(net)
+    monkeypatch.setattr(eigen, "eigs", eigs)
+    hub, auth = hub_authority_communicability(net, tol=1e-12)
+    for got, gram in ((hub, B @ B.T), (auth, B.T @ B)):
+        t = perron_dense_oracle(gram)
+        assert got == pytest.approx(exp0(t.rho) * float(t.x.sum()) ** 2,
+                                    rel=1e-9)
+
+
 def test_hub_communicability_matches_dense_gram():
     net, B = random_general_net(14, N=4, L=2)
     hub, auth = hub_authority_communicability(net, tol=1e-12)

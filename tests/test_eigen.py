@@ -17,7 +17,7 @@ from perronnet.eigen import _scipy_openblas
 
 from conftest import (dense_perron_pair, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
-                      random_multiplex_net, run_fresh)
+                      random_multiplex_net, run_fresh, undirected_general_net)
 
 
 def op_from_dense(B):
@@ -551,16 +551,12 @@ def airlines_shaped():
 
 
 # the most products the power phase makes before it hands a side over:
-# its first check step and one stall interval, and a second interval
-# where the first still sees the start's transient die out (the small gap)
+# its first check step and one stall interval
 @pytest.mark.parametrize("case, waste", [
-    ("periodic", eigen._STALL_STEPS + 1),
-    ("airlines-shaped", eigen._STALL_STEPS + 1),
-    ("small-gap", 2 * eigen._STALL_STEPS + 1)])
+    ("periodic", eigen._STALL_STEPS + 1)])
 def test_periodic_and_small_gap_sides_go_to_arpack(monkeypatch, demo_net,
                                                    case, waste):
-    net = {"periodic": lambda: demo_net, "airlines-shaped": airlines_shaped,
-           "small-gap": two_dense_layers}[case]()
+    net = demo_net
     seen = arpack_calls(monkeypatch)
     op, calls = counted(supra_operator(net))
     t = perron(op)
@@ -576,6 +572,158 @@ def test_periodic_and_small_gap_sides_go_to_arpack(monkeypatch, demo_net,
     assert t.rho == no_phase.rho
     wasted = t.iterations - no_phase.iterations
     assert sides * (eigen._STALL_STEPS + 1) <= wasted <= sides * waste
+
+
+# ---------------------------------------------------------------------------
+# the Lanczos recurrence of a symmetric cold solve
+
+def undirected_ring_net(n=12, seed=6):
+    """An undirected one-layer network of one ring through its n nodes with
+    uneven weights: for even n it is bipartite, and -rho is an
+    eigenvalue."""
+    rng = np.random.default_rng(seed)
+    B = np.zeros((n, n))
+    a = np.arange(n)
+    B[a, (a + 1) % n] = rng.uniform(0.5, 1.5, n)
+    return multilayer_from_dense(B + B.T, N=n, L=1, directed=False)
+
+
+def uncoupled_connected_layers(seed=4, N=12):
+    # gamma = 0: B is reducible, and its Perron vector is 0 on the second
+    # layer, whose root is lower
+    rng = np.random.default_rng(seed)
+    layers = []
+    for scale in (1.0, 0.3):
+        A = np.triu((rng.random((N, N)) < 0.3) * rng.uniform(0.2, 1.2, (N, N)), 1)
+        A[np.arange(N - 1), np.arange(1, N)] = rng.uniform(0.5, 1.5, N - 1)
+        layers.append(scale * (A + A.T))
+    return multiplex_from_layers(layers, gamma=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: undirected_general_net(1, N=15, L=2)[0],
+    lambda: undirected_general_net(2, N=8, L=3)[0],
+    lambda: random_multiplex_net(14, N=20, L=3, gamma=0.5, density=0.2),
+    lambda: random_multiplex_net(15, N=30, L=2, gamma=1.0, density=0.1),
+    lambda: bipartite_multiplex()[1],
+    uncoupled_connected_layers],
+    ids=["general", "general-L3", "multiplex-0.5", "multiplex-1",
+         "bipartite-multiplex", "uncoupled-layers"])
+def test_lanczos_matches_the_dense_oracle(monkeypatch, make):
+    net = make()
+    no_arpack(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op, symmetric=True)
+    assert t.iterations == len(calls)
+    B = assemble_dense(net)
+    oracle = perron_dense_oracle(B)
+    assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
+    assert np.abs(t.x - oracle.x).max() < 1e-8
+    assert np.array_equal(t.x, t.y)
+    assert_valid_triple(t, B)
+
+
+def test_signed_lanczos_vector_goes_to_the_power_iteration(monkeypatch):
+    # the Ritz vector's entries on the second layer, 0 in the Perron
+    # vector, come out of either sign; the power iteration's stay >= 0
+    net = uncoupled_connected_layers(seed=1)
+    no_arpack(monkeypatch)
+    found = []
+    power = eigen._power
+    monkeypatch.setattr(eigen, "_power",
+                        lambda *a: found.append(power(*a)) or found[-1])
+    op, calls = counted(supra_operator(net))
+    t = perron(op, symmetric=True)
+    assert len(found) == 1 and found[0] is not None
+    assert t.iterations == len(calls)
+    B = assemble_dense(net)
+    oracle = perron_dense_oracle(B)
+    assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
+    assert np.abs(t.x - oracle.x).max() < 1e-8
+    assert_valid_triple(t, B)
+
+
+def test_even_ring_returns_plus_rho_without_arpack(monkeypatch):
+    net = undirected_ring_net()
+    B = assemble_dense(net)
+    spectrum = np.linalg.eigvalsh(B)
+    assert spectrum[0] == pytest.approx(-spectrum[-1], rel=1e-12)
+    no_arpack(monkeypatch)
+    t = perron(supra_operator(net), symmetric=True)
+    assert t.rho == pytest.approx(spectrum[-1], rel=1e-12)
+    assert_valid_triple(t, B)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_multiplex_net(12, N=2000, L=4, gamma=1.0, density=0.003),
+    airlines_shaped], ids=["benchmark-shaped", "airlines-shaped"])
+def test_symmetric_cold_solve_makes_no_arpack_call(monkeypatch, make):
+    net = make()
+    no_arpack(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op, symmetric=True)
+    # the start's image, at most the cap of Lanczos steps, the accepted
+    # vector's fresh product and the left check
+    assert t.iterations == len(calls) <= eigen.BLOCK_MAX_STEPS + 2
+    assert calls.count("B^T") == 1
+    B = net.supra
+    bound = 1e-10 * t.rho
+    assert np.linalg.norm(B @ t.x - t.rho * t.x) <= bound
+    assert (t.x >= 0).all() and np.array_equal(t.x, t.y)
+
+
+@pytest.mark.parametrize("case", ["airlines-shaped", "small-gap"])
+def test_small_gap_symmetric_sides_need_no_arpack(monkeypatch, case):
+    net = {"airlines-shaped": airlines_shaped,
+           "small-gap": two_dense_layers}[case]()
+    arpack_only = perron(supra_operator(net), x0=np.full(net.dim, 1.0))
+    no_arpack(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op, symmetric=True)
+    assert t.iterations == len(calls)
+    # both roots are Rayleigh quotients of a symmetric B whose residuals
+    # are within the bound, so each lies that close to the root
+    bound = 1e-10 * max(1.0, t.rho)
+    assert abs(t.rho - arpack_only.rho) <= 2 * bound
+    if net.dim <= 1000:
+        oracle = perron_dense_oracle(assemble_dense(net))
+        assert abs(t.rho - oracle.rho) <= bound
+        assert_valid_triple(t, assemble_dense(net))
+
+
+def test_lanczos_hands_over_to_arpack_from_the_same_start(monkeypatch):
+    net = random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)
+    arpack_only = perron(supra_operator(net), x0=np.full(net.dim, 1.0))
+    monkeypatch.setattr(eigen, "BLOCK_MAX_STEPS", 5)
+    seen = arpack_calls(monkeypatch)
+    op, calls = counted(supra_operator(net))
+    t = perron(op, symmetric=True)
+    assert len(seen) == 1
+    assert t.iterations == len(calls)
+    assert t.rho == arpack_only.rho
+    assert np.array_equal(t.x, arpack_only.x)
+    # steps 2 to 5 of the recurrence: one product each
+    assert t.iterations - arpack_only.iterations == 4
+
+
+def test_symmetric_solve_keeps_the_budget_and_non_finite_errors():
+    net = random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)
+    with pytest.raises(ConvergenceError,
+                       match="no convergence after 7 operator products") as ei:
+        perron(supra_operator(net), max_iter=7, symmetric=True)
+    assert ei.value.iterations == 7
+    base = supra_operator(net)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return base.matvec(v) if len(calls) < 5 else np.full(net.dim, np.inf)
+
+    op = LinearOperator(base.shape, matvec=matvec, rmatvec=base.rmatvec,
+                        dtype=float)
+    with pytest.raises(ConvergenceError, match="iteration 5 ") as ei:
+        perron(op, symmetric=True)
+    assert ei.value.iterations == 5 == len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +807,20 @@ B = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
 op = supra_operator(Network(150, 4, B, True))
 # a cold solve, and a warm one from a skewed start, which ARPACK makes
 start = np.linspace(1.0, 2.0, n)
-for t in (perron(op), perron(op, x0=start, y0=start[::-1])):
+solves = [perron(op), perron(op, x0=start, y0=start[::-1])]
+# an undirected multiplex, N=5000, L=4, solved by Lanczos: a ring in
+# layer 1 plus random edges; at NL = 20000 OpenBLAS would split a dot
+# product across two threads
+N, L = 5000, 4
+k = rng.integers(0, L, 3 * N * L) * N
+rows = np.concatenate([np.arange(N), k + rng.integers(0, N, k.size)])
+cols = np.concatenate([(np.arange(N) + 1) % N, k + rng.integers(0, N, k.size)])
+keep = rows != cols
+A = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
+                   (rows[keep], cols[keep])), shape=(N * L, N * L))
+net = Network(N, L, A + A.T, False, gamma=1.0)
+solves.append(perron(supra_operator(net), symmetric=True))
+for t in solves:
     print(t.rho.hex(), t.kappa.hex(), t.iterations,
           hashlib.sha256(t.x.tobytes() + t.y.tobytes()).hexdigest())
 """

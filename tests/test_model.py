@@ -398,6 +398,55 @@ def test_connectivity_matches_bfs_oracle():
         assert is_strongly_connected(net) == bfs_strongly_connected(B)
 
 
+def _random_layers(rng, N, L, directed, split):
+    """L random layers on N nodes; unless ``split``, a ring through a
+    random order of the nodes makes each layer one strong component."""
+    layers = []
+    for _ in range(L):
+        A = (rng.random((N, N)) < (1.5 / N if split else 0.2)) * 1.0
+        if not split:
+            perm = rng.permutation(N)
+            A[perm, np.roll(perm, -1)] = 1.0
+        np.fill_diagonal(A, 0.0)
+        layers.append(A if directed else np.maximum(A, A.T))
+    return layers
+
+
+def _cross_layer_cycle(N=6):
+    # a path 0 -> ... -> N-1 in layer 1 and the arc N-1 -> 0 in layer 2:
+    # each layer is acyclic, and only the coupling closes the cycle
+    path, back = np.eye(N, k=1), np.zeros((N, N))
+    back[N - 1, 0] = 1.0
+    return [path, back]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("directed", [True, False])
+def test_multiplex_base_connectivity_matches_the_supra_component_pass(
+        directed, gamma):
+    answers = []
+    cases = [(seed, split) for seed in range(40) for split in (False, True)]
+    for seed, split in cases + [("cycle", None)]:
+        if seed == "cycle":
+            layers = _cross_layer_cycle()
+            if not directed:
+                layers = [A + A.T for A in layers]
+        else:
+            rng = np.random.default_rng(seed)
+            N, L = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            layers = _random_layers(rng, N, L, directed, split)
+        net = multiplex_from_layers(layers, gamma, directed=directed)
+        got = is_strongly_connected(net)
+        # the strong components of the arcs decide it, except where a
+        # directed path can leave a merged class and come back
+        if not directed or gamma == 0 or split is False:
+            assert "supra" not in net.__dict__
+        assert got == bfs_strongly_connected(net.supra.toarray())
+        answers.append(got)
+    assert answers[-1] == (gamma > 0)  # the cross-layer cycle
+    assert True in answers and False in answers
+
+
 def _bridged_nets(seed):
     """Seeded networks on a ring or a tree, so that removing some of their
     arcs disconnects them: general directed and undirected ones, and

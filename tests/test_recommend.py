@@ -9,8 +9,8 @@ from perronnet import (EdgeKey, InfeasibleError, perron,
 
 from conftest import (brute_insertion_ranking, brute_removal_ranking,
                       dense_perron_pair, multilayer_from_dense,
-                      multiplex_from_layers, random_general_dense,
-                      random_general_net, random_multiplex_net)
+                      multiplex_from_layers, random_general_net,
+                      random_multiplex_net, undirected_general_net)
 
 
 def triple_of(net, tol=1e-12):
@@ -110,13 +110,6 @@ def assert_matches_brute_force(net, t, top_k, cand, x=None, y=None):
     for r, (s, _) in zip(got, want):
         assert r.score == pytest.approx(s, rel=1e-8)
     return got
-
-
-def undirected_general_net(seed, N, L):
-    rng = np.random.default_rng(seed)
-    B = np.triu(random_general_dense(rng, N * L), 1)
-    B = B + B.T  # the cycle's arcs a -> a + 1 keep it connected
-    return multilayer_from_dense(B, N, L, directed=False), B
 
 
 def test_insertions_match_brute_force_on_undirected_general_networks():
@@ -435,6 +428,19 @@ def test_experiment_reuses_a_given_triple(demo_net):
         solved = perturbation_experiment(demo_net, edges, 0.3, mode)
         given = perturbation_experiment(demo_net, edges, 0.3, mode, triple=t)
         assert given == solved
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_experiment_solves_an_undirected_base_as_symmetric(monkeypatch,
+                                                          directed):
+    net = random_multiplex_net(17, N=6, L=2, directed=directed)
+    flags = []
+    solve = recommend.perron
+    monkeypatch.setattr(recommend, "perron", lambda *a, **kw: (
+        flags.append(kw.get("symmetric", False)) or solve(*a, **kw)))
+    edge = next(net.edges())[0]
+    perturbation_experiment(net, [edge], 0.3, "increase", baseline_count=0)
+    assert flags[0] == (not directed)  # the base solve comes first
 
 
 def test_experiment_baseline_count_zero(demo_net):
