@@ -82,7 +82,9 @@ from .errors import ConvergenceError, InputError
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
-# entries of converged Perron vectors may only dip below zero by rounding noise
+# entries of converged Perron vectors may only dip below zero by rounding
+# noise: the dense oracle's slack, and the iterative solvers' at machine
+# precision
 _POSITIVITY_SLACK = 1e-12
 
 # Steps after which perron_block hands a column to perron().  On the
@@ -146,12 +148,18 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(_dot(v, v))
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Orient v so its largest-magnitude entry is positive, clamp rounding
-    negatives to zero, renormalize.  Raises if genuinely signed."""
+def _fix_sign(v: np.ndarray, slack: float = _POSITIVITY_SLACK) -> np.ndarray:
+    """Orient v so its largest-magnitude entry is positive, clamp negatives
+    down to -slack * max(1, max|v|) to zero, renormalize.  Raises if more
+    negative.
+
+    An iterative solver passes its tol: an entry that is 0 in the Perron
+    vector, as on a layer a reducible operator's root leaves out, comes
+    out of either sign within the error that tol allows, and the
+    residual certificate still checks the clamped vector."""
     v = np.array(v, dtype=float)
     v *= np.sign(v[np.argmax(np.abs(v))]) or 1.0
-    if v.min() < -_POSITIVITY_SLACK * max(1.0, np.abs(v).max()):
+    if v.min() < -slack * max(1.0, np.abs(v).max()):
         raise ConvergenceError(
             "computed eigenvector has nonpositive entries; the operator is "
             "likely reducible or the iteration broke down")
@@ -303,11 +311,12 @@ def _lanczos(apply, start, image, tol):
                 for c, v in zip(s[:, -1], basis):
                     x += c * v
                 try:
-                    x = _fix_sign(x)
+                    x = _fix_sign(x, tol)
                 except ConvergenceError:
                     # entries that are 0 in a reducible operator's Perron
-                    # vector (gamma = 0) come out of either sign here; the
-                    # power iteration keeps every iterate nonnegative
+                    # vector (gamma = 0) can come out negative beyond tol
+                    # here; the power iteration keeps every iterate
+                    # nonnegative
                     del basis
                     return _power(apply, start, image, tol)
                 return x, apply(x)
@@ -365,7 +374,7 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
                             f"products: {exc}") from exc
         vec = vecs[:, 0]
     try:
-        vec = _fix_sign(vec.real)
+        vec = _fix_sign(vec.real, max(tol, _POSITIVITY_SLACK))
     except ConvergenceError as exc:
         raise prod.fail(str(exc)) from None
     return vec, apply(vec)

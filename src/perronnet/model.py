@@ -80,6 +80,11 @@ def unflatten_index(a: int, N: int) -> tuple[int, int]:
     return int(a) % N + 1, int(a) // N + 1
 
 
+# set on a loader's CSR matrix of undirected arcs, each of which it stored
+# with its mirror: the matrix is symmetric by construction
+_MIRRORED = "_perronnet_mirrored"
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Multilayer network on N nodes and L layers: the NL x NL CSR matrix
@@ -106,12 +111,14 @@ class Network:
         if self.multiplex:
             _check_gamma(self.gamma)
         arcs = sp.csr_matrix(self.arcs, dtype=float, copy=True)
-        # a copy does not keep scipy's canonical flag: a matrix known to be
-        # canonical, such as a loader's, is not checked again
+        # a copy keeps neither scipy's canonical flag nor the loader's
+        # mirror flag: a matrix known to be canonical, or symmetric, such as
+        # a loader's, is not checked again
         if getattr(self.arcs, "has_canonical_format", False):
             arcs.has_canonical_format = True
         else:
             arcs.sum_duplicates()
+        mirrored = getattr(self.arcs, _MIRRORED, False)
         object.__setattr__(self, "arcs", arcs)
         if arcs.shape != (self.dim, self.dim):
             raise InputError("arcs must be an NL x NL matrix")
@@ -127,7 +134,7 @@ class Network:
                 raise InputError("a multiplex stores intra-layer arcs only")
         # undirected edge semantics (one candidate per pair, mirrored edits)
         # hold only for a symmetric matrix
-        if not self.directed and not _same_csr(arcs, arcs.T.tocsr()):
+        if not (self.directed or mirrored or _same_csr(arcs, arcs.T.tocsr())):
             raise InputError("an undirected network needs a symmetric weight matrix")
 
     @property
@@ -419,14 +426,31 @@ def _weight_check(t: _EdgeRows):
     return ~((w > 0) & (w < math.inf)), message
 
 
+def _arc_order(keys, rows, span, count):
+    """The arc keys sorted, and the row of each, an arc key repeated
+    being ordered by row, from keys below ``span`` and rows below
+    ``count``, no (key, row) pair twice.
+
+    Where key * 2**bits + row fits in int64 (bits for the rows), one sort
+    of the keys packed with their rows gives both; otherwise a lexsort by
+    key, then row, gives the same order."""
+    bits = max(count - 1, 0).bit_length()
+    if span << bits <= 1 << 63:
+        packed = np.sort(keys << bits | rows)
+        return packed >> bits, packed & ((1 << bits) - 1)
+    order = np.lexsort((rows, keys))
+    return keys[order], rows[order]
+
+
 def _repeats(keys, rows, count):
     """Mask of the ``count`` rows that own an arc whose key is on an arc
-    of an earlier row, from the sorted arc keys and the row of each."""
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    first = np.repeat(np.minimum.reduceat(rows, starts),
-                      np.diff(np.r_[starts, keys.size]))
+    of an earlier row, from the arc keys and rows :func:`_arc_order`
+    gives, or None when no key repeats."""
+    repeat = keys[1:] == keys[:-1]
+    if not repeat.any():
+        return None
     mask = np.zeros(count, dtype=bool)
-    mask[rows[rows > first]] = True
+    mask[rows[1:][repeat]] = True  # each arc after its key's first row
     return mask
 
 
@@ -454,29 +478,35 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
     ``duplicate(row)`` names; undirected input stores each arc's mirror
     too, a self-loop once.
 
-    One sort of the arc keys a * NL + b finds the repeated arcs and gives
-    the CSR order; :func:`_repeats` names a repeat's row only once one is
-    known, and no array of order NL is sized before every check passes.
+    One sort of the arc keys a * NL + b, each with its row
+    (:func:`_arc_order`), finds the repeated arcs and gives the CSR
+    order; :func:`_repeats` names a repeat's row only once one is known,
+    and no array of order NL is sized before every check passes.
     """
-    n = t.N * t.L
-    rows, w = np.arange(a.size), t.w
-    if not directed:
-        rev = a != b
-        a, b = np.concatenate((a, b[rev])), np.concatenate((b, a[rev]))
-        rows, w = np.concatenate((rows, rows[rev])), np.concatenate((w, w[rev]))
+    n, count = t.N * t.L, t.w.size
+    rows = np.arange(count)
     # as Python ints past int64 (as in recommend._tie_order)
     dtype = np.int64 if n * n <= np.iinfo(np.int64).max else object
-    keys = a.astype(dtype, copy=False) * n + b
-    order = np.argsort(keys)
-    keys = keys[order]
-    if (keys[1:] == keys[:-1]).any():
-        checks.append((_repeats(keys, rows[order], t.w.size), duplicate))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    keys = a * n + b
+    if not directed:
+        mirror = a != b
+        keys = np.concatenate((keys, (b * n + a)[mirror]))
+        rows = np.concatenate((rows, rows[mirror]))
+    keys, rows = _arc_order(keys, rows, n * n, count)
+    repeats = _repeats(keys, rows, count)
+    if repeats is not None:
+        checks.append((repeats, duplicate))
     _raise_first_fault(t, path, checks)
 
+    tails = keys // n
+    heads = (keys - tails * n).astype(np.int64, copy=False)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
-    arcs = sp.csr_matrix((w[order], b[order], indptr), shape=(n, n))
+    np.cumsum(np.bincount(tails.astype(np.int64, copy=False), minlength=n),
+              out=indptr[1:])
+    arcs = sp.csr_matrix((t.w[rows], heads, indptr), shape=(n, n))
     arcs.has_canonical_format = True  # sorted by key, no repeat
+    setattr(arcs, _MIRRORED, not directed)  # each arc stored with its mirror
     return Network(t.N, t.L, arcs, directed, gamma)
 
 

@@ -118,6 +118,24 @@ def _lowest(score: np.ndarray, m: int) -> np.ndarray:
     return np.arange(score.size)
 
 
+def _leading(v: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` columns of each row of ``np.argsort(v, axis=1,
+    kind="stable")``, ties going to the lower index, from one partition:
+    each row's entries below its count-th smallest, then the first of
+    those equal to it.  ``v`` holds no NaN."""
+    size = v.shape[1]
+    if count >= size:
+        return np.argsort(v, axis=1, kind="stable")
+    cut = np.partition(v, count - 1, axis=1)[:, count - 1:count]
+    below, tied = v < cut, v == cut
+    fill = count - np.count_nonzero(below, axis=1, keepdims=True)
+    keep = below | (tied & (np.cumsum(tied, axis=1) <= fill))
+    lead = np.nonzero(keep)[1].reshape(-1, count)  # ascending per row
+    rank = np.argsort(np.take_along_axis(v, lead, axis=1), axis=1,
+                      kind="stable")
+    return np.take_along_axis(lead, rank, axis=1)
+
+
 def _removable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Supra positions (a, b) of the removable edges.  An undirected
     network lists each edge once, as its arc with a <= b: intra-layer
@@ -195,17 +213,23 @@ def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
     the whole supra vector otherwise), without the pairs that carry an
     arc when ``absent``.  m doubles from top_k + 1 until the k-th score is
     strictly above the largest score an arc outside the window can have,
-    so no outside arc can enter or tie the top k, or until m is the block."""
+    so no outside arc can enter or tie the top k, or until m is the block.
+    Each window reads the first m + 1 entries of each block's stable
+    descending order of y and of x (:func:`_leading`), x's being y's on
+    undirected input, where y is x."""
     blocks = net.L if net.multiplex else 1
     size = net.dim // blocks
     base = np.arange(blocks)[:, None] * size
-    oy = np.argsort(-t.y.reshape(blocks, size), axis=1, kind="stable") + base
-    ox = np.argsort(-t.x.reshape(blocks, size), axis=1, kind="stable") + base
     if absent:  # the keys a * dim + b of the arcs either way
         ea, eb = (v.astype(np.int64) for v in editable_arcs(net)[:2])
         stored = np.concatenate([ea * net.dim + eb, eb * net.dim + ea])
     m = min(top_k + 1, size)
     while True:
+        # entries 0..m of each block's order, m itself bounding the arcs
+        # outside the window
+        oy = _leading(-t.y.reshape(blocks, size), m + 1) + base
+        ox = oy if t.x is t.y else _leading(-t.x.reshape(blocks, size),
+                                             m + 1) + base
         a, b = (v.ravel() for v in
                 np.broadcast_arrays(oy[:, :m, None], ox[:, None, :m]))
         if absent:

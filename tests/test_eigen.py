@@ -588,12 +588,12 @@ def undirected_ring_net(n=12, seed=6):
     return multilayer_from_dense(B + B.T, N=n, L=1, directed=False)
 
 
-def uncoupled_connected_layers(seed=4, N=12):
+def uncoupled_connected_layers(seed=4, N=12, scales=(1.0, 0.3)):
     # gamma = 0: B is reducible, and its Perron vector is 0 on the second
     # layer, whose root is lower
     rng = np.random.default_rng(seed)
     layers = []
-    for scale in (1.0, 0.3):
+    for scale in scales:
         A = np.triu((rng.random((N, N)) < 0.3) * rng.uniform(0.2, 1.2, (N, N)), 1)
         A[np.arange(N - 1), np.arange(1, N)] = rng.uniform(0.5, 1.5, N - 1)
         layers.append(scale * (A + A.T))
@@ -625,8 +625,10 @@ def test_lanczos_matches_the_dense_oracle(monkeypatch, make):
 
 def test_signed_lanczos_vector_goes_to_the_power_iteration(monkeypatch):
     # the Ritz vector's entries on the second layer, 0 in the Perron
-    # vector, come out of either sign; the power iteration's stay >= 0
-    net = uncoupled_connected_layers(seed=1)
+    # vector, come out of either sign; the power iteration's stay >= 0.
+    # With rho below 1 (about 0.09 here) the residual bound tol is
+    # absolute, so those entries reach about -2.5 tol, past the slack
+    net = uncoupled_connected_layers(seed=1, scales=(0.02, 0.006))
     no_arpack(monkeypatch)
     found = []
     power = eigen._power
@@ -641,6 +643,28 @@ def test_signed_lanczos_vector_goes_to_the_power_iteration(monkeypatch):
     assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
     assert np.abs(t.x - oracle.x).max() < 1e-8
     assert_valid_triple(t, B)
+
+
+@pytest.mark.parametrize("scale", [0.3, 0.8, 1.0])
+def test_uncoupled_layers_need_no_arpack_and_match_the_oracle(monkeypatch,
+                                                              scale):
+    # the Perron vector is 0 on the second layer, whose root is lower:
+    # Lanczos's and ARPACK's entries there come out of either sign within
+    # the error tol allows, and are clamped, not refused
+    for seed in range(8):
+        net = uncoupled_connected_layers(seed=seed, scales=(1.0, scale))
+        B = assemble_dense(net)
+        oracle = perron_dense_oracle(B)
+        with monkeypatch.context() as m:
+            no_arpack(m)
+            op, calls = counted(supra_operator(net))
+            t = perron(op, symmetric=True)
+        assert t.iterations == len(calls) <= 30
+        # without the flag: the power iteration, then ARPACK
+        for t in (t, perron(supra_operator(net))):
+            assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
+            assert np.abs(t.x - oracle.x).max() < 1e-8
+            assert_valid_triple(t, B)
 
 
 def test_even_ring_returns_plus_rho_without_arpack(monkeypatch):

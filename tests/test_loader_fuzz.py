@@ -438,3 +438,73 @@ def test_a_compressed_suffix_is_read_as_the_text_it_holds(tmp_path, suffix):
     named.write_text(body, encoding="utf-8")
     assert (_outcome(load_multiplex, named, gamma=1.0)
             == _outcome(load_multiplex, plain, gamma=1.0))
+
+
+# ---------------------------------------------------------------------------
+# the order of the arc keys
+
+def test_wide_keys_keep_the_packed_order(monkeypatch):
+    # keys that do not fit in int64 once packed with their rows are put in
+    # the same order by a lexsort; a header that large would size an O(NL)
+    # indptr, so the ordering is checked on its own
+    rng = np.random.default_rng(7)
+    count = 50
+    rows = np.concatenate([np.arange(count), rng.choice(count, 30, replace=False)])
+    keys = rng.integers(0, 40, rows.size)  # many keys repeat
+    pairs = sorted(set(zip(keys.tolist(), rows.tolist())))
+    rng.shuffle(pairs)
+    keys, rows = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    want = sorted(pairs)
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda *a: lexsorts.append(1) or lexsort(*a))
+
+    def order(keys, span):
+        return list(zip(*(v.tolist() for v in
+                          model._arc_order(keys, rows, span, count))))
+
+    assert order(keys, 40) == want and not lexsorts  # packed
+    # keys below 2**62 take 2**68 and more once shifted by the 6 row bits
+    assert order(keys, 2**62) == want and len(lexsorts) == 1
+    wide = keys.astype(object) << 70  # keys past int64 themselves
+    assert order(wide, 40 << 70) == [(k << 70, r) for k, r in want]
+    assert len(lexsorts) == 2
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["multiplex", "general"])
+def test_mirrored_duplicates_and_self_loops_name_their_line(tmp_path, general):
+    # an undirected edge given again as its mirror is named at the later
+    # line, whichever of its arc keys sorts first; a self-loop is stored
+    # once, and given again is a repeat
+    p = tmp_path / "net.edges"
+
+    def line(k, i, j, w, l=None):
+        return f"{k} {i} {l or k} {j} {w}" if general else f"{k} {i} {j} {w}"
+
+    def error(text):
+        p.write_text(text, encoding="utf-8")
+        load = load_multilayer if general else load_multiplex
+        kw = {"directed": False} if general else {"gamma": 1.0, "directed": False}
+        with pytest.raises(ParseError) as ei:
+            load(p, **kw)
+        return str(ei.value).removeprefix(f"{p}:")
+
+    def dup(k, i, j):
+        return (f"duplicate edge ({i},{k})->({j},{k})" if general
+                else f"duplicate edge ({i},{j}) in layer {k}")
+
+    body = [line(1, 3, 1, 1.0), line(1, 1, 2, 1.0), line(2, 2, 3, 1.0)]
+    assert error("3 2\n" + "\n".join(body + [line(1, 1, 3, 2.0)])) == (
+        f"5: {dup(1, 1, 3)}")
+    assert error("3 2\n" + "\n".join(body + [line(2, 3, 2, 2.0),
+                                            line(1, 3, 1, 1.0)])) == (
+        f"5: {dup(2, 3, 2)}")
+    assert error("3 2\n" + "\n".join([line(1, 2, 1, 1.0)] + body)) == (
+        f"4: {dup(1, 1, 2)}")
+    if general:
+        loops = [line(1, 2, 2, 1.5), line(1, 1, 2, 1.0), line(1, 2, 2, 0.5)]
+        assert error("3 2\n" + "\n".join(loops)) == f"4: {dup(1, 2, 2)}"
+        p.write_text("3 2\n" + "\n".join(loops[:2]), encoding="utf-8")
+        net = load_multilayer(p, directed=False)
+        assert net.arcs.nnz == 3 and net.weight(model.EdgeKey(2, 2, 1, 1)) == 1.5

@@ -717,6 +717,27 @@ def test_undirected_network_needs_symmetric_weights():
     assert net.arcs.has_canonical_format
 
 
+def test_only_loader_arcs_skip_the_symmetry_check(tmp_path, monkeypatch):
+    # a loader stores each undirected arc with its mirror, so its network
+    # is not compared with its transpose; a matrix given to the constructor
+    # is, the loader's own included, since the network keeps a copy
+    checks = []
+    same_csr = model._same_csr
+    monkeypatch.setattr(model, "_same_csr",
+                        lambda *a: checks.append(1) or same_csr(*a))
+    for net in (load_multiplex(write(tmp_path, "3 2\n1 1 2 1.0\n2 2 3 0.5\n"),
+                               1.0),
+                load_multilayer(write(tmp_path, "3 2\n1 1 2 2 1.0\n"
+                                      "2 3 2 3 0.5\n"), directed=False)):
+        assert checks == []
+        again = Network(net.N, net.L, net.arcs, False, net.gamma)
+        assert len(checks) == 1
+        assert same_csr(again.arcs, net.arcs)
+        apply_update(net, edge_update(net, EdgeKey(1, 3, 1, 1), 0.5))
+        assert len(checks) == 2
+        checks.clear()
+
+
 def _edit_via_lil(A, r, c, delta, mirror):
     """Reference edit: the same sums on a LIL copy of the matrix."""
     A = A.tolil(copy=True)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from perronnet import (EdgeKey, InfeasibleError, perron,
+from perronnet import (EdgeKey, InfeasibleError, PerronTriple, perron,
                        perturbation_experiment, rank_insertions,
                        rank_removals, recommend, supra_operator)
 
 from conftest import (brute_insertion_ranking, brute_removal_ranking,
-                      dense_perron_pair, multilayer_from_dense,
+                      condition_of, dense_perron_pair, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
                       random_multiplex_net, undirected_general_net)
 
@@ -207,6 +207,47 @@ def test_top_k_above_the_admissible_pairs_returns_every_pair():
             got = assert_matches_brute_force(net, t, 50, cand)
             if cand == "all":
                 assert len(got) == pairs
+
+
+def test_leading_entries_follow_the_stable_sort():
+    # few distinct values, -0.0 beside 0.0: ties at every cut
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        v = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0], size=(3, 17))
+        full = np.argsort(v, axis=1, kind="stable")
+        for count in range(1, 19):
+            assert np.array_equal(recommend._leading(v, count),
+                                  full[:, :count])
+
+
+def tied_triple(net, seed):
+    """A triple of ``net`` whose x and y, not its Perron vectors, take
+    three values: every window of the insertion ranking cuts a run of
+    tied entries.  On undirected input y is x."""
+    rng = np.random.default_rng(seed)
+
+    def vector():
+        v = rng.choice([1.0, 2.0, 3.0], size=net.dim)
+        return v / np.linalg.norm(v)
+
+    x = vector()
+    y = vector() if net.directed else x
+    return PerronTriple(rho=1.0, x=x, y=y, kappa=condition_of(x, y),
+                        residuals=(0.0, 0.0), iterations=0)
+
+
+def test_windows_cut_through_tied_entries_as_brute_force():
+    nets = [random_multiplex_net(40, N=9, L=3, gamma=1.0, density=0.3),
+            random_multiplex_net(41, N=9, L=2, gamma=1.0, density=0.3,
+                                 directed=True),
+            random_general_net(42, N=7, L=2, density=0.2)[0],
+            undirected_general_net(43, N=7, L=2)[0]]
+    for n, net in enumerate(nets):
+        for seed in range(4):
+            t = tied_triple(net, 10 * n + seed)
+            for top_k in (1, 2, 3, 5):
+                for cand in ("all", "absent"):
+                    assert_matches_brute_force(net, t, top_k, cand)
 
 
 # ---------------------------------------------------------------------------
