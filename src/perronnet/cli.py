@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .communicability import perron_communicability, total_communicability0
-from .eigen import perron
+from .eigen import DEFAULT_TOL, perron
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      ParseError, PerronNetError)
 from .model import (EdgeKey, _read_edge_lines, is_strongly_connected,
@@ -107,6 +107,18 @@ def _edge_str(e: EdgeKey) -> str:
     return f"{e.i}-{e.j}-{e.k}-{e.l}"
 
 
+def _candidates(ns: argparse.Namespace) -> str:
+    """The insertion candidate set that --structured selects."""
+    return "existing" if ns.structured else "all"
+
+
+def _add_structured_kappas(report: dict, t, net) -> None:
+    """kappa_D and kappa_S, which only a multiplex has."""
+    if net.multiplex:
+        report["kappa_D"] = structured_condition_number(t, "D", net)
+        report["kappa_S"] = structured_condition_number(t, "S", net)
+
+
 # ---------------------------------------------------------------------------
 # report assembly: each command returns (scalars, columns, rows)
 
@@ -119,9 +131,7 @@ def cmd_spectrum(ns: argparse.Namespace):
         "residual_right": t.residuals[0],
         "residual_left": t.residuals[1],
     }
-    if net.multiplex:
-        report["kappa_D"] = structured_condition_number(t, "D", net)
-        report["kappa_S"] = structured_condition_number(t, "S", net)
+    _add_structured_kappas(report, t, net)
     return report, None, None
 
 
@@ -160,11 +170,8 @@ def cmd_sensitivity(ns: argparse.Namespace):
         "sensitivity_fro_norm": sensitivity_matrix(t, net.N, net.L).frobenius_norm(),
         "worst_case_shift_at_epsilon": first_order_delta_rho(t, W, ns.epsilon),
     }
-    if net.multiplex:
-        report["kappa_D"] = structured_condition_number(t, "D", net)
-        report["kappa_S"] = structured_condition_number(t, "S", net)
-    cand = "existing" if ns.structured else "all"
-    top = rank_insertions(t, net, ns.top_k, candidate_set=cand)
+    _add_structured_kappas(report, t, net)
+    top = rank_insertions(t, net, ns.top_k, candidate_set=_candidates(ns))
     bottom = rank_removals(t, net, ns.top_k)
     rows = []
     for r in top:
@@ -180,10 +187,9 @@ def cmd_rank(ns: argparse.Namespace):
     net, t = _solve(ns)
     report = {"rho": t.rho, "kappa": t.kappa, "mode": ns.rank_mode}
     if ns.rank_mode == "add":
-        cand = "existing" if ns.structured else "all"
-        ranked = rank_insertions(t, net, ns.top_k, candidate_set=cand,
-                                 eps=ns.epsilon, recompute=ns.recompute,
-                                 tol=ns.tol)
+        ranked = rank_insertions(t, net, ns.top_k,
+                                 candidate_set=_candidates(ns), eps=ns.epsilon,
+                                 recompute=ns.recompute, tol=ns.tol)
         cols = ["edge", "score"]
     else:
         ranked = rank_removals(t, net, ns.top_k, require_connected=True,
@@ -228,8 +234,8 @@ def cmd_experiment(ns: argparse.Namespace):
     net, t = _solve(ns)
     if ns.auto:
         if ns.mode == "increase":
-            cand = "existing" if ns.structured else "all"
-            picked = rank_insertions(t, net, ns.top_k, candidate_set=cand)
+            picked = rank_insertions(t, net, ns.top_k,
+                                     candidate_set=_candidates(ns))
         else:
             picked = rank_removals(t, net, ns.top_k)
         edges = [r.edge for r in picked]
@@ -360,7 +366,7 @@ _ARGS = {
     "--directed": dict(action="store_true"),
     "--format": dict(choices=["table", "csv", "json"], default="table",
                      dest="output"),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=DEFAULT_TOL),
     "--epsilon": dict(type=float, default=0.3),
     "--top-k": dict(type=int, default=5),
     "--structured": dict(action="store_true",
@@ -388,64 +394,51 @@ _SOLVE = _INPUT + ("--tol",)
 _RANK = _SOLVE + ("--epsilon", "--top-k", "--structured")
 
 
+# the subcommands, as (name, function, help, keys of _ARGS)
+_COMMANDS = (
+    ("spectrum", cmd_spectrum, "Perron root and condition numbers", _SOLVE),
+    ("communicability", cmd_communicability, "communicability report",
+     _SOLVE + ("--top-k", "--total")),
+    ("sensitivity", cmd_sensitivity, "per-edge sensitivity summary", _RANK),
+    ("rank", cmd_rank, "rank edge insertions or removals",
+     ("rank_mode",) + _RANK + ("--recompute",)),
+    ("experiment", cmd_experiment, "re-solved perturbation experiments",
+     _RANK + ("--seed", "--mode", "--edges-file", "--auto", "--no-mirror")),
+    ("convert", cmd_convert, "materialize a multiplex file as a general "
+     "multilayer edge list", _INPUT + ("-o --output-file",)),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as an input error (exit code 1); its
-    subparsers are of this class too.  The arguments named in ``lazy``
-    (keys of ``_ARGS``) are added on the parser's first parse or help
-    text, so that a run adds only its own subcommand's."""
-
-    def __init__(self, *args, lazy=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lazy = lazy
-
-    def _add_lazy(self):
-        lazy, self._lazy = self._lazy, ()
-        for name in lazy:
-            self.add_argument(*name.split(), **_ARGS[name])
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_lazy()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._add_lazy()
-        return super().format_usage()
-
-    def format_help(self):
-        self._add_lazy()
-        return super().format_help()
+    subparsers are of this class too."""
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The program's parser.  When ``command`` names a subcommand, only
+    that subparser is built, as a command line that starts with the name
+    reads no other; otherwise (None, an option, an unknown name) all are,
+    for the program's help text and usage errors."""
     ap = _Parser(
         prog="perronnet",
         description="Perron-root communicability and edge sensitivity of "
                     "multilayer networks")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, func, help, args in (
-            ("spectrum", cmd_spectrum, "Perron root and condition numbers",
-             _SOLVE),
-            ("communicability", cmd_communicability, "communicability report",
-             _SOLVE + ("--top-k", "--total")),
-            ("sensitivity", cmd_sensitivity, "per-edge sensitivity summary",
-             _RANK),
-            ("rank", cmd_rank, "rank edge insertions or removals",
-             ("rank_mode",) + _RANK + ("--recompute",)),
-            ("experiment", cmd_experiment,
-             "re-solved perturbation experiments",
-             _RANK + ("--seed", "--mode", "--edges-file", "--auto",
-                      "--no-mirror")),
-            ("convert", cmd_convert, "materialize a multiplex file as a "
-             "general multilayer edge list", _INPUT + ("-o --output-file",))):
-        sub.add_parser(name, help=help, lazy=args).set_defaults(func=func)
+    named = [c for c in _COMMANDS if c[0] == command]
+    for name, func, help, args in named or _COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for arg in args:
+            p.add_argument(*arg.split(), **_ARGS[arg])
+        p.set_defaults(func=func)
     return ap
 
 
 def run(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = build_parser(argv[0] if argv else None).parse_args(argv)
     ns.input = _resolve_path(ns.input)
     if ns.input_format == "auto":
         ns.input_format = _sniff_format(ns.input)

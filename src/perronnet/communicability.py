@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigen import PerronTriple, perron
+from .eigen import DEFAULT_MAX_ITER, DEFAULT_TOL, PerronTriple, perron
 from .errors import InputError
 from .model import Network, supra_operator
 
@@ -141,8 +141,8 @@ def total_communicability0(net: Network) -> float:
         return math.inf
 
 
-def hub_authority_communicability(net: Network, tol: float = 1e-10,
-                                  max_iter: int = 100_000):
+def hub_authority_communicability(net: Network, tol: float = DEFAULT_TOL,
+                                  max_iter: int = DEFAULT_MAX_ITER):
     """Perron communicabilities of the Gram operators B B^T and B^T B.
 
     Both share one spectral radius; for symmetric networks the two values

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import PerronTriple, perron, perron_block
+from .eigen import DEFAULT_TOL, PerronTriple, perron, perron_block
 from .errors import ConvergenceError, InfeasibleError, InputError
 # perfbench/spans.py times perron, supra_operator, is_strongly_connected,
 # apply_edge_delta and sensitivity_entry by replacing these names in this
@@ -149,7 +149,8 @@ def _removable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 def rank_insertions(t: PerronTriple, net: Network, top_k: int,
                     candidate_set: str = "all", eps: float = 0.3,
-                    recompute: bool = False, tol: float = 1e-10) -> list[RankedEdge]:
+                    recompute: bool = False,
+                    tol: float = DEFAULT_TOL) -> list[RankedEdge]:
     """Top insertion/strengthening candidates by first-order sensitivity.
 
     Candidates are unordered node-layer pairs (multiplex: intra-layer
@@ -247,7 +248,7 @@ def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
 
 def rank_removals(t: PerronTriple, net: Network, top_k: int,
                   require_connected: bool = False, recompute: bool = False,
-                  tol: float = 1e-10) -> list[RankedEdge]:
+                  tol: float = DEFAULT_TOL) -> list[RankedEdge]:
     """Existing edges in increasing sensitivity order: removal candidates.
 
     Undirected networks report one row per unordered edge; the coupling
@@ -388,7 +389,7 @@ def _with_roots(net, t, ranked, requests, tol) -> list[RankedEdge]:
 def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
                             mode: str, baseline_count: int | None = None,
                             seed: int = 42, mirror: bool = True,
-                            tol: float = 1e-10,
+                            tol: float = DEFAULT_TOL,
                             triple: PerronTriple | None = None) -> list[ExperimentRow]:
     """Exact re-solved root shifts for a list of edge perturbations.
 

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from .eigen import PerronTriple
+from .eigen import PerronTriple, _dot
 from .errors import DenseCapError, InfeasibleError, InputError
 from .model import (DEFAULT_DENSE_CAP, EdgeKey, Network, editable_arcs,
                     flat_index, unflatten_index)
@@ -82,7 +82,7 @@ class SensitivityMatrix(LinearOperator):
 
     def frobenius_norm(self) -> float:
         """|scale| * sqrt((y o y)^T M (x o x))."""
-        yMx = float((self.y * self.y) @ self._mask(self.x * self.x))
+        yMx = _dot(self.y * self.y, self._mask(self.x * self.x))
         return abs(self.scale) * math.sqrt(yMx)
 
     @property
@@ -142,7 +142,7 @@ def wilkinson(t: PerronTriple) -> SensitivityMatrix:
 def first_order_delta_rho(t: PerronTriple, E, eps: float) -> float:
     """First-order estimate eps * y^T E x / (y^T x) of the root shift under
     B -> B + eps*E.  E is an ndarray, a sparse matrix or a LinearOperator."""
-    return eps * float(t.y @ (E @ t.x)) / float(t.y @ t.x)
+    return eps * _dot(t.y, E @ t.x) / _dot(t.y, t.x)
 
 
 def _cone(t: PerronTriple, cone: str, net: Network,
@@ -181,7 +181,7 @@ def structured_wilkinson(t: PerronTriple, cone: str,
 def structured_condition_number(t: PerronTriple, cone: str,
                                 net: Network) -> float:
     """kappa_cone = |(y x^T)|_cone|_F / (y^T x)."""
-    return _cone(t, cone, net, 1.0).frobenius_norm() / float(t.y @ t.x)
+    return _cone(t, cone, net, 1.0).frobenius_norm() / _dot(t.y, t.x)
 
 
 # ---------------------------------------------------------------------------

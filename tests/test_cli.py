@@ -688,6 +688,39 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert sum(map(len, got.values())) == 54
 
 
+def _subparsers(ap):
+    [sub] = [a for a in ap._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    only = _subparsers(cli.build_parser("rank"))
+    assert list(only) == ["rank"]
+    # its arguments are there before any parse or help text
+    assert {a.dest for a in only["rank"]._actions} == {
+        "help", "rank_mode", "input", "input_format", "gamma", "directed",
+        "output", "tol", "epsilon", "top_k", "structured", "recompute"}
+    six = ["spectrum", "communicability", "sensitivity", "rank",
+           "experiment", "convert"]
+    assert list(_subparsers(cli.build_parser())) == six
+    for first in (None, "ranks", "--help", "-h"):
+        assert list(_subparsers(cli.build_parser(first))) == six
+    # run builds the parser of its first argument
+    seen = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        seen.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    for argv in (["spectrum", DEMO], ["ranks", DEMO], []):
+        main(argv)
+    capsys.readouterr()
+    assert seen == ["spectrum", "ranks", None]
+
+
 def _determinism_inputs(tmp_path):
     """The demo, two coupled all-equal directed rings (uniform Perron
     vectors, so every score ties) and a multiplex of complete bipartite

@@ -15,7 +15,7 @@ from perronnet import (DenseCapError, EdgeKey, InfeasibleError, InputError,
                        supra_operator, symmetric_sensitivity_entry, wilkinson)
 
 from conftest import (dense_rho, multiplex_from_layers, random_general_net,
-                      random_multiplex_net)
+                      random_multiplex_net, run_fresh)
 
 
 def triple_of(net, tol=1e-12):
@@ -431,3 +431,39 @@ def test_first_order_error_is_second_order():
         e2 = fd_error(B, E, rho0, slope, 5e-4)
         assert e2 > 0, name
         assert 3.0 <= e1 / e2 <= 5.0, (name, e1, e2)
+
+
+# ---------------------------------------------------------------------------
+# independence of the BLAS thread count
+
+BLAS_REPORT = """
+import numpy as np
+import scipy.sparse as sp
+from perronnet import (Network, first_order_delta_rho, perron,
+                       sensitivity_matrix, structured_condition_number,
+                       supra_operator, wilkinson)
+# an undirected multiplex, N=5000, L=4: a ring in layer 1 plus random
+# edges; at NL = 20000 OpenBLAS would split a dot product across two
+# threads
+rng = np.random.default_rng(5)
+N, L = 5000, 4
+k = rng.integers(0, L, 3 * N * L) * N
+rows = np.concatenate([np.arange(N), k + rng.integers(0, N, k.size)])
+cols = np.concatenate([(np.arange(N) + 1) % N, k + rng.integers(0, N, k.size)])
+keep = rows != cols
+A = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
+                   (rows[keep], cols[keep])), shape=(N * L, N * L))
+net = Network(N, L, A + A.T, False, gamma=1.0)
+t = perron(supra_operator(net), symmetric=True)
+print(structured_condition_number(t, "D", net).hex(),
+      structured_condition_number(t, "S", net).hex(),
+      sensitivity_matrix(t, N, L).frobenius_norm().hex(),
+      first_order_delta_rho(t, wilkinson(t), 0.3).hex())
+"""
+
+
+def test_report_values_are_bit_identical_on_one_and_two_blas_threads():
+    # the CLI's kappa_D, kappa_S, Frobenius norm and worst-case shift
+    one = run_fresh(BLAS_REPORT, OPENBLAS_NUM_THREADS="1")
+    two = run_fresh(BLAS_REPORT, OPENBLAS_NUM_THREADS="2")
+    assert one == two
