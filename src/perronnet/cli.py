@@ -98,8 +98,7 @@ def _solve(ns: argparse.Namespace):
         print("warning: supra graph is not strongly connected; the dominant "
               "root may not be simple and positivity of the eigenvectors is "
               "not guaranteed", file=sys.stderr)
-    return net, perron(supra_operator(net), tol=ns.tol,
-                       symmetric=not net.directed)
+    return net, perron(supra_operator(net), tol=ns.tol)
 
 
 def _edge_str(e: EdgeKey) -> str:

@@ -151,7 +151,8 @@ def hub_authority_communicability(net: Network, tol: float = DEFAULT_TOL,
     op = supra_operator(net)
     out = []
     for gram in (op @ op.H, op.H @ op):
-        t = perron(gram, tol=tol, max_iter=max_iter, symmetric=True)
+        gram.symmetric = True  # B B^T and B^T B are, for any B
+        t = perron(gram, tol=tol, max_iter=max_iter)
         s = float(t.x.sum())
         out.append(exp0(t.rho) * s * s)
     return tuple(out)

@@ -8,11 +8,11 @@ is solved matrix-free once on B for x and once on B^T for y, except
 that an x which already solves the left problem (every symmetric
 operator) is taken as y.  Which solver runs when:
 
-- a cold solve of an operator flagged symmetric (undirected input, Gram
-  operators) runs the plain Lanczos recurrence (Lanczos, 1950; Paige,
-  1976) on x.  It takes the largest eigenvalue, the Perron root also
-  where -rho is one (bipartite graphs).  Its error falls at a rate set
-  by the square root of the relative spectral gap, the power
+- a solve of an operator marked symmetric (undirected input, Gram
+  operators), cold or warm, runs the plain Lanczos recurrence (Lanczos,
+  1950; Paige, 1976) on x.  It takes the largest eigenvalue, the Perron
+  root also where -rho is one (bipartite graphs).  Its error falls at a
+  rate set by the square root of the relative spectral gap, the power
   iteration's by the gap itself: 27 products against 52-56 on the
   benchmark's undirected multiplexes, and 40 on an airlines-shaped one
   (N=417, L=37), which the power iteration hands to ARPACK.  A Ritz
@@ -29,7 +29,8 @@ operator) is taken as y.  Which solver runs when:
   alone;
 - ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen and
   Yang, 1998), through ``scipy.sparse.linalg.eigs``, solves a side that
-  either hands over, every warm start and the machine-precision retry.
+  either hands over, a warm start on an unmarked operator and the
+  machine-precision retry.
 
 Every product, of any solver, is counted in ``iterations`` and against
 the budget ``max_iter``, and a non-finite one fails at once.  Inner
@@ -44,18 +45,8 @@ with all entries positive, so the condition number of the root is
 kappa = 1 / (y^T x) = 1 / cos(theta).
 
 Re-solves of many small perturbations B + E_j of one operator, each E_j
-a one- or two-entry update, go through :func:`perron_block`: one
-two-sided block power iteration on B whose n x k iterate holds one
-column per perturbation, so each step is one sparse-times-dense product
-per side plus each column's few update entries.  A column is checked
-only at its own check steps, the first step and then the step at which
-its measured contraction predicts it passes; there it is accepted, and
-frozen, when it passes the certification of :func:`perron` (both
-residuals from fresh products within tol * max(1, rho), nonnegative unit
-vectors, y^T x > 0).  A column not accepted within
-:data:`BLOCK_MAX_STEPS` steps, or whose residual does not shrink fast
-enough to reach its bound by then (a periodic, reducible or small-gap
-operator), is left to :func:`perron` alone.
+a one- or two-entry update, go through :func:`perron_block`, whose
+columns pass the certification of :func:`perron` or are left to it.
 
 ARPACK runs with the OpenBLAS that scipy bundles set to one thread.  Its
 BLAS calls are small matrix-vector products on n x ncv blocks, which
@@ -127,6 +118,13 @@ def condition_number(t: PerronTriple) -> float:
     """kappa(rho) = 1 / (y^T x): worst-case first-order amplification of a
     unit-norm perturbation into a shift of the root."""
     return 1.0 / _dot(t.y, t.x)
+
+
+def _check_budget(tol: float, max_iter: int = 1) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and positive, got {tol}")
+    if not (math.isfinite(max_iter) and max_iter >= 1):
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def _start_vector(v0, n: int) -> np.ndarray:
@@ -383,35 +381,29 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
 def perron(op, tol: float = DEFAULT_TOL,
            max_iter: int = DEFAULT_MAX_ITER,
            x0: np.ndarray | None = None,
-           y0: np.ndarray | None = None,
-           symmetric: bool = False) -> PerronTriple:
-    """Perron triple of ``op``, on B for x and on B^T for y: from a cold
-    start by a power iteration first, or by the Lanczos recurrence when
-    ``symmetric``, and by ARPACK for a side either hands over (a dense
-    solve of the n x n matrix below order 3).
+           y0: np.ndarray | None = None) -> PerronTriple:
+    """Perron triple of ``op``, on B for x and on B^T for y.
 
     ``op`` is anything ``aslinearoperator`` takes: a ``LinearOperator``
     with ``rmatvec``, such as :func:`~perronnet.model.supra_operator`, or
-    a dense or sparse matrix.  ``symmetric`` says that B is symmetric, as
-    on undirected input; only the choice of cold solver reads it.
+    a dense or sparse matrix.  An operator whose attribute ``symmetric``
+    is true, as ``supra_operator`` sets it on undirected input, is taken
+    to equal its transpose; only the choice of first solver reads it.
 
     Both sides start from the strictly positive vector 1/sqrt(NL)
     (which cannot be orthogonal to the Perron vectors) unless warm-start
     vectors x0/y0 are supplied, e.g. the Perron pair of a nearby
-    operator.  Without them each side first runs, with ``symmetric``, the
-    Lanczos recurrence of :func:`_lanczos`, which takes the largest
-    eigenvalue and so the Perron root also where -rho is one (bipartite
-    graphs), and hands a vector that fails the sign test to the power
-    iteration; without ``symmetric``, the power iteration of
-    :func:`perron_block` on its own, one column without an update, whose
-    stall test hands a periodic, reducible or small-gap side to ARPACK
-    within a few steps.  A side that either does not accept within
-    :data:`BLOCK_MAX_STEPS` products goes to ARPACK from the same start,
-    and a warm start goes to ARPACK at once.  ARPACK takes the eigenvalue
-    of largest real part, which
-    for a nonnegative irreducible operator is the Perron root even when
-    the spectrum holds further eigenvalues of modulus rho (periodic
-    graphs).  The root is the two-sided Rayleigh quotient
+    operator.  Each side first runs, on a marked operator from either
+    start, the Lanczos recurrence of :func:`_lanczos`, and on an
+    unmarked one from a cold start, the power iteration of
+    :func:`perron_block`, one column without an update (see the module
+    docstring).  A side its first solver does not accept within
+    :data:`BLOCK_MAX_STEPS` products, and a warm side of an unmarked
+    operator, go to ARPACK from the same start (below order 3, a dense
+    solve of the n x n matrix).  ARPACK takes the eigenvalue of largest
+    real part, which for a nonnegative irreducible operator is the Perron
+    root even when the spectrum holds further eigenvalues of modulus rho
+    (periodic graphs).  The root is the two-sided Rayleigh quotient
     y^T B x / (y^T x), and the triple is returned only when both residual
     norms, computed from fresh products, are within tol * max(1, rho).
     A residual above that bound sends both sides to one more solve by
@@ -421,18 +413,16 @@ def perron(op, tol: float = DEFAULT_TOL,
     vector's fresh product, those of ARPACK, and the product with B^T
     that checks x against the left problem.  ``max_iter`` bounds them.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_budget(tol, max_iter)
     op = aslinearoperator(op)
     n = op.shape[0]
     cold = x0 is None and y0 is None
     u = _start_vector(x0, n)
     v = u.copy() if cold else _start_vector(y0, n)
     prod = _Products(op, max_iter)
+    first = (_lanczos if getattr(op, "symmetric", False)
+             else _power if cold else None)
     for arpack_tol in (tol, 0.0):
-        first = None
-        if cold and arpack_tol == tol:
-            first = _lanczos if symmetric else _power
         x, w = _dominant(prod.matvec, u, arpack_tol, prod, first)
         rho = _dot(x, w)
         bound = tol * max(1.0, abs(rho))
@@ -457,8 +447,8 @@ def perron(op, tol: float = DEFAULT_TOL,
                                 iterations=prod.count)
         # each side met its own bound, or ARPACK's residual estimate was
         # too optimistic: solve both again from the current vectors, to
-        # machine precision
-        u, v = x, y
+        # machine precision, by ARPACK alone
+        u, v, first = x, y, None
     raise prod.fail(
         f"residuals {res_r:.3e}/{res_l:.3e} above {bound:.3e} at machine "
         f"precision (rho ~ {rho:.6g}, kappa ~ {1.0 / yx:.3g}): the root is "
@@ -490,17 +480,18 @@ def _residual_norms(W: np.ndarray, rho: np.ndarray,
 
 
 def perron_block(op, updates, tol: float = DEFAULT_TOL,
-                 x0: np.ndarray | None = None, y0: np.ndarray | None = None,
-                 symmetric: bool = False) -> list[PerronTriple | None]:
+                 x0: np.ndarray | None = None,
+                 y0: np.ndarray | None = None) -> list[PerronTriple | None]:
     """Perron triples of the k operators B + E_j, solved together as one
     two-sided block power iteration on B.
 
     ``op`` is B, anything ``aslinearoperator`` takes, whose ``matmat``
     (and ``rmatmat``) multiply an n x k block, such as
     :func:`~perronnet.model.supra_operator`.  ``updates[j]`` is E_j as
-    ``(rows, cols, deltas)``, its few nonzero entries.  With
-    ``symmetric`` (B and every E_j symmetric, as on undirected input) y
-    is x and no product with B^T is made.
+    ``(rows, cols, deltas)``, its few nonzero entries.  On an ``op``
+    marked symmetric (see :func:`perron`) each entry of every E_j must
+    come with its mirror, as on undirected input; y is x and no product
+    with B^T is made.
 
     The n x k iterates X and Y hold one column per operator, all starting
     from x0/y0 as in :func:`perron`, in the C order a CSR product takes
@@ -523,9 +514,9 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     operator goes that way.  ``iterations`` counts the products made for
     the column.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_budget(tol)
     op = aslinearoperator(op)
+    symmetric = getattr(op, "symmetric", False)
     n = op.shape[0]
     u = _start_vector(x0, n)
     v = u if y0 is None and x0 is None else _start_vector(y0, n)
@@ -533,6 +524,11 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
         return []
     rows, cols, deltas = (np.concatenate(field) for field in zip(*updates))
     col = np.repeat(np.arange(len(updates)), [len(upd[0]) for upd in updates])
+    if symmetric:  # y = x holds only for a symmetric B + E_j
+        key, mirror = (col * n + rows) * n + cols, (col * n + cols) * n + rows
+        o, m = np.lexsort((deltas, key)), np.lexsort((deltas, mirror))
+        if (key[o] != mirror[m]).any() or (deltas[o] != deltas[m]).any():
+            raise InputError("a symmetric operator takes symmetric updates")
     X = np.repeat(u[:, None], len(updates), axis=1)
     Y = X if symmetric else np.repeat(v[:, None], len(updates), axis=1)
     return _power_columns(op.matmat, None if symmetric else op.rmatmat,

@@ -552,14 +552,14 @@ def load_multilayer(path, directed: bool = False) -> Network:
 
 def supra_operator(net: Network) -> LinearOperator:
     """Matrix-free supra-adjacency operator B, with products B v and B^T v
-    and, on an NL x k block V, B V and B^T V.
+    and, on an NL x k block V, B V and B^T V.  Its attribute ``symmetric``
+    is true exactly on undirected input, where B^T = B.
 
     The stored arcs multiply as one CSR matrix and its CSR transpose,
     ``net.arcs_t``, built once per network (on undirected input the
-    matrix itself); a multiplex adds its gamma
-    coupling blockwise, (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k}
-    v_(m), at O(NL) per column, where ``net.supra`` stores NL(L - 1)
-    coupling entries.
+    matrix itself); a multiplex adds its gamma coupling blockwise,
+    (B v)_(k) = A^(k) v_(k) + gamma * sum_{m != k} v_(m), at O(NL) per
+    column, where ``net.supra`` stores NL(L - 1) coupling entries.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -575,8 +575,10 @@ def supra_operator(net: Network) -> LinearOperator:
         return out
 
     B, B_t = partial(apply, arcs), partial(apply, arcs_t)
-    return LinearOperator(arcs.shape, dtype=float, matvec=B, rmatvec=B_t,
-                          matmat=B, rmatmat=B_t)
+    op = LinearOperator(arcs.shape, dtype=float, matvec=B, rmatvec=B_t,
+                        matmat=B, rmatmat=B_t)
+    op.symmetric = not net.directed
+    return op
 
 
 def assemble_dense(net: Network) -> np.ndarray:

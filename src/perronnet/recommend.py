@@ -28,10 +28,11 @@ becomes one supra update ``(rows, cols, deltas)``, checked once by
 :func:`~perronnet.eigen.perron_block` on the base network's operator,
 without copying the network; a row is accepted only when it passes the
 certification ``perron()`` applies.  A row the block pass does not
-accept is solved alone by ``perron()`` on the network
-:func:`~perronnet.model.apply_update` makes of its update, which reports
-why a row cannot be solved.  Both passes start from the base Perron pair
-when both of its vectors are strictly positive, and cold otherwise.  A
+accept is solved alone by ``perron()``, which reports why a row cannot
+be solved, on the network :func:`~perronnet.model.apply_update` makes of
+its update: an undirected one runs the Lanczos recurrence.  Both passes
+start from the base Perron pair when both of its vectors are strictly
+positive, and cold otherwise.  A
 removal that must keep the supra graph strongly connected is checked on
 the base supra matrix plus its update, once the base network is:
 removing arcs never makes a graph strongly connected.
@@ -362,7 +363,7 @@ def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
         return roots
     x0, y0 = _warm_start(t)
     block = perron_block(supra_operator(net), [requests[i] for i in todo],
-                         tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
+                         tol=tol, x0=x0, y0=y0)
     for i, solved in zip(todo, block):
         if solved is None:
             try:
@@ -406,8 +407,7 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
         raise InputError("eps must be positive")
     if mode not in ("increase", "decrease", "remove"):
         raise InputError("mode must be 'increase', 'decrease' or 'remove'")
-    t = triple if triple is not None else perron(
-        supra_operator(net), tol=tol, symmetric=not net.directed)
+    t = triple if triple is not None else perron(supra_operator(net), tol=tol)
     if baseline_count is None:
         baseline_count = len(edges)
     baselines = _draw_baselines(t, net, mode, baseline_count, seed)

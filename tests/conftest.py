@@ -127,6 +127,45 @@ def random_multiplex_net(seed, N, L, gamma=1.0, density=0.3, directed=False):
     return multiplex_from_layers(layers, gamma, directed=directed)
 
 
+def airlines_shaped():
+    """An undirected multiplex shaped like the European airlines one, N=417,
+    L=37, gamma=1: 20-200 random edges per layer, and a ring through every
+    node in layer 1.  Its gap ratio |lambda_2| / rho is about 0.99."""
+    rng = np.random.default_rng(2024)
+    N, L = 417, 37
+    layers = []
+    for layer in range(L):
+        m = int(rng.integers(20, 201))
+        seen = set()
+        if layer == 0:
+            perm = rng.permutation(N)
+            seen = {(min(a, b), max(a, b))
+                    for a, b in zip(perm, np.roll(perm, -1))}
+        while len(seen) < m + (N if layer == 0 else 0):
+            a, b = rng.integers(0, N, 2)
+            if a != b:
+                seen.add((min(a, b), max(a, b)))
+        a, b = np.array(sorted(seen)).T
+        A = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(N, N))
+        layers.append(A + A.T)
+    return Network(N, L, sp.block_diag(layers, format="csr"), False,
+                   gamma=1.0)
+
+
+def write_multiplex(net, path):
+    """Write the undirected multiplex ``net`` as a multiplex edge file,
+    one 'layer i j weight' line per edge with i < j."""
+    A = net.arcs.tocoo()
+    layer, i = np.divmod(A.row, net.N)
+    j = A.col % net.N
+    lines = [f"{l + 1} {a + 1} {b + 1} {w!r}" for l, a, b, w in
+             sorted(zip(layer.tolist(), i.tolist(), j.tolist(),
+                        A.data.tolist())) if a < b]
+    path.write_text(f"{net.N} {net.L}\n" + "\n".join(lines) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 

@@ -12,8 +12,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from perronnet import (ConvergenceError, EdgeKey, Network, apply_edge_delta,
-                       assemble_dense, load_demo_network,
+from perronnet import (ConvergenceError, EdgeKey, InputError, Network,
+                       apply_edge_delta, assemble_dense, load_demo_network,
                        perron, perron_dense_oracle, rank_insertions,
                        rank_removals, supra_operator)
 from perronnet.eigen import _STALL_STEPS, perron_block
@@ -102,8 +102,7 @@ def assert_certified(t, net, tol=TOL):
 
 def block_solve(net, t, requests, tol=TOL):
     x0, y0 = _warm_start(t)
-    return perron_block(supra_operator(net), requests, tol=tol, x0=x0, y0=y0,
-                        symmetric=not net.directed)
+    return perron_block(supra_operator(net), requests, tol=tol, x0=x0, y0=y0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +158,20 @@ def test_empty_block_makes_no_products():
     assert perron_block(supra_operator(net), []) == []
 
 
+def test_a_symmetric_operator_takes_only_mirrored_updates():
+    # y = x is certified only for a symmetric B + E_j: on a one-arc update
+    # of an undirected network the block would accept a y whose left
+    # residual is about 0.1
+    net = NETWORKS["general-undirected"]()
+    t = perron(supra_operator(net))
+    arc = (np.array([0]), np.array([3]), np.array([0.3]))
+    mirrored = (np.array([0, 3]), np.array([3, 0]), np.array([0.3, 0.3]))
+    with pytest.raises(InputError, match="takes symmetric updates"):
+        perron_block(supra_operator(net), [mirrored, arc], x0=t.x, y0=t.y)
+    got, = perron_block(supra_operator(net), [mirrored], x0=t.x, y0=t.y)
+    assert_certified(got, apply_update(net, mirrored))
+
+
 def edited_by_public_calls(net, e, mode, eps):
     """The network after a mirrored request, as the chain of public
     apply_edge_delta calls: edge e raised by eps or removed, then on
@@ -204,8 +217,9 @@ def test_block_products_take_c_order_blocks(name):
     op = LinearOperator(base.shape, matvec=base.matvec, rmatvec=base.rmatvec,
                         matmat=recorded("matmat"), rmatmat=recorded("rmatmat"),
                         dtype=float)
+    op.symmetric = base.symmetric
     x0, y0 = _warm_start(t)
-    got = perron_block(op, requests, x0=x0, y0=y0, symmetric=not net.directed)
+    got = perron_block(op, requests, x0=x0, y0=y0)
     assert any(g is not None for g in got)
     assert blocks["matmat"]
     assert len(blocks["rmatmat"]) == (len(blocks["matmat"]) if net.directed

@@ -21,7 +21,8 @@ from perronnet.cli import main
 from perronnet.errors import ConvergenceError
 from perronnet.model import apply_update
 
-from conftest import brute_insertion_ranking, random_general_net
+from conftest import (airlines_shaped, brute_insertion_ranking,
+                      random_general_net, write_multiplex)
 
 
 DEMO = str(demo_network_path())
@@ -327,7 +328,7 @@ def test_removal_from_a_source_node_network_checks_the_base_once(
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):
-    def exploding(op, tol=1e-10, max_iter=100000, symmetric=False):
+    def exploding(op, tol=1e-10, max_iter=100000):
         raise ConvergenceError("no convergence", iterations=1,
                                residuals=(1.0, 1.0))
     monkeypatch.setattr(cli, "perron", exploding)
@@ -767,3 +768,18 @@ def test_json_output_is_byte_identical_across_runs_and_interpreters(
                            capture_output=True, text=True, env=env,
                            check=True, timeout=120)
     assert json.loads(fresh.stdout) == here
+
+
+GOLDEN_RESOLVE = Path(__file__).with_name("airlines_resolve_golden.json")
+
+
+def test_airlines_shaped_resolve_json_is_pinned(capsys, tmp_path):
+    # the block pass hands every row of both commands to perron(), which
+    # re-solves it by the Lanczos recurrence; CI runs this test on one and
+    # on two BLAS threads too
+    path = write_multiplex(airlines_shaped(), tmp_path / "airlines.edges")
+    golden = json.loads(GOLDEN_RESOLVE.read_text(encoding="utf-8"))
+    assert len(golden["cases"]) == 2
+    for case in golden["cases"]:
+        args = [str(path) if a == "{input}" else a for a in case["args"]]
+        assert run_cli(capsys, *args) == (0, case["stdout"], "")

@@ -65,7 +65,7 @@ def ref_root(t, net, mutated, tol=1e-10):
     nz = diff.data != 0
     solved, = perron_block(supra_operator(net),
                            [(diff.row[nz], diff.col[nz], diff.data[nz])],
-                           tol=tol, x0=x0, y0=y0, symmetric=not net.directed)
+                           tol=tol, x0=x0, y0=y0)
     if solved is None:
         solved = perron(supra_operator(mutated), tol=tol, x0=x0, y0=y0)
     return solved.rho

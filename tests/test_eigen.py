@@ -1,5 +1,6 @@
 """Perron solver vs dense oracle, triple invariants, edge cases."""
 
+import math
 import sys
 import threading
 import time
@@ -9,15 +10,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from perronnet import (ConvergenceError, Network, assemble_dense,
-                       condition_number, perron, perron_dense_oracle,
-                       supra_operator)
-from perronnet import eigen
+from perronnet import (ConvergenceError, InputError, Network,
+                       apply_edge_delta, assemble_dense, condition_number,
+                       perron, perron_dense_oracle, rank_insertions,
+                       rank_removals, supra_operator)
+from perronnet import eigen, recommend
 from perronnet.eigen import _scipy_openblas
 
-from conftest import (dense_perron_pair, multilayer_from_dense,
-                      multiplex_from_layers, random_general_net,
-                      random_multiplex_net, run_fresh, undirected_general_net)
+from conftest import (airlines_shaped, dense_perron_pair,
+                      multilayer_from_dense, multiplex_from_layers,
+                      random_general_net, random_multiplex_net, run_fresh,
+                      undirected_general_net)
 
 
 def op_from_dense(B):
@@ -27,7 +30,8 @@ def op_from_dense(B):
 
 
 def counted(op):
-    """``op`` with a list that grows by one per operator product."""
+    """``op``, with its symmetry mark, and a list that grows by one per
+    operator product."""
     calls = []
 
     def matvec(v):
@@ -38,8 +42,18 @@ def counted(op):
         calls.append("B^T")
         return op.rmatvec(v)
 
-    return LinearOperator(op.shape, matvec=matvec, rmatvec=rmatvec,
-                          dtype=float), calls
+    out = LinearOperator(op.shape, matvec=matvec, rmatvec=rmatvec,
+                         dtype=float)
+    out.symmetric = getattr(op, "symmetric", False)
+    return out, calls
+
+
+def unmarked(op):
+    """``op`` without its symmetry mark: solved as a nonsymmetric operator,
+    by the power iteration from a cold start and by ARPACK from a warm
+    one."""
+    return LinearOperator(op.shape, matvec=op.matvec, rmatvec=op.rmatvec,
+                          dtype=float)
 
 
 def assert_valid_triple(t, B, tol=1e-10):
@@ -186,6 +200,19 @@ def test_bad_tol_rejected(demo_net):
         perron(supra_operator(demo_net), tol=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -3])
+def test_nonsense_tol_and_budget_are_input_errors(demo_net, value):
+    # an infinite tol would certify the first iterate, a NaN one fail
+    # inside ARPACK, and a budget below 1 report no convergence
+    op = supra_operator(demo_net)
+    with pytest.raises(InputError, match="tol must be finite and positive"):
+        perron(op, tol=value)
+    with pytest.raises(InputError, match="tol must be finite and positive"):
+        eigen.perron_block(op, [([0], [1], [0.1])], tol=value)
+    with pytest.raises(InputError, match="max_iter must be at least 1"):
+        perron(op, max_iter=value)
+
+
 def test_dense_oracle_two_cycle():
     t = perron_dense_oracle(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert t.rho == pytest.approx(1.0, abs=1e-12)
@@ -267,8 +294,10 @@ def bipartite_multiplex():
 @pytest.mark.parametrize("make", [periodic_multilayer_cycle,
                                   bipartite_multiplex])
 def test_spectral_circle_inputs_match_dense_oracle(make):
+    # the power phase, then ARPACK; test_lanczos_matches_the_dense_oracle
+    # gives the bipartite case to the Lanczos recurrence
     B, net = make()
-    t = perron(supra_operator(net))
+    t = perron(unmarked(supra_operator(net)))
     oracle = perron_dense_oracle(B)
     others = np.linalg.eigvals(B)
     on_circle = np.abs(np.abs(others) - oracle.rho) <= 1e-9 * oracle.rho
@@ -280,6 +309,14 @@ def test_spectral_circle_inputs_match_dense_oracle(make):
 
 
 def test_tiny_gap_between_two_dense_layers():
+    check_tiny_gap(lambda net: unmarked(supra_operator(net)))
+
+
+def test_tiny_gap_symmetric_solve_matches_the_dense_oracle():
+    check_tiny_gap(supra_operator)
+
+
+def check_tiny_gap(prepare):
     # two equal dense layers coupled by gamma: the two leading eigenvalues
     # are rho_A + gamma and rho_A - gamma
     gamma, N = 1e-6, 10
@@ -288,7 +325,7 @@ def test_tiny_gap_between_two_dense_layers():
     A = A + A.T
     net = multiplex_from_layers([A, A], gamma=gamma)
     B = assemble_dense(net)
-    t = perron(supra_operator(net))
+    t = perron(prepare(net))
     oracle = perron_dense_oracle(B)
     lead = np.sort(np.linalg.eigvalsh(B))[-2:]
     assert lead[1] - lead[0] == pytest.approx(2 * gamma, rel=1e-6)
@@ -490,7 +527,7 @@ def no_arpack(monkeypatch):
 def test_cold_benchmark_shaped_solve_makes_no_arpack_call(monkeypatch, make):
     net = make()
     no_arpack(monkeypatch)
-    op, calls = counted(supra_operator(net))
+    op, calls = counted(unmarked(supra_operator(net)))
     t = perron(op)
     assert t.iterations == len(calls) <= 2 * eigen.BLOCK_MAX_STEPS + 4
     B = net.supra
@@ -508,7 +545,7 @@ def test_cold_benchmark_shaped_solve_makes_no_arpack_call(monkeypatch, make):
 def test_cold_power_phase_matches_the_dense_oracle(monkeypatch, make):
     net = make()
     no_arpack(monkeypatch)
-    t = perron(supra_operator(net))
+    t = perron(unmarked(supra_operator(net)))
     B = assemble_dense(net)
     oracle = perron_dense_oracle(B)
     assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
@@ -524,30 +561,6 @@ def two_dense_layers(gamma=1e-3, N=10):
     rng = np.random.default_rng(9)
     A = np.triu(rng.uniform(0.5, 1.5, (N, N)), 1)
     return multiplex_from_layers([A + A.T, 1.001 * (A + A.T)], gamma=gamma)
-
-
-def airlines_shaped():
-    # N=417, L=37 as the European airlines multiplex: 20-200 random edges
-    # per layer, and a ring through every node in layer 1
-    rng = np.random.default_rng(2024)
-    N, L = 417, 37
-    layers = []
-    for layer in range(L):
-        m = int(rng.integers(20, 201))
-        seen = set()
-        if layer == 0:
-            perm = rng.permutation(N)
-            seen = {(min(a, b), max(a, b))
-                    for a, b in zip(perm, np.roll(perm, -1))}
-        while len(seen) < m + (N if layer == 0 else 0):
-            a, b = rng.integers(0, N, 2)
-            if a != b:
-                seen.add((min(a, b), max(a, b)))
-        a, b = np.array(sorted(seen)).T
-        A = sp.csr_matrix((np.ones(a.size), (a, b)), shape=(N, N))
-        layers.append(A + A.T)
-    return Network(N, L, sp.block_diag(layers, format="csr"), False,
-                   gamma=1.0)
 
 
 # the most products the power phase makes before it hands a side over:
@@ -613,7 +626,7 @@ def test_lanczos_matches_the_dense_oracle(monkeypatch, make):
     net = make()
     no_arpack(monkeypatch)
     op, calls = counted(supra_operator(net))
-    t = perron(op, symmetric=True)
+    t = perron(op)
     assert t.iterations == len(calls)
     B = assemble_dense(net)
     oracle = perron_dense_oracle(B)
@@ -635,7 +648,7 @@ def test_signed_lanczos_vector_goes_to_the_power_iteration(monkeypatch):
     monkeypatch.setattr(eigen, "_power",
                         lambda *a: found.append(power(*a)) or found[-1])
     op, calls = counted(supra_operator(net))
-    t = perron(op, symmetric=True)
+    t = perron(op)
     assert len(found) == 1 and found[0] is not None
     assert t.iterations == len(calls)
     B = assemble_dense(net)
@@ -658,10 +671,10 @@ def test_uncoupled_layers_need_no_arpack_and_match_the_oracle(monkeypatch,
         with monkeypatch.context() as m:
             no_arpack(m)
             op, calls = counted(supra_operator(net))
-            t = perron(op, symmetric=True)
+            t = perron(op)
         assert t.iterations == len(calls) <= 30
-        # without the flag: the power iteration, then ARPACK
-        for t in (t, perron(supra_operator(net))):
+        # without the mark: the power iteration, then ARPACK
+        for t in (t, perron(unmarked(supra_operator(net)))):
             assert t.rho == pytest.approx(oracle.rho, rel=1e-12)
             assert np.abs(t.x - oracle.x).max() < 1e-8
             assert_valid_triple(t, B)
@@ -673,7 +686,7 @@ def test_even_ring_returns_plus_rho_without_arpack(monkeypatch):
     spectrum = np.linalg.eigvalsh(B)
     assert spectrum[0] == pytest.approx(-spectrum[-1], rel=1e-12)
     no_arpack(monkeypatch)
-    t = perron(supra_operator(net), symmetric=True)
+    t = perron(supra_operator(net))
     assert t.rho == pytest.approx(spectrum[-1], rel=1e-12)
     assert_valid_triple(t, B)
 
@@ -685,7 +698,7 @@ def test_symmetric_cold_solve_makes_no_arpack_call(monkeypatch, make):
     net = make()
     no_arpack(monkeypatch)
     op, calls = counted(supra_operator(net))
-    t = perron(op, symmetric=True)
+    t = perron(op)
     # the start's image, at most the cap of Lanczos steps, the accepted
     # vector's fresh product and the left check
     assert t.iterations == len(calls) <= eigen.BLOCK_MAX_STEPS + 2
@@ -700,10 +713,11 @@ def test_symmetric_cold_solve_makes_no_arpack_call(monkeypatch, make):
 def test_small_gap_symmetric_sides_need_no_arpack(monkeypatch, case):
     net = {"airlines-shaped": airlines_shaped,
            "small-gap": two_dense_layers}[case]()
-    arpack_only = perron(supra_operator(net), x0=np.full(net.dim, 1.0))
+    arpack_only = perron(unmarked(supra_operator(net)),
+                         x0=np.full(net.dim, 1.0))
     no_arpack(monkeypatch)
     op, calls = counted(supra_operator(net))
-    t = perron(op, symmetric=True)
+    t = perron(op)
     assert t.iterations == len(calls)
     # both roots are Rayleigh quotients of a symmetric B whose residuals
     # are within the bound, so each lies that close to the root
@@ -715,13 +729,39 @@ def test_small_gap_symmetric_sides_need_no_arpack(monkeypatch, case):
         assert_valid_triple(t, assemble_dense(net))
 
 
+def test_small_gap_undirected_resolves_make_no_arpack_call(monkeypatch):
+    # the block pass hands the airlines shape's re-solves to perron(),
+    # whose operator of the updated network carries the symmetry mark:
+    # each runs the Lanczos recurrence from the base pair
+    net = airlines_shaped()
+    t = perron(supra_operator(net))
+    solve, alone = recommend.perron, []
+    with monkeypatch.context() as m:
+        no_arpack(m)
+        m.setattr(recommend, "perron",
+                  lambda op, **kw: alone.append(op) or solve(op, **kw))
+        removed = rank_removals(t, net, 20, recompute=True)
+        added = rank_insertions(t, net, 20, eps=0.3, recompute=True)
+    assert len(removed) == len(added) == 20
+    assert alone and all(op.symmetric for op in alone)
+    for rows, change in ((removed, lambda e: -net.weight(e)),
+                         (added, lambda e: 0.3)):
+        for r in rows:
+            mutated = apply_edge_delta(net, r.edge, change(r.edge))
+            # ARPACK alone, from a warm start on an unmarked operator
+            ref = perron(unmarked(supra_operator(mutated)),
+                         x0=np.full(net.dim, 1.0))
+            assert abs(r.rho_after - ref.rho) <= 2e-10 * max(1.0, ref.rho)
+
+
 def test_lanczos_hands_over_to_arpack_from_the_same_start(monkeypatch):
     net = random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)
-    arpack_only = perron(supra_operator(net), x0=np.full(net.dim, 1.0))
+    arpack_only = perron(unmarked(supra_operator(net)),
+                         x0=np.full(net.dim, 1.0))
     monkeypatch.setattr(eigen, "BLOCK_MAX_STEPS", 5)
     seen = arpack_calls(monkeypatch)
     op, calls = counted(supra_operator(net))
-    t = perron(op, symmetric=True)
+    t = perron(op)
     assert len(seen) == 1
     assert t.iterations == len(calls)
     assert t.rho == arpack_only.rho
@@ -734,7 +774,7 @@ def test_symmetric_solve_keeps_the_budget_and_non_finite_errors():
     net = random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)
     with pytest.raises(ConvergenceError,
                        match="no convergence after 7 operator products") as ei:
-        perron(supra_operator(net), max_iter=7, symmetric=True)
+        perron(supra_operator(net), max_iter=7)
     assert ei.value.iterations == 7
     base = supra_operator(net)
     calls = []
@@ -745,8 +785,9 @@ def test_symmetric_solve_keeps_the_budget_and_non_finite_errors():
 
     op = LinearOperator(base.shape, matvec=matvec, rmatvec=base.rmatvec,
                         dtype=float)
+    op.symmetric = True
     with pytest.raises(ConvergenceError, match="iteration 5 ") as ei:
-        perron(op, symmetric=True)
+        perron(op)
     assert ei.value.iterations == 5 == len(calls)
 
 
@@ -843,7 +884,10 @@ keep = rows != cols
 A = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
                    (rows[keep], cols[keep])), shape=(N * L, N * L))
 net = Network(N, L, A + A.T, False, gamma=1.0)
-solves.append(perron(supra_operator(net), symmetric=True))
+solves.append(perron(supra_operator(net)))
+# and warm from a skewed start, which the recurrence takes too
+start = np.linspace(1.0, 2.0, N * L)
+solves.append(perron(supra_operator(net), x0=start, y0=start))
 for t in solves:
     print(t.rho.hex(), t.kappa.hex(), t.iterations,
           hashlib.sha256(t.x.tobytes() + t.y.tobytes()).hexdigest())

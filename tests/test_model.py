@@ -780,6 +780,22 @@ def test_apply_update_matches_lil_reference_bitwise():
 # ---------------------------------------------------------------------------
 # hub / authority operators
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_operators_are_marked_symmetric_iff_undirected(monkeypatch, directed):
+    from perronnet import communicability
+    net = random_multiplex_net(9, N=5, L=2, directed=directed)
+    assert supra_operator(net).symmetric is (not directed)
+    mutated = apply_update(net, edge_update(net, EdgeKey(1, 3, 2, 2), 0.5))
+    assert supra_operator(mutated).symmetric is (not directed)
+    # both Gram operators are symmetric for any B
+    marks = []
+    solve = communicability.perron
+    monkeypatch.setattr(communicability, "perron", lambda op, **kw: (
+        marks.append(op.symmetric) or solve(op, **kw)))
+    communicability.hub_authority_communicability(net)
+    assert marks == [True, True]
+
+
 def test_hub_authority_symmetric_coincide():
     net = random_multiplex_net(9, N=5, L=2, gamma=1.0, directed=False)
     B = assemble_dense(net)

@@ -477,8 +477,8 @@ def test_experiment_solves_an_undirected_base_as_symmetric(monkeypatch,
     net = random_multiplex_net(17, N=6, L=2, directed=directed)
     flags = []
     solve = recommend.perron
-    monkeypatch.setattr(recommend, "perron", lambda *a, **kw: (
-        flags.append(kw.get("symmetric", False)) or solve(*a, **kw)))
+    monkeypatch.setattr(recommend, "perron", lambda op, **kw: (
+        flags.append(op.symmetric) or solve(op, **kw)))
     edge = next(net.edges())[0]
     perturbation_experiment(net, [edge], 0.3, "increase", baseline_count=0)
     assert flags[0] == (not directed)  # the base solve comes first

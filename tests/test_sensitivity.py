@@ -454,7 +454,7 @@ keep = rows != cols
 A = sp.csr_matrix((rng.uniform(0.5, 1.5, keep.sum()),
                    (rows[keep], cols[keep])), shape=(N * L, N * L))
 net = Network(N, L, A + A.T, False, gamma=1.0)
-t = perron(supra_operator(net), symmetric=True)
+t = perron(supra_operator(net))
 print(structured_condition_number(t, "D", net).hex(),
       structured_condition_number(t, "S", net).hex(),
       sensitivity_matrix(t, N, L).frobenius_norm().hex(),
