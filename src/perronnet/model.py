@@ -37,8 +37,9 @@ import scipy.sparse as sp
 from .errors import DenseCapError, InputError, ParseError
 
 # scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
-# users, _reaches, _coupled_connectivity, _one_strong_component and
-# supra_operator, so that loading a network imports neither
+# users, Network._strongly_connected, _reaches, _coupled_connectivity,
+# _one_strong_component and supra_operator, so that loading a network
+# imports neither
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
 
@@ -80,9 +81,10 @@ def unflatten_index(a: int, N: int) -> tuple[int, int]:
     return int(a) % N + 1, int(a) // N + 1
 
 
-# set on a loader's CSR matrix of undirected arcs, each of which it stored
-# with its mirror: the matrix is symmetric by construction
-_MIRRORED = "_perronnet_mirrored"
+# set on a loader's CSR matrix, built from rows that passed every check
+# (weights, intra-layer keys, each undirected arc stored with its mirror):
+# Network adopts it unchecked and uncopied, and removes the mark
+_LOADED = "_perronnet_loaded"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +97,9 @@ class Network:
     uniform diagonal inter-layer coupling of finite weight gamma >= 0 is
     fixed by the model: :attr:`supra` stores it, the operator applies it
     implicitly.  All stored weights are strictly positive and finite, and
-    an undirected network's arcs are symmetric.  The network keeps its own
-    canonical copy of ``arcs``.
+    an undirected network's arcs are symmetric.  The network keeps a
+    checked canonical copy of the ``arcs`` it is given; a loader's own
+    matrix, built from checked rows, is adopted as it is.
     """
 
     N: int
@@ -106,19 +109,19 @@ class Network:
     gamma: float | None = None
 
     def __post_init__(self):
+        if getattr(self.arcs, "__dict__", {}).pop(_LOADED, False):
+            return  # a loader's matrix, checked row by row (see _network)
         if self.N < 1 or self.L < 1:
             raise InputError("N and L must be positive")
         if self.multiplex:
             _check_gamma(self.gamma)
         arcs = sp.csr_matrix(self.arcs, dtype=float, copy=True)
-        # a copy keeps neither scipy's canonical flag nor the loader's
-        # mirror flag: a matrix known to be canonical, or symmetric, such as
-        # a loader's, is not checked again
+        # a copy drops scipy's canonical flag: a matrix known to be
+        # canonical is not summed again
         if getattr(self.arcs, "has_canonical_format", False):
             arcs.has_canonical_format = True
         else:
             arcs.sum_duplicates()
-        mirrored = getattr(self.arcs, _MIRRORED, False)
         object.__setattr__(self, "arcs", arcs)
         if arcs.shape != (self.dim, self.dim):
             raise InputError("arcs must be an NL x NL matrix")
@@ -134,7 +137,7 @@ class Network:
                 raise InputError("a multiplex stores intra-layer arcs only")
         # undirected edge semantics (one candidate per pair, mirrored edits)
         # hold only for a symmetric matrix
-        if not (self.directed or mirrored or _same_csr(arcs, arcs.T.tocsr())):
+        if not (self.directed or _same_csr(arcs, arcs.T.tocsr())):
             raise InputError("an undirected network needs a symmetric weight matrix")
 
     @property
@@ -166,9 +169,23 @@ class Network:
     @cached_property
     def _strongly_connected(self) -> bool:
         """:func:`is_strongly_connected` without an update, found on first
-        use: the CLI's warning and a connected removal scan share it.  A
-        multiplex with gamma > 0 is decided by :func:`_coupled_connectivity`
-        without building :attr:`supra`, where it can."""
+        use: the CLI's warning and a connected removal scan share it.
+
+        A breadth-first search from position 0 on ``arcs``, and on directed
+        input a second one on ``arcs_t``, decides the common case without a
+        strong-component pass: without coupling, B is strongly connected
+        iff both reach all NL positions; with gamma > 0, which joins the L
+        copies of each node both ways, it is so when both reach the N
+        nodes of layer 1.  Otherwise the strong components of the arcs
+        decide (:func:`_coupled_connectivity` builds :attr:`supra` only
+        where it must)."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        count = self.N if self.gamma else self.dim
+        sides = (self.arcs, self.arcs_t) if self.directed else (self.arcs,)
+        if all(breadth_first_order(m, 0, return_predecessors=False).size
+               == count for m in sides):
+            return True
         if not self.gamma:
             return _one_strong_component(self.arcs)
         return _coupled_connectivity(self)
@@ -506,7 +523,7 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
               out=indptr[1:])
     arcs = sp.csr_matrix((t.w[rows], heads, indptr), shape=(n, n))
     arcs.has_canonical_format = True  # sorted by key, no repeat
-    setattr(arcs, _MIRRORED, not directed)  # each arc stored with its mirror
+    setattr(arcs, _LOADED, True)  # no copy, no second check
     return Network(t.N, t.L, arcs, directed, gamma)
 
 
@@ -595,7 +612,10 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
     update, an entry that becomes 0 dropping its edge, as
     :func:`apply_update` would leave it, without building that network.
-    Without an update the answer is found once per network.
+    Without an update the answer is found once per network: by one or two
+    breadth-first searches where they settle it, and otherwise, always on
+    a network that is not strongly connected, by a strong-component pass
+    (``Network._strongly_connected``).
 
     On a strongly connected base, an update that adds no edge keeps it so
     iff the head v of each edge u -> v it drops is still reachable from
@@ -647,20 +667,19 @@ def _reaches(graph, arcs) -> bool:
 
 
 def _coupled_connectivity(net: Network) -> bool:
-    """Strong connectivity of a multiplex with gamma > 0 from the strong
-    components of its arcs alone.  The coupling joins the L copies of each
-    node both ways, so the components that hold one node's copies lie in
-    one strong component of B: when merging them leaves one class, B is
-    strongly connected.  On undirected input more than one class means it
-    is not.  On directed input a path of arcs can still run from one class
-    to another and back through another layer, and the strong-component
-    pass of ``net.supra`` decides."""
+    """Strong connectivity of a multiplex with gamma > 0 whose layer 1 is
+    not strongly connected, from the strong components of its arcs alone.
+    The coupling joins the L copies of each node both ways, so the
+    components that hold one node's copies lie in one strong component
+    of B: when merging them leaves one class, B is strongly connected.
+    On undirected input more than one class means it is not.  On directed
+    input a path of arcs can still run from one class to another and back
+    through another layer, and the strong-component pass of ``net.supra``
+    decides."""
     from scipy.sparse.csgraph import connected_components
 
     count, labels = connected_components(net.arcs, directed=True,
                                          connection="strong")
-    if count == net.L:  # no arc leaves its layer: one component per layer
-        return True
     copies = labels.reshape(net.L, net.N)
     merge = sp.csr_matrix((np.ones(net.dim - net.N),
                            (np.tile(copies[0], net.L - 1), copies[1:].ravel())),

@@ -783,3 +783,23 @@ def test_airlines_shaped_resolve_json_is_pinned(capsys, tmp_path):
     for case in golden["cases"]:
         args = [str(path) if a == "{input}" else a for a in case["args"]]
         assert run_cli(capsys, *args) == (0, case["stdout"], "")
+
+
+GOLDEN_BENCHMARK = Path(__file__).with_name("benchmark_json_golden.json")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_commands_json_is_pinned(capsys, tmp_path, monkeypatch):
+    # the json bytes of the benchmark's four commands, on inputs its
+    # generator makes; CI runs this test on one and on two BLAS threads
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    golden = json.loads(GOLDEN_BENCHMARK.read_text(encoding="utf-8"))
+    assert len(golden["cases"]) == 4
+    for case in golden["cases"]:
+        path = tmp_path / f"{case['workload']}.edges"
+        if not path.exists():
+            gen.write_edges(gen.generate(case["workload"], golden["seed"],
+                                         golden["part"]), path)
+        args = [str(path) if a == "{input}" else a for a in case["args"]]
+        assert run_cli(capsys, *args) == (0, case["stdout"], ""), args

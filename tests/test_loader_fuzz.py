@@ -259,6 +259,10 @@ def _outcome(load, path, **kw):
     except ParseError as exc:
         return "error", str(exc), exc.line
     m = net.arcs
+    # a loader's matrix, adopted without a second check, passes every
+    # check of the public constructor
+    assert model._same_csr(Network(net.N, net.L, m, net.directed,
+                                   net.gamma).arcs, m)
     return "ok", tuple((a.dtype.str, a.tobytes())
                        for a in (m.indptr, m.indices, m.data))
 

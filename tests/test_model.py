@@ -353,27 +353,46 @@ def test_strongly_connected_cycle_and_isolated():
 
 
 def test_base_connectivity_is_found_once_per_network(monkeypatch):
-    # the CLI's warning and a connected removal scan ask the same question
-    passes, searches = [], []
+    # the CLI's warning and a connected removal scan ask the same question;
+    # on a strongly connected base it is settled by breadth-first searches
+    # from position 0 alone, and cached
+    passes, searches, labellings = [], [], []
     one_component = model._one_strong_component
     monkeypatch.setattr(model, "_one_strong_component",
                         lambda B: passes.append(B) or one_component(B))
     search = csgraph.breadth_first_order
     monkeypatch.setattr(csgraph, "breadth_first_order",
                         lambda *a, **kw: searches.append(a) or search(*a, **kw))
+    label = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *a, **kw: labellings.append(a) or label(*a, **kw))
     net = random_general_net(3, N=5, L=2)[0]
-    assert is_strongly_connected(net) == is_strongly_connected(net)
-    assert len(passes) == 1
+    assert is_strongly_connected(net) and is_strongly_connected(net)
+    # directed: one search on the arcs and one on their transpose
+    assert [(g is net.arcs, g is net.arcs_t, u) for g, u in searches] == [
+        (True, False, 0), (False, True, 0)]
+    assert passes == [] and labellings == []
     e, w = next(net.edges())
     update = edge_update(net, e, -w)
     assert is_strongly_connected(net, update) == is_strongly_connected(
         net, update)
-    # the base is strongly connected: one search per call from the tail of
-    # the dropped arc, and no strong-component pass, none cached
-    assert len(passes) == 1
-    assert len(searches) == 2
-    is_strongly_connected(apply_update(net, update))
-    assert len(passes) == 2
+    # one search per call from the tail of the dropped arc, none cached
+    assert passes == [] and labellings == []
+    assert len(searches) == 4
+    removed = apply_update(net, update)
+    assert is_strongly_connected(removed)  # an arc of a dense graph
+    assert len(searches) == 6 and passes == [] and labellings == []
+    # undirected, coupled: one search, over layer 1's nodes only
+    searches.clear()
+    mpx = random_multiplex_net(3, N=5, L=3, gamma=0.5)
+    assert is_strongly_connected(mpx) and is_strongly_connected(mpx)
+    assert [(g is mpx.arcs, u) for g, u in searches] == [(True, 0)]
+    assert passes == [] and labellings == [] and "supra" not in mpx.__dict__
+    # a reducible base still gets a strong-component pass, once
+    iso = multiplex_from_layers([np.zeros((2, 2))], gamma=0.0)
+    assert not is_strongly_connected(iso) and not is_strongly_connected(iso)
+    assert len(searches) == 2 and len(labellings) == 1
+    assert len(passes) == 1 and passes[0] is iso.arcs
 
 
 def test_demo_connected_after_arc_removal(demo_net):
@@ -445,6 +464,80 @@ def test_multiplex_base_connectivity_matches_the_supra_component_pass(
         answers.append(got)
     assert answers[-1] == (gamma > 0)  # the cross-layer cycle
     assert True in answers and False in answers
+
+
+def _seeded_base(rng, kind, directed, split):
+    """A random network of one ``kind`` ("general", or the gamma of a
+    multiplex) on N = 1..7 nodes and L = 1..4 layers; unless ``split``, a
+    ring through a random order of the positions (of each layer's nodes
+    on a multiplex) keeps it, or each layer, strongly connected."""
+    N, L = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+    if kind != "general":
+        layers = _random_layers(rng, N, L, directed, split)
+        return multiplex_from_layers(layers, kind, directed=directed)
+    n = N * L
+    B = (rng.random((n, n)) < (1.2 / n if split else 0.15)) * 1.0
+    if not split:
+        perm = rng.permutation(n)
+        B[perm, np.roll(perm, -1)] = 1.0
+    if not directed:
+        B = np.maximum(B, B.T)
+    return multilayer_from_dense(B, N, L, directed=directed)
+
+
+def _fallback_cases():
+    """Networks whose searches from position 0 do not settle the answer:
+    a directed out-star, which the forward search covers and the backward
+    one does not, and multiplexes whose layer 1 is not strongly connected
+    though B is, directed (an out-star) or not (no arcs)."""
+    star = np.zeros((6, 6))
+    star[0, 1:] = 1.0
+    ring = np.roll(np.eye(6), 1, axis=1)
+    return [(multilayer_from_dense(star, 3, 2, directed=True), False),
+            (multiplex_from_layers([star, ring], 0.5, directed=True), True),
+            (multiplex_from_layers([np.zeros((6, 6)), ring + ring.T], 0.5),
+             True)]
+
+
+def test_base_connectivity_matches_the_bfs_oracle_on_seeded_networks(
+        monkeypatch):
+    # the searches from position 0 settle every strongly connected
+    # network they can; what they leave goes to the strong-component pass
+    passes = []
+    for name in ("_one_strong_component", "_coupled_connectivity"):
+        fn = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *a, fn=fn, name=name: (
+            passes.append(name) or fn(*a)))
+    cases = [(seed, kind, directed, split) for seed in range(44)
+             for kind in ("general", 0.0, 0.5) for directed in (True, False)
+             for split in (False, True)]
+    answers, shapes, fallbacks = set(), set(), 0
+    for seed, kind, directed, split in cases:
+        net = _seeded_base(np.random.default_rng([22, seed]), kind, directed,
+                           split)
+        passes.clear()
+        got = is_strongly_connected(net)
+        assert got == bfs_strongly_connected(net.supra.toarray())
+        # the searches suffice when B is strongly connected without
+        # coupling, or with it when layer 1 is
+        layer1 = net.arcs[:net.N, :net.N].toarray()
+        settled = (bfs_strongly_connected(layer1) if net.gamma else got)
+        fallback = ("_coupled_connectivity" if net.gamma
+                    else "_one_strong_component")
+        assert passes[:1] == ([] if settled else [fallback]), (seed, kind)
+        answers.add((kind, got))
+        shapes.add((net.N == 1, net.L == 1))
+        fallbacks += not settled and got
+    assert len(cases) >= 500 and len(shapes) == 4  # N = 1, L = 1, both
+    assert answers == {(kind, got) for kind in ("general", 0.0, 0.5)
+                       for got in (True, False)}
+    assert fallbacks > 0  # coupled, layer 1 split, B strongly connected
+    for net, want in _fallback_cases():
+        passes.clear()
+        assert is_strongly_connected(net) is want
+        assert want == bfs_strongly_connected(net.supra.toarray())
+        assert passes[:1] == ["_coupled_connectivity" if net.gamma
+                              else "_one_strong_component"]
 
 
 def _bridged_nets(seed):
@@ -527,11 +620,14 @@ def test_reachability_matches_the_component_pass_on_mirrored_removals():
 
 
 def test_an_update_that_keeps_every_arc_needs_no_search(monkeypatch):
+    nets = _bridged_nets(0)
+    # the bases' own answers, which searches from position 0 find, first
+    assert all(is_strongly_connected(net) for net in nets)
     searches = []
     search = csgraph.breadth_first_order
     monkeypatch.setattr(csgraph, "breadth_first_order",
                         lambda *a, **kw: searches.append(a) or search(*a, **kw))
-    for net in _bridged_nets(0):
+    for net in nets:
         for e, w in net.edges():
             # lowered but kept, and lowered by two entries that sum to less
             # than its weight
@@ -736,6 +832,48 @@ def test_only_loader_arcs_skip_the_symmetry_check(tmp_path, monkeypatch):
         apply_update(net, edge_update(net, EdgeKey(1, 3, 1, 1), 0.5))
         assert len(checks) == 2
         checks.clear()
+
+
+def test_a_loaded_matrix_is_adopted_and_its_trust_does_not_leak(
+        tmp_path, monkeypatch):
+    # a loader's network keeps the CSR matrix the loader built, uncopied;
+    # the matrix carries no mark past that, so handing it to the public
+    # constructor, or editing the network, runs every check
+    handed = []
+    monkeypatch.setattr(model, "Network",
+                        lambda *a: handed.append(a[2]) or Network(*a))
+    mpx = write(tmp_path, "3 2\n1 1 2 1.0\n2 2 3 0.5\n1 2 3 2.0\n", "m.edges")
+    gen = write(tmp_path, "3 2\n1 1 2 2 1.0\n2 3 1 3 0.5\n", "g.edges")
+
+    def loaded():
+        for directed in (False, True):
+            yield load_multiplex(mpx, 1.0, directed)
+            yield load_multilayer(gen, directed)
+
+    for net in loaded():
+        m = handed.pop()
+        assert net.arcs is m and model._LOADED not in vars(m)
+        for a in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(net.arcs, a), getattr(m, a))
+    for net in loaded():
+        net.arcs.data[-1] = -1.0
+        with pytest.raises(InputError, match="positive"):
+            Network(net.N, net.L, net.arcs, net.directed, net.gamma)
+        with pytest.raises(InputError, match="negative"):
+            apply_update(net, edge_update(net, EdgeKey(1, 2, 1, 1), 0.25))
+    for net in loaded():
+        if net.directed:
+            continue
+        net.arcs.data[0] *= 2.0  # one arc of a mirrored pair
+        with pytest.raises(InputError, match="symmetric"):
+            Network(net.N, net.L, net.arcs, False, net.gamma)
+        with pytest.raises(InputError, match="symmetric"):
+            apply_update(net, edge_update(net, EdgeKey(1, 2, 1, 1), 0.25))
+    for net in loaded():
+        if net.multiplex:  # an arc from layer 1 to layer 2
+            with pytest.raises(InputError, match="intra-layer"):
+                apply_update(net, (np.array([0]), np.array([4]),
+                                   np.array([1.0])))
 
 
 def _edit_via_lil(A, r, c, delta, mirror):
