@@ -19,7 +19,8 @@ operator) is taken as y.  Which solver runs when:
   vector that fails the sign test, as the zero entries of a reducible
   operator's Perron vector can, goes to the power iteration;
 - any other cold solve runs each side first by the power iteration of
-  :func:`perron_block`, one column without an update.  It pays where
+  :func:`perron_block`, one column without an update, accepted by the
+  right residual test of :func:`perron`.  It pays where
   the spectral gap is large: on the benchmark's directed networks it
   accepts each side in 30-55 products, where ARPACK spends most of its
   time in its own bookkeeping and its Python reverse-communication loop
@@ -45,8 +46,9 @@ with all entries positive, so the condition number of the root is
 kappa = 1 / (y^T x) = 1 / cos(theta).
 
 Re-solves of many small perturbations B + E_j of one operator, each E_j
-a one- or two-entry update, go through :func:`perron_block`, whose
-columns pass the certification of :func:`perron` or are left to it.
+a one- or two-entry update, go through :func:`perron_block`.  It solves
+only their roots, on B alone, each certified by a Collatz-Wielandt
+bracket, or leaves a column to :func:`perron`.
 
 ARPACK runs with the OpenBLAS that scipy bundles set to one thread.  Its
 BLAS calls are small matrix-vector products on n x ncv blocks, which
@@ -81,17 +83,17 @@ _POSITIVITY_SLACK = 1e-12
 # Steps after which perron_block hands a column to perron().  On the
 # benchmark's directed N=1000, L=4 networks (2-core machine) a warm ARPACK
 # re-solve makes about 28 products per side, at about 0.2 ms a product,
-# while a block step of ten columns costs a column about 0.09 ms for both
-# sides: 60 steps cost about half what one warm re-solve does.  The cap
+# while a block step of ten columns costs a column about 0.045 ms: 60
+# steps cost about a quarter of what one warm re-solve does.  The cap
 # admits a column whose error must shrink by 1e-7 at a gap ratio
-# |lambda_2| / rho up to about 0.76; those rows need 17-29 steps.
+# |lambda_2| / rho up to about 0.76; those rows need 20-33 steps.
 BLOCK_MAX_STEPS = 60
 
 # Most steps between two checks of a column in perron_block.  At each
-# check a column whose residual, shrinking at the rate it did since its
-# previous check, would not reach its bound by BLOCK_MAX_STEPS is handed
-# to perron() at once, so a periodic or small-gap column costs a few
-# steps, not the whole cap.
+# check a column whose bracket width (in perron()'s power iteration, its
+# residual), shrinking at the rate it did since its previous check, would
+# not reach its bound by BLOCK_MAX_STEPS is handed to perron() at once,
+# so a periodic or small-gap column costs a few steps, not the whole cap.
 _STALL_STEPS = 5
 
 
@@ -260,13 +262,12 @@ _one_blas_thread = _OneBlasThread()
 
 def _power(apply, start, image, tol):
     """The power iteration of :func:`perron_block` (one column, no
-    update, one side) from the image of ``start``: its vector and image
-    once it passes that block's certificate, else None.  ``start`` itself
-    is not read; the signature is :func:`_lanczos`'s."""
+    update) from the image of ``start``: its vector and image once its
+    right residual passes :func:`perron`'s bound, else None.  ``start``
+    itself is not read; the signature is :func:`_lanczos`'s."""
     empty = np.empty(0, dtype=np.int64)  # no update entries
-    (found,), (found_image,) = _power_columns(
-        apply, None, image[:, None], None, (empty,) * 4, tol)
-    return None if found is None else (found.x, found_image)
+    found, = _power_columns(apply, image[:, None], (empty,) * 4, tol)
+    return found
 
 
 def _lanczos(apply, start, image, tol):
@@ -471,52 +472,44 @@ def _unit_columns(V: np.ndarray, j: np.ndarray):
     return rows, norms
 
 
-def _residual_norms(W: np.ndarray, rho: np.ndarray,
-                    V: np.ndarray) -> np.ndarray:
-    """Norm of each row of W - rho V, rho holding one value per row; W is
-    overwritten with the residuals."""
-    W -= rho[:, None] * V
-    return _row_norms(W)
-
-
 def perron_block(op, updates, tol: float = DEFAULT_TOL,
                  x0: np.ndarray | None = None,
-                 y0: np.ndarray | None = None) -> list[PerronTriple | None]:
-    """Perron triples of the k operators B + E_j, solved together as one
-    two-sided block power iteration on B.
+                 y0: np.ndarray | None = None) -> list[float | None]:
+    """Perron roots of the k operators B + E_j, solved together as one
+    block power iteration on B, with no product by B^T.
 
-    ``op`` is B, anything ``aslinearoperator`` takes, whose ``matmat``
-    (and ``rmatmat``) multiply an n x k block, such as
+    ``op`` is B, anything ``aslinearoperator`` takes whose ``matmat``
+    multiplies an n x k block, such as
     :func:`~perronnet.model.supra_operator`.  ``updates[j]`` is E_j as
-    ``(rows, cols, deltas)``, its few nonzero entries.  On an ``op``
-    marked symmetric (see :func:`perron`) each entry of every E_j must
-    come with its mirror, as on undirected input; y is x and no product
-    with B^T is made.
+    ``(rows, cols, deltas)``, its few nonzero entries; B + E_j need not be
+    symmetric, also where B is.
 
-    The n x k iterates X and Y hold one column per operator, all starting
-    from x0/y0 as in :func:`perron`, in the C order a CSR product takes
-    without a copy.  Each step makes one product B X (and B^T Y), adds
-    each column's entries of E_j to its own column and multiplies the
-    block by one power of two near 1/rho, which is exact, so no column's
-    bits depend on the other columns.  A column is certified only at its
-    own check steps: step 1, then the step at which its contraction since
-    its last check predicts it passes, at most ``_STALL_STEPS`` later.
-    There its x and y are rescaled to unit norm before the step's
-    products, and it is accepted, and frozen, when it passes the
-    certification :func:`perron` applies: the two-sided Rayleigh quotient
-    rho = y^T (B + E_j) x / (y^T x), both residual norms from those fresh
-    products within tol * max(1, rho), x and y nonnegative and
-    y^T x > 0.  A column not accepted within :data:`BLOCK_MAX_STEPS`
-    steps, whose residual over its bound, shrinking at its rate since its
-    last check, would still exceed 1 at that cap, or whose iterate
-    vanishes or stops being finite, is returned as None, for
-    :func:`perron` to solve alone: a periodic, reducible or small-gap
-    operator goes that way.  ``iterations`` counts the products made for
-    the column.
+    The n x k iterate X holds one column per operator, all starting from
+    x0 as in :func:`perron`, in the C order a CSR product takes without a
+    copy.  Each step makes one product B X, adds each column's entries of
+    E_j to its own column and multiplies the block by one power of two
+    near 1/rho, which is exact, so no column's bits depend on the other
+    columns.  A column is checked only at its own check steps: step 1,
+    then the step at which its contraction since its last check predicts
+    it passes, at most ``_STALL_STEPS`` later.  There its x is rescaled to
+    unit norm before the step's product, and it is accepted, and frozen,
+    when x > 0 and the ratios r_i = ((B + E_j) x)_i / x_i span at most
+    tol * max(1, rho).  Their least and largest bracket the Perron root of
+    any nonnegative B + E_j, reducible or not (the Collatz-Wielandt
+    bounds; Berman and Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, ch. 2).  The root returned is
+    rho = v^T (B + E_j) x / (v^T x), v being y0 (x's start on a cold
+    start): a mean of the ratios with the positive weights v_i x_i, so it
+    lies in the bracket.  A column not accepted within
+    :data:`BLOCK_MAX_STEPS` steps, whose bracket width over its bound,
+    shrinking at its rate since its last check, would still exceed 1 at
+    that cap, or whose iterate vanishes, stops being finite or keeps a
+    zero entry past step 1, is returned as None, for :func:`perron` to
+    solve alone: a periodic, reducible or small-gap operator goes that
+    way.
     """
     _check_budget(tol)
     op = aslinearoperator(op)
-    symmetric = getattr(op, "symmetric", False)
     n = op.shape[0]
     u = _start_vector(x0, n)
     v = u if y0 is None and x0 is None else _start_vector(y0, n)
@@ -524,36 +517,29 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
         return []
     rows, cols, deltas = (np.concatenate(field) for field in zip(*updates))
     col = np.repeat(np.arange(len(updates)), [len(upd[0]) for upd in updates])
-    if symmetric:  # y = x holds only for a symmetric B + E_j
-        key, mirror = (col * n + rows) * n + cols, (col * n + cols) * n + rows
-        o, m = np.lexsort((deltas, key)), np.lexsort((deltas, mirror))
-        if (key[o] != mirror[m]).any() or (deltas[o] != deltas[m]).any():
-            raise InputError("a symmetric operator takes symmetric updates")
     X = np.repeat(u[:, None], len(updates), axis=1)
-    Y = X if symmetric else np.repeat(v[:, None], len(updates), axis=1)
-    return _power_columns(op.matmat, None if symmetric else op.rmatmat,
-                          X, Y, (rows, cols, deltas, col), tol)[0]
+    return _power_columns(op.matmat, X, (rows, cols, deltas, col), tol, v)
 
 
-def _power_columns(matmat, rmatmat, X, Y, entries, tol):
+def _power_columns(matmat, X, entries, tol, v=None):
     """The block power iteration of :func:`perron_block` from the n x k
-    C-order start blocks X and Y, with products ``matmat`` by B and
-    ``rmatmat`` by B^T; ``rmatmat`` None is the symmetric case, in which
-    Y is X.  ``entries`` holds the update entries ``(rows, cols, deltas,
-    col)``, each of column ``col``.
+    C-order start block X, with products ``matmat`` by B.  ``entries``
+    holds the update entries ``(rows, cols, deltas, col)``, each of column
+    ``col``.
 
-    Returns one PerronTriple or None per column, and for each accepted
-    column the image (B + E_j) x_j its certificate was computed from.
+    Given the positive left start ``v``, a column is accepted by
+    :func:`perron_block`'s bracket and returned as its root.  Without it,
+    a column is accepted by :func:`perron`'s right residual test, on the
+    Rayleigh quotient x^T (B + E_j) x with x of unit norm, and returned as
+    that x and its image, for :func:`_power`.  A column not accepted is
+    None.
     """
     rows, cols, deltas, col = entries
     k = X.shape[1]
-    symmetric = rmatmat is None
-    out: list[PerronTriple | None] = [None] * k
-    images: list[np.ndarray | None] = [None] * k
+    out: list = [None] * k
     active = np.arange(k)
-    per_step = 1 if symmetric else 2
     # each column's next check step, its last one (0: none yet) and its
-    # residual over its bound there
+    # bracket width or residual over its bound there
     due = np.ones(k, dtype=np.int64)
     seen = np.zeros(k, dtype=np.int64)
     seen_excess = np.ones(k)
@@ -567,54 +553,44 @@ def _power_columns(matmat, rmatmat, X, Y, entries, tol):
             if checking:
                 check = np.flatnonzero(due == step)
                 xt, norm_x = _unit_columns(X, check)
-                yt, norm_y = ((xt, norm_x) if symmetric
-                              else _unit_columns(Y, check))
-            # (B + E_j) x_j, and (B + E_j)^T y_j
-            W = np.asarray(matmat(X))
+            W = np.asarray(matmat(X))  # (B + E_j) x_j
             if rows.size:
                 np.add.at(W, (rows, col), deltas * X[cols, col])
-            if symmetric:
-                Z = W
-            else:
-                Z = np.asarray(rmatmat(Y))
-                if rows.size:
-                    np.add.at(Z, (cols, col), deltas * Y[rows, col])
-            # free the iterates, so that the certificate's row copies below
-            # do not raise the peak memory
-            del X, Y
+            # free the iterate, so that the check's row copies below do not
+            # raise the peak memory
+            del X
             if checking:
                 wt = W.T[check]
-                yx = np.einsum("ij,ij->i", yt, xt)
-                rho = np.einsum("ij,ij->i", yt, wt) / yx
-                bound = tol * np.maximum(1.0, np.abs(rho))
-                res_r = _residual_norms(wt, rho, xt)
-                del wt
-                if symmetric:
-                    res_l, worst, lowest = res_r, res_r, xt.min(axis=1)
+                if v is None:
+                    xx = np.einsum("ij,ij->i", xt, xt)
+                    rho = np.einsum("ij,ij->i", xt, wt) / xx
+                    wt -= rho[:, None] * xt  # the residuals
+                    err = _row_norms(wt)
+                    signed = (xx > 0) & (xt.min(axis=1) >= 0)
                 else:
-                    res_l = _residual_norms(Z.T[check], rho, yt)
-                    worst = np.maximum(res_r, res_l)
-                    lowest = np.minimum(xt.min(axis=1), yt.min(axis=1))
-                done = (worst <= bound) & (yx > 0) & (lowest >= 0)
+                    rho = (np.einsum("ij,j->i", wt, v)
+                           / np.einsum("ij,j->i", xt, v))
+                    wt /= xt  # the ratios
+                    err = wt.max(axis=1) - wt.min(axis=1)
+                    signed = xt.min(axis=1) > 0
+                del wt
+                bound = tol * np.maximum(1.0, np.abs(rho))
+                done = (err <= bound) & signed
                 for i in np.flatnonzero(done):
-                    out[active[check[i]]] = PerronTriple(
-                        rho=float(rho[i]), x=xt[i].copy(), y=yt[i].copy(),
-                        kappa=1.0 / float(yx[i]),
-                        residuals=(float(res_r[i]), float(res_l[i])),
-                        iterations=per_step * step)
-                    images[active[check[i]]] = W[:, check[i]].copy()
+                    out[active[check[i]]] = (
+                        float(rho[i]) if v is not None
+                        else (xt[i].copy(), W[:, check[i]].copy()))
                 if check.size == active.size and done.all():
                     break
                 if step == 1:
                     top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
                     if top > 0:
                         scale = math.ldexp(1.0, -math.frexp(top)[1])
-                excess = worst / bound
+                excess = err / bound
                 last = seen[check]
                 since = last > 0
                 rate = (excess / seen_excess[check]) ** (1.0 / (step - last))
-                keep = (~done & (np.minimum(norm_x, norm_y) > 0)
-                        & np.isfinite(norm_x + norm_y)
+                keep = (~done & (norm_x > 0) & np.isfinite(norm_x)
                         & (~since | (excess * rate ** (BLOCK_MAX_STEPS - step)
                                      <= 1.0)))
                 # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
@@ -636,13 +612,10 @@ def _power_columns(matmat, rmatmat, X, Y, entries, tol):
                     seen, seen_excess = seen[stay], seen_excess[stay]
                     # compress keeps the C order a mask index would not
                     W = W.compress(stay, axis=1)
-                    Z = W if symmetric else Z.compress(stay, axis=1)
                 next_check = int(due.min())
             W *= scale
-            if not symmetric:
-                Z *= scale
-            X, Y = W, Z
-    return out, images
+            X = W
+    return out
 
 
 def perron_dense_oracle(m: np.ndarray, imag_tol: float = 1e-8) -> PerronTriple:

@@ -729,9 +729,15 @@ def apply_update(net: Network, update) -> Network:
     arcs = net.arcs + E
     if arcs.nnz and arcs.data.min() < 0:  # stored arcs are positive
         new = np.asarray(arcs[rows, cols]).ravel()
-        p = int(np.argmax(new < 0))
-        raise InputError(f"edge weight would become negative ({float(new[p])})"
-                         f" at supra entry ({int(rows[p])},{int(cols[p])})")
+        if (new < 0).any():  # the update's first negative cell
+            p = int(np.argmax(new < 0))
+            r, c, w = rows[p], cols[p], new[p]
+        else:  # the first stored one, as after an edit of net.arcs in place
+            p = int(np.argmax(arcs.data < 0))
+            r = np.searchsorted(arcs.indptr, p, side="right") - 1
+            c, w = arcs.indices[p], arcs.data[p]
+        raise InputError(f"edge weight would become negative ({float(w)})"
+                         f" at supra entry ({int(r)},{int(c)})")
     arcs.eliminate_zeros()
     return replace(net, arcs=arcs)
 

@@ -26,10 +26,11 @@ Each exact re-solve request (an edge, a mode, eps and whether to mirror)
 becomes one supra update ``(rows, cols, deltas)``, checked once by
 :func:`_edits`.  All the requests of one call are re-solved together by
 :func:`~perronnet.eigen.perron_block` on the base network's operator,
-without copying the network; a row is accepted only when it passes the
-certification ``perron()`` applies.  A row the block pass does not
-accept is solved alone by ``perron()``, which reports why a row cannot
-be solved, on the network :func:`~perronnet.model.apply_update` makes of
+without copying the network.  Only the roots are needed, so it makes no
+product with B^T: a row is accepted only when the Collatz-Wielandt
+bracket of its own perturbed operator holds its root within tol.  A row
+the block pass does not accept is solved alone by ``perron()``, which
+reports why a row cannot be solved, on the network :func:`~perronnet.model.apply_update` makes of
 its update: an undirected one runs the Lanczos recurrence.  Both passes
 start from the base Perron pair when both of its vectors are strictly
 positive, and cold otherwise.  A
@@ -364,15 +365,15 @@ def _exact_roots(net: Network, t: PerronTriple, requests, tol: float) -> list:
     x0, y0 = _warm_start(t)
     block = perron_block(supra_operator(net), [requests[i] for i in todo],
                          tol=tol, x0=x0, y0=y0)
-    for i, solved in zip(todo, block):
-        if solved is None:
+    for i, rho in zip(todo, block):
+        if rho is None:
             try:
-                solved = perron(supra_operator(apply_update(net, requests[i])),
-                                tol=tol, x0=x0, y0=y0)
+                rho = perron(supra_operator(apply_update(net, requests[i])),
+                             tol=tol, x0=x0, y0=y0).rho
             except (InputError, ConvergenceError) as exc:
                 roots[i] = exc
                 continue
-        roots[i] = solved.rho
+        roots[i] = rho
     return roots
 
 

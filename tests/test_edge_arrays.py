@@ -63,12 +63,12 @@ def ref_root(t, net, mutated, tol=1e-10):
               else (None, None))
     diff = sp.coo_matrix(mutated.arcs - net.arcs)
     nz = diff.data != 0
-    solved, = perron_block(supra_operator(net),
-                           [(diff.row[nz], diff.col[nz], diff.data[nz])],
-                           tol=tol, x0=x0, y0=y0)
-    if solved is None:
-        solved = perron(supra_operator(mutated), tol=tol, x0=x0, y0=y0)
-    return solved.rho
+    rho, = perron_block(supra_operator(net),
+                        [(diff.row[nz], diff.col[nz], diff.data[nz])],
+                        tol=tol, x0=x0, y0=y0)
+    if rho is None:
+        rho = perron(supra_operator(mutated), tol=tol, x0=x0, y0=y0).rho
+    return rho
 
 
 def ref_removals(t, net, top_k, require_connected=False, recompute=False):

@@ -876,6 +876,28 @@ def test_a_loaded_matrix_is_adopted_and_its_trust_does_not_leak(
                                    np.array([1.0])))
 
 
+def test_a_negative_weight_off_the_update_is_named(tmp_path):
+    # a weight written negative into net.arcs in place is reported at its
+    # own entry, not at the update's first cell
+    mpx = write(tmp_path, "3 2\n1 1 2 1.0\n2 2 3 0.5\n1 2 3 2.0\n", "m.edges")
+    gen = write(tmp_path, "3 2\n1 1 2 2 1.0\n2 3 1 3 0.5\n", "g.edges")
+    for directed in (False, True):
+        for net in (load_multiplex(mpx, 1.0, directed),
+                    load_multilayer(gen, directed)):
+            net.arcs.data[-1] = -1.0
+            last = net.arcs.tocoo()
+            r, c = int(last.row[-1]), int(last.col[-1])
+            assert (r, c) != (0, 1)
+            with pytest.raises(InputError) as err:
+                apply_update(net, edge_update(net, EdgeKey(1, 2, 1, 1), 0.25))
+            assert str(err.value) == ("edge weight would become negative "
+                                      f"(-1.0) at supra entry ({r},{c})")
+    # a cell of the update itself is still the one named
+    net = load_multilayer(gen, True)
+    with pytest.raises(InputError, match=r"\(-1\.0\) at supra entry \(0,4\)"):
+        apply_update(net, edge_update(net, EdgeKey(1, 2, 1, 2), -2.0))
+
+
 def _edit_via_lil(A, r, c, delta, mirror):
     """Reference edit: the same sums on a LIL copy of the matrix."""
     A = A.tolil(copy=True)
