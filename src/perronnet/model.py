@@ -37,8 +37,7 @@ import scipy.sparse as sp
 from .errors import DenseCapError, InputError, ParseError
 
 # scipy.sparse.csgraph and scipy.sparse.linalg are imported by their only
-# users, Network._strongly_connected, _reaches, _coupled_connectivity,
-# _one_strong_component and supra_operator, so that loading a network
+# users, _reach_all, _reaches and supra_operator, so that loading a network
 # imports neither
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
@@ -171,24 +170,26 @@ class Network:
         """:func:`is_strongly_connected` without an update, found on first
         use: the CLI's warning and a connected removal scan share it.
 
-        A breadth-first search from position 0 on ``arcs``, and on directed
-        input a second one on ``arcs_t``, decides the common case without a
-        strong-component pass: without coupling, B is strongly connected
-        iff both reach all NL positions; with gamma > 0, which joins the L
-        copies of each node both ways, it is so when both reach the N
-        nodes of layer 1.  Otherwise the strong components of the arcs
-        decide (:func:`_coupled_connectivity` builds :attr:`supra` only
-        where it must)."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        count = self.N if self.gamma else self.dim
+        B is strongly connected iff position 0 reaches every position and
+        every position reaches position 0: a breadth-first search from 0 on
+        ``arcs`` and, on directed input, one on ``arcs_t`` decide it
+        (:func:`_reach_all`).  Without coupling both must reach all NL
+        positions.  With gamma > 0, which joins the L copies of each node
+        both ways, B is strongly connected iff the union of the layers, a
+        graph on the N nodes, is: a path in B projects onto the union, and
+        from any copy of a node the coupling reaches each layer's arcs out
+        of it.  The searches on ``arcs`` settle that when they reach the N
+        nodes of layer 1; otherwise the same searches on the union decide."""
         sides = (self.arcs, self.arcs_t) if self.directed else (self.arcs,)
-        if all(breadth_first_order(m, 0, return_predecessors=False).size
-               == count for m in sides):
-            return True
         if not self.gamma:
-            return _one_strong_component(self.arcs)
-        return _coupled_connectivity(self)
+            return _reach_all(self.dim, *sides)
+        if _reach_all(self.N, *sides):
+            return True
+        coo = self.arcs.tocoo()
+        union = sp.csr_matrix((coo.data, (coo.row % self.N, coo.col % self.N)),
+                              shape=(self.N, self.N))
+        return _reach_all(self.N, *((union, union.T) if self.directed
+                                    else (union,)))
 
     def weight(self, e: EdgeKey) -> float:
         """Weight of the arc ``e``: a stored arc, or a multiplex coupling
@@ -612,17 +613,17 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
     update, an entry that becomes 0 dropping its edge, as
     :func:`apply_update` would leave it, without building that network.
-    Without an update the answer is found once per network: by one or two
-    breadth-first searches where they settle it, and otherwise, always on
-    a network that is not strongly connected, by a strong-component pass
+    An update that would make an entry negative raises the InputError of
+    :func:`apply_update`.  Without an update the answer is found once per
+    network, by breadth-first searches from position 0
     (``Network._strongly_connected``).
 
     On a strongly connected base, an update that adds no edge keeps it so
     iff the head v of each edge u -> v it drops is still reachable from
     its tail u: one breadth-first search per distinct u decides it, and
     an update that drops no edge needs none.  A base that is not strongly
-    connected, or an update that adds an edge, gets a strong-component
-    pass of the updated matrix."""
+    connected, or an update that adds an edge, gets the two searches from
+    position 0 on the updated matrix."""
     if update is None:
         return net._strongly_connected
     rows, cols, deltas = update
@@ -632,12 +633,16 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     for r, c, delta in zip(*(np.asarray(v).tolist() for v in update)):
         sums[r, c] = sums.get((r, c), 0.0) + delta
     at = {rc: _position(B, *rc) for rc in sums}
+    new = {rc: (B.data[p] if p >= 0 else 0.0) + sums[rc]
+           for rc, p in at.items()}
+    if any(w < 0 for w in new.values()):
+        apply_update(net, update)  # raises the error that names the entry
     if not net._strongly_connected or any(
-            p < 0 and sums[rc] != 0 for rc, p in at.items()):
+            p < 0 and new[rc] != 0 for rc, p in at.items()):
         # a sum of CSR matrices stores no entry that comes out 0
-        return _one_strong_component(
-            B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape))
-    gone = [rc for rc, p in at.items() if p >= 0 and B.data[p] + sums[rc] == 0]
+        M = B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape)
+        return _reach_all(net.dim, M, M.T)
+    gone = [rc for rc, p in at.items() if p >= 0 and new[rc] == 0]
     if not gone:
         return True
     # B without the dropped edges: each u -> v becomes the self-loop
@@ -648,6 +653,15 @@ def is_strongly_connected(net: Network, update=None) -> bool:
         indices[at[rc]] = rc[0]
     return _reaches(sp.csr_matrix((B.data, indices, B.indptr), shape=B.shape),
                     gone)
+
+
+def _reach_all(count, *graphs) -> bool:
+    """True iff a breadth-first search from position 0 reaches ``count``
+    positions in the directed graph of each sparse matrix in ``graphs``."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    return all(breadth_first_order(g, 0, return_predecessors=False).size
+               == count for g in graphs)
 
 
 def _reaches(graph, arcs) -> bool:
@@ -664,40 +678,6 @@ def _reaches(graph, arcs) -> bool:
         if not all((reached == v).any() for v in vs):
             return False
     return True
-
-
-def _coupled_connectivity(net: Network) -> bool:
-    """Strong connectivity of a multiplex with gamma > 0 whose layer 1 is
-    not strongly connected, from the strong components of its arcs alone.
-    The coupling joins the L copies of each node both ways, so the
-    components that hold one node's copies lie in one strong component
-    of B: when merging them leaves one class, B is strongly connected.
-    On undirected input more than one class means it is not.  On directed
-    input a path of arcs can still run from one class to another and back
-    through another layer, and the strong-component pass of ``net.supra``
-    decides."""
-    from scipy.sparse.csgraph import connected_components
-
-    count, labels = connected_components(net.arcs, directed=True,
-                                         connection="strong")
-    copies = labels.reshape(net.L, net.N)
-    merge = sp.csr_matrix((np.ones(net.dim - net.N),
-                           (np.tile(copies[0], net.L - 1), copies[1:].ravel())),
-                          shape=(count, count))
-    if connected_components(merge, directed=False)[0] == 1:
-        return True
-    return net.directed and _one_strong_component(net.supra)
-
-
-def _one_strong_component(B) -> bool:
-    """True iff the directed graph of the square sparse matrix B has one
-    strong component."""
-    if B.shape[0] == 1:
-        return True
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, _ = connected_components(B, directed=True, connection="strong")
-    return n_comp == 1
 
 
 # ---------------------------------------------------------------------------

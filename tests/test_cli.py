@@ -366,6 +366,21 @@ def test_disconnected_input_warns_but_proceeds(capsys, tmp_path):
     assert code == 0
     assert "not strongly connected" in err
     assert "rho" in out
+    # layer 1 split, B strongly connected only through the coupling: an
+    # undirected path across two layers, and a directed cycle 1 -> 2 -> 3
+    # in layer 1 closed by the arc 3 -> 1 in layer 2 (with the 2-cycle
+    # 1 <-> 2 in layer 1, so that rho > 0 without coupling too)
+    split = {"path.edges": ("3 2\n1 1 2 1.0\n2 2 3 1.0\n", ()),
+             "cycle.edges": ("3 2\n1 1 2 1.0\n1 2 1 1.0\n1 2 3 1.0\n"
+                             "2 3 1 1.0\n", ("--directed",))}
+    for name, (text, flags) in split.items():
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        for gamma, warns in (("1", False), ("0", True)):
+            code, out, err = run_cli(capsys, "spectrum", str(p), *flags,
+                                     "--gamma", gamma)
+            assert code == 0 and "rho" in out, (name, gamma)
+            assert ("not strongly connected" in err) is warns, (name, gamma)
 
 
 def test_data_dir_resolution(capsys, tmp_path, monkeypatch):

@@ -354,12 +354,9 @@ def test_strongly_connected_cycle_and_isolated():
 
 def test_base_connectivity_is_found_once_per_network(monkeypatch):
     # the CLI's warning and a connected removal scan ask the same question;
-    # on a strongly connected base it is settled by breadth-first searches
-    # from position 0 alone, and cached
-    passes, searches, labellings = [], [], []
-    one_component = model._one_strong_component
-    monkeypatch.setattr(model, "_one_strong_component",
-                        lambda B: passes.append(B) or one_component(B))
+    # it is settled by breadth-first searches from position 0 alone, with
+    # no strong-component labelling, and cached
+    searches, labellings = [], []
     search = csgraph.breadth_first_order
     monkeypatch.setattr(csgraph, "breadth_first_order",
                         lambda *a, **kw: searches.append(a) or search(*a, **kw))
@@ -371,28 +368,34 @@ def test_base_connectivity_is_found_once_per_network(monkeypatch):
     # directed: one search on the arcs and one on their transpose
     assert [(g is net.arcs, g is net.arcs_t, u) for g, u in searches] == [
         (True, False, 0), (False, True, 0)]
-    assert passes == [] and labellings == []
+    assert labellings == []
     e, w = next(net.edges())
     update = edge_update(net, e, -w)
     assert is_strongly_connected(net, update) == is_strongly_connected(
         net, update)
     # one search per call from the tail of the dropped arc, none cached
-    assert passes == [] and labellings == []
+    assert labellings == []
     assert len(searches) == 4
     removed = apply_update(net, update)
     assert is_strongly_connected(removed)  # an arc of a dense graph
-    assert len(searches) == 6 and passes == [] and labellings == []
+    assert len(searches) == 6 and labellings == []
     # undirected, coupled: one search, over layer 1's nodes only
     searches.clear()
     mpx = random_multiplex_net(3, N=5, L=3, gamma=0.5)
     assert is_strongly_connected(mpx) and is_strongly_connected(mpx)
     assert [(g is mpx.arcs, u) for g, u in searches] == [(True, 0)]
-    assert passes == [] and labellings == [] and "supra" not in mpx.__dict__
-    # a reducible base still gets a strong-component pass, once
+    assert labellings == [] and "supra" not in mpx.__dict__
+    # a reducible base costs exactly its searches, once: undirected, one
+    # on the arcs; directed, a forward search that covers and a backward
+    # one that does not
     iso = multiplex_from_layers([np.zeros((2, 2))], gamma=0.0)
     assert not is_strongly_connected(iso) and not is_strongly_connected(iso)
-    assert len(searches) == 2 and len(labellings) == 1
-    assert len(passes) == 1 and passes[0] is iso.arcs
+    assert len(searches) == 2 and searches[1][0] is iso.arcs
+    star = multilayer_from_dense(np.eye(4, k=1) + np.eye(4, k=2), 2, 2)
+    assert not is_strongly_connected(star) and not is_strongly_connected(star)
+    assert [(g is star.arcs, g is star.arcs_t, u) for g, u in searches[2:]] \
+        == [(True, False, 0), (False, True, 0)]
+    assert labellings == [] and "supra" not in star.__dict__
 
 
 def test_demo_connected_after_arc_removal(demo_net):
@@ -456,10 +459,9 @@ def test_multiplex_base_connectivity_matches_the_supra_component_pass(
             layers = _random_layers(rng, N, L, directed, split)
         net = multiplex_from_layers(layers, gamma, directed=directed)
         got = is_strongly_connected(net)
-        # the strong components of the arcs decide it, except where a
-        # directed path can leave a merged class and come back
-        if not directed or gamma == 0 or split is False:
-            assert "supra" not in net.__dict__
+        # the searches on the arcs, or on the union of the layers, decide
+        # it without building B
+        assert "supra" not in net.__dict__
         assert got == bfs_strongly_connected(net.supra.toarray())
         answers.append(got)
     assert answers[-1] == (gamma > 0)  # the cross-layer cycle
@@ -501,43 +503,47 @@ def _fallback_cases():
 
 def test_base_connectivity_matches_the_bfs_oracle_on_seeded_networks(
         monkeypatch):
-    # the searches from position 0 settle every strongly connected
-    # network they can; what they leave goes to the strong-component pass
-    passes = []
-    for name in ("_one_strong_component", "_coupled_connectivity"):
-        fn = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda *a, fn=fn, name=name: (
-            passes.append(name) or fn(*a)))
+    # the searches from position 0 decide every network; a coupled
+    # multiplex whose layer 1 they do not cover gets them on the union of
+    # its layers, and no other network builds that union
+    searches, labellings = [], []
+    search = csgraph.breadth_first_order
+    monkeypatch.setattr(csgraph, "breadth_first_order",
+                        lambda *a, **kw: searches.append(a) or search(*a, **kw))
+    label = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
+                        lambda *a, **kw: labellings.append(a) or label(*a, **kw))
+
+    def check(net):
+        searches.clear()
+        got = is_strongly_connected(net)
+        assert "supra" not in net.__dict__
+        assert got == bfs_strongly_connected(net.supra.toarray())
+        union = any(g is not net.arcs and g is not net.arcs_t
+                    for g, _ in searches)
+        return got, union
+
     cases = [(seed, kind, directed, split) for seed in range(44)
              for kind in ("general", 0.0, 0.5) for directed in (True, False)
              for split in (False, True)]
-    answers, shapes, fallbacks = set(), set(), 0
+    answers, shapes, unions = set(), set(), 0
     for seed, kind, directed, split in cases:
         net = _seeded_base(np.random.default_rng([22, seed]), kind, directed,
                            split)
-        passes.clear()
-        got = is_strongly_connected(net)
-        assert got == bfs_strongly_connected(net.supra.toarray())
-        # the searches suffice when B is strongly connected without
-        # coupling, or with it when layer 1 is
+        got, union = check(net)
         layer1 = net.arcs[:net.N, :net.N].toarray()
-        settled = (bfs_strongly_connected(layer1) if net.gamma else got)
-        fallback = ("_coupled_connectivity" if net.gamma
-                    else "_one_strong_component")
-        assert passes[:1] == ([] if settled else [fallback]), (seed, kind)
+        assert union == (bool(net.gamma)
+                         and not bfs_strongly_connected(layer1)), (seed, kind)
         answers.add((kind, got))
         shapes.add((net.N == 1, net.L == 1))
-        fallbacks += not settled and got
+        unions += union and got
     assert len(cases) >= 500 and len(shapes) == 4  # N = 1, L = 1, both
     assert answers == {(kind, got) for kind in ("general", 0.0, 0.5)
                        for got in (True, False)}
-    assert fallbacks > 0  # coupled, layer 1 split, B strongly connected
+    assert unions > 0  # coupled, layer 1 split, B strongly connected
     for net, want in _fallback_cases():
-        passes.clear()
-        assert is_strongly_connected(net) is want
-        assert want == bfs_strongly_connected(net.supra.toarray())
-        assert passes[:1] == ["_coupled_connectivity" if net.gamma
-                              else "_one_strong_component"]
+        assert check(net) == (want, bool(net.gamma))
+    assert labellings == []
 
 
 def _bridged_nets(seed):
@@ -592,8 +598,8 @@ def test_connectivity_after_an_update_matches_the_updated_network():
 
 
 def _by_components(net, update):
-    """The strong-component answer on the network the update makes."""
-    return model._one_strong_component(apply_update(net, update).supra)
+    """The dense oracle's answer on the network the update makes."""
+    return bfs_strongly_connected(apply_update(net, update).supra.toarray())
 
 
 def _joined(*updates):
@@ -690,6 +696,30 @@ def test_disconnected_base_with_added_arcs_matches_the_component_pass():
                    (np.array([0]), np.array([2]), np.array([-1.0]))):
         assert is_strongly_connected(net, update) is False
         assert _by_components(net, update) is False
+
+
+def test_connectivity_of_an_update_that_makes_a_weight_negative_raises(
+        demo_net):
+    # the demo's first arc, of weight 1.0, lowered by 2.0: alone, with an
+    # arc added, and on a base that is not strongly connected; each raises
+    # the error of apply_update
+    e, w = next(demo_net.edges())
+    assert w == 1.0
+    lowered = edge_update(demo_net, e, -2.0)
+    added = edge_update(demo_net, EdgeKey(2, 3, 1, 1), 0.5)
+    ring = np.roll(np.eye(4), 1, axis=1)
+    ring[3, 0] = 0.0
+    chain = multilayer_from_dense(ring, 2, 2)
+    assert not is_strongly_connected(chain)
+    cases = [(demo_net, lowered), (demo_net, _joined(lowered, added)),
+             (chain, (np.array([0]), np.array([1]), np.array([-2.0])))]
+    for net, update in cases:
+        with pytest.raises(InputError) as applied:
+            apply_update(net, update)
+        with pytest.raises(InputError) as checked:
+            is_strongly_connected(net, update)
+        assert str(checked.value) == str(applied.value) == (
+            "edge weight would become negative (-1.0) at supra entry (0,1)")
 
 
 # ---------------------------------------------------------------------------
