@@ -482,7 +482,9 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     multiplies an n x k block, such as
     :func:`~perronnet.model.supra_operator`.  ``updates[j]`` is E_j as
     ``(rows, cols, deltas)``, its few nonzero entries; B + E_j need not be
-    symmetric, also where B is.
+    symmetric, also where B is.  The bracket below holds only for a
+    strictly positive start, which an x0 or y0 that is not raises an
+    InputError for, and a nonnegative B + E_j, which is not checked.
 
     The n x k iterate X holds one column per operator, all starting from
     x0 as in :func:`perron`, in the C order a CSR product takes without a
@@ -493,20 +495,24 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     then the step at which its contraction since its last check predicts
     it passes, at most ``_STALL_STEPS`` later.  There its x is rescaled to
     unit norm before the step's product, and it is accepted, and frozen,
-    when x > 0 and the ratios r_i = ((B + E_j) x)_i / x_i span at most
-    tol * max(1, rho).  Their least and largest bracket the Perron root of
-    any nonnegative B + E_j, reducible or not (the Collatz-Wielandt
-    bounds; Berman and Plemmons, *Nonnegative Matrices in the
-    Mathematical Sciences*, ch. 2).  The root returned is
+    when x >= 0 and the ratios r_i = ((B + E_j) x)_i / x_i on the support
+    of x span at most tol * max(1, rho); an x_i = 0 whose image is not 0
+    blocks it.  Their least and largest bracket the Perron root of any
+    nonnegative B + E_j, reducible or not (the Collatz-Wielandt bounds;
+    Berman and Plemmons, *Nonnegative Matrices in the Mathematical
+    Sciences*, ch. 2).  A column with an exact zero, as at a sink, is
+    bracketed on its support: the start being positive, no walk of that
+    length leaves a zero entry, so the zero set is closed under
+    successors, its block is nilpotent, and B + E_j has the root of its
+    block on the support.  The root returned is
     rho = v^T (B + E_j) x / (v^T x), v being y0 (x's start on a cold
-    start): a mean of the ratios with the positive weights v_i x_i, so it
-    lies in the bracket.  A column not accepted within
-    :data:`BLOCK_MAX_STEPS` steps, whose bracket width over its bound,
-    shrinking at its rate since its last check, would still exceed 1 at
-    that cap, or whose iterate vanishes, stops being finite or keeps a
-    zero entry past step 1, is returned as None, for :func:`perron` to
-    solve alone: a periodic, reducible or small-gap operator goes that
-    way.
+    start): a mean of the ratios with the weights v_i x_i, so it lies in
+    the bracket.  A column not accepted within :data:`BLOCK_MAX_STEPS`
+    steps, whose bracket width over its bound, shrinking at its rate
+    since its last check, would still exceed 1 at that cap, or whose
+    iterate vanishes or stops being finite, is returned as None, for
+    :func:`perron` to solve alone: a periodic, reducible or small-gap
+    operator goes that way.
     """
     _check_budget(tol)
     op = aslinearoperator(op)
@@ -562,18 +568,21 @@ def _power_columns(matmat, X, entries, tol, v=None):
             if checking:
                 wt = W.T[check]
                 if v is None:
-                    xx = np.einsum("ij,ij->i", xt, xt)
-                    rho = np.einsum("ij,ij->i", xt, wt) / xx
+                    rho = (np.einsum("ij,ij->i", xt, wt)
+                           / np.einsum("ij,ij->i", xt, xt))
                     wt -= rho[:, None] * xt  # the residuals
                     err = _row_norms(wt)
-                    signed = (xx > 0) & (xt.min(axis=1) >= 0)
                 else:
                     rho = (np.einsum("ij,j->i", wt, v)
                            / np.einsum("ij,j->i", xt, v))
-                    wt /= xt  # the ratios
-                    err = wt.max(axis=1) - wt.min(axis=1)
-                    signed = xt.min(axis=1) > 0
+                    # the ratios; fmax and fmin skip the NaN of a 0/0, an
+                    # entry off the support of x whose image is 0 too
+                    wt /= xt
+                    err = (np.fmax.reduce(wt, axis=1)
+                           - np.fmin.reduce(wt, axis=1))
                 del wt
+                # a zero column's rho is NaN, which fails the bound
+                signed = xt.min(axis=1) >= 0
                 bound = tol * np.maximum(1.0, np.abs(rho))
                 done = (err <= bound) & signed
                 for i in np.flatnonzero(done):

@@ -472,6 +472,13 @@ def _repeats(keys, rows, count):
     return mask
 
 
+def key_ints(n: int, *positions) -> list[np.ndarray]:
+    """Supra ``positions`` below ``n`` as int64 if n**2 fits in it, else as
+    Python ints (object): an arc key below n**2, as a * n + b, is exact."""
+    dtype = np.int64 if n * n <= np.iinfo(np.int64).max else object
+    return [v.astype(dtype, copy=False) for v in positions]
+
+
 def _raise_first_fault(t: _EdgeRows, path, checks):
     """Raise the ParseError of the earliest row failing one of ``checks``,
     ``(mask, message(row))`` pairs in the order a line is checked, so a
@@ -503,9 +510,7 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
     """
     n, count = t.N * t.L, t.w.size
     rows = np.arange(count)
-    # as Python ints past int64 (as in recommend._tie_order)
-    dtype = np.int64 if n * n <= np.iinfo(np.int64).max else object
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    a, b = key_ints(n, a, b)
     keys = a * n + b
     if not directed:
         mirror = a != b
@@ -609,43 +614,37 @@ def assemble_dense(net: Network) -> np.ndarray:
 
 def is_strongly_connected(net: Network, update=None) -> bool:
     """True iff the NL-node directed graph of the supra matrix is strongly
-    connected (equivalently, the matrix is irreducible); with a supra
-    update ``(rows, cols, deltas)``, the graph of ``net.supra`` plus that
-    update, an entry that becomes 0 dropping its edge, as
-    :func:`apply_update` would leave it, without building that network.
-    An update that would make an entry negative raises the InputError of
-    :func:`apply_update`.  Without an update the answer is found once per
-    network, by breadth-first searches from position 0
-    (``Network._strongly_connected``).
+    connected (equivalently, the matrix is irreducible), found once per
+    network by breadth-first searches from position 0
+    (``Network._strongly_connected``); with a supra update
+    ``(rows, cols, deltas)``, that of the network :func:`apply_update`
+    makes.
 
-    On a strongly connected base, an update that adds no edge keeps it so
-    iff the head v of each edge u -> v it drops is still reachable from
-    its tail u: one breadth-first search per distinct u decides it, and
-    an update that drops no edge needs none.  A base that is not strongly
-    connected, or an update that adds an edge, gets the two searches from
-    position 0 on the updated matrix."""
+    On a strongly connected base, an update that only lowers stored arcs
+    keeps it so iff the head v of each arc u -> v it drops (to weight 0)
+    is still reachable from its tail u: one breadth-first search per
+    distinct u decides it, without building that network.  Any other
+    update (an arc added or raised, a weight made negative, a multiplex's
+    coupling edited), or a reducible base, gets the answer, or the
+    InputError, of the network :func:`apply_update` makes."""
     if update is None:
         return net._strongly_connected
-    rows, cols, deltas = update
-    B = net.supra
+    B, N = net.supra, net.N
     # the update's entries, repeats summed as a sparse sum does
     sums = {}
     for r, c, delta in zip(*(np.asarray(v).tolist() for v in update)):
         sums[r, c] = sums.get((r, c), 0.0) + delta
     at = {rc: _position(B, *rc) for rc in sums}
-    new = {rc: (B.data[p] if p >= 0 else 0.0) + sums[rc]
-           for rc, p in at.items()}
-    if any(w < 0 for w in new.values()):
-        apply_update(net, update)  # raises the error that names the entry
-    if not net._strongly_connected or any(
-            p < 0 and new[rc] != 0 for rc, p in at.items()):
-        # a sum of CSR matrices stores no entry that comes out 0
-        M = B + sp.csr_matrix((deltas, (rows, cols)), shape=B.shape)
-        return _reach_all(net.dim, M, M.T)
-    gone = [rc for rc, p in at.items() if p >= 0 and new[rc] == 0]
+    # a pure lowering of stored arcs, none of them a multiplex's coupling
+    if not (net._strongly_connected and all(
+            p >= 0 and sums[rc] <= 0 <= B.data[p] + sums[rc]
+            and not (net.multiplex and rc[0] // N != rc[1] // N)
+            for rc, p in at.items())):
+        return apply_update(net, update)._strongly_connected
+    gone = [rc for rc, p in at.items() if B.data[p] + sums[rc] == 0]
     if not gone:
         return True
-    # B without the dropped edges: each u -> v becomes the self-loop
+    # B without the dropped arcs: each u -> v becomes the self-loop
     # u -> u, which lies on no path between two other nodes (B + update
     # builds the same graph at about three times the cost of a search)
     indices = B.indices.copy()

@@ -53,7 +53,7 @@ from .errors import ConvergenceError, InfeasibleError, InputError
 # that tracer only, this module editing through apply_update
 from .model import (EdgeKey, Network, apply_edge_delta, apply_update,
                     edge_update, editable_arcs, is_strongly_connected,
-                    supra_operator, unflatten_index)
+                    key_ints, supra_operator, unflatten_index)
 from .sensitivity import arc_sensitivity, sensitivity_entry
 
 
@@ -96,9 +96,7 @@ def _tie_key(a: np.ndarray, b: np.ndarray, net: Network) -> np.ndarray:
     """The tie key (k, l, i, j) of each arc (a, b), packed into one
     integer, unique per arc."""
     N, L = net.N, net.L
-    # ((k L + l) N + i) N + j, as Python ints past int64 (as in _repeats)
-    dtype = np.int64 if net.dim ** 2 <= np.iinfo(np.int64).max else object
-    a, b = a.astype(dtype), b.astype(dtype)
+    a, b = key_ints(net.dim, a, b)  # the key is below (NL)**2
     return ((a // N * L + b // N) * N + a % N) * N + b % N
 
 

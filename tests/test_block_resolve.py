@@ -18,6 +18,7 @@ from perronnet import (ConvergenceError, EdgeKey, InputError, Network,
                        rank_removals, supra_operator)
 from perronnet.eigen import _STALL_STEPS, perron_block
 from perronnet.model import apply_update, editable_arcs, unflatten_index
+from perronnet import recommend
 from perronnet.recommend import _edits, _exact_roots, _warm_start
 
 from conftest import (multilayer_from_dense, multiplex_from_layers,
@@ -350,9 +351,19 @@ def test_demo_columns_leave_the_block_after_a_few_steps():
     assert len(steps) <= 2 * _STALL_STEPS + 2
 
 
-def test_a_sink_hands_every_column_to_perron():
-    # x is 0 at a node without out-arcs, so no ratio bracket closes there:
-    # each column leaves at its second check, and perron() solves it
+def sink_network(seed, sinks):
+    """A seeded directed general network of 12 node-layers, 4 nodes in 3
+    layers, whose ``sinks`` positions have no out-arcs."""
+    rng = np.random.default_rng(seed)
+    B = random_general_dense(rng, 12)
+    B[rng.choice(12, size=sinks, replace=False)] = 0.0
+    return multilayer_from_dense(B, N=4, L=3, directed=True)
+
+
+def test_a_sink_is_bracketed_on_the_support_of_x(monkeypatch):
+    # x is 0 at a node without out-arcs, and so is its image: the ratios
+    # on the support of x bracket the root, the sink's own block being 0,
+    # so every column is accepted and no row is solved alone
     rng = np.random.default_rng(13)
     B = random_general_dense(rng, 12)
     B[5] = 0.0
@@ -362,19 +373,39 @@ def test_a_sink_hands_every_column_to_perron():
     requests = [u for u in requests_for(net, "remove", mirror=False)
                 if 5 not in u[0]]
     assert requests
-    base = supra_operator(net)
-    steps = []
 
-    def matmat(X):
-        steps.append(X.shape[1])
-        return base.matmat(X)
+    def per_row(*args, **kwargs):
+        raise AssertionError("a row was solved alone")
 
-    op = LinearOperator(base.shape, matvec=base.matvec, matmat=matmat,
-                        dtype=float)
-    assert perron_block(op, requests) == [None] * len(requests)
-    assert len(steps) == 1 + _STALL_STEPS
-    for update, rho in zip(requests, _exact_roots(net, t, requests, TOL)):
+    monkeypatch.setattr(recommend, "perron", per_row)
+    roots = _exact_roots(net, t, requests, TOL)
+    assert roots == perron_block(supra_operator(net), requests)
+    for update, rho in zip(requests, roots):
         assert_root(rho, assemble_dense(apply_update(net, update)))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_roots_of_networks_with_sinks_lie_within_tol_of_the_dense_oracle(tol):
+    # one to three sinks, under removals and increases, from a cold start:
+    # a column is accepted only on its support's bracket, which must hold
+    # the root of the whole B + E_j
+    accepted = total = 0
+    for seed in range(12):
+        net = sink_network(300 + seed, sinks=1 + seed % 3)
+        requests = (requests_for(net, "remove", mirror=False)
+                    + requests_for(net, "increase", mirror=False, eps=0.3))
+        got = perron_block(supra_operator(net), requests, tol=tol)
+        for update, rho in zip(requests, got):
+            total += 1
+            if rho is not None:
+                accepted += 1
+                oracle = perron_dense_oracle(
+                    assemble_dense(apply_update(net, update))).rho
+                assert abs(rho - oracle) <= tol * max(1.0, rho), (seed, rho,
+                                                                  oracle)
+    # 131 (tol 1e-6) and 127 (1e-10) of 144 when written; seed 311's gap
+    # ratio |lambda_2| / rho is 0.992, and its 12 columns are handed over
+    assert accepted >= 0.8 * total
 
 
 def test_fallback_keeps_the_reducible_ring_notes():

@@ -1,6 +1,7 @@
 """Network construction, file loading, operators, mutation, connectivity."""
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from perronnet import (EdgeKey, InputError, Network, ParseError,
                        supra_operator)
 from perronnet import model
 from perronnet.errors import DenseCapError
-from perronnet.model import apply_update, edge_update
+from perronnet.model import apply_update, edge_update, editable_arcs
 
 from conftest import (bfs_strongly_connected, multilayer_from_dense,
                       multiplex_from_layers, random_general_net,
@@ -720,6 +721,79 @@ def test_connectivity_of_an_update_that_makes_a_weight_negative_raises(
             is_strongly_connected(net, update)
         assert str(checked.value) == str(applied.value) == (
             "edge weight would become negative (-1.0) at supra entry (0,1)")
+
+
+def _seeded_updates(rng, net):
+    """Seeded supra updates of ``net``, each named by its kind: a stored
+    arc dropped, halved, dropped in two halves or over-dropped; an arc
+    added, alone or with a drop; and on a multiplex a coupling cell
+    lowered or raised.  On undirected input each cell comes with its
+    mirror, as an edit of an edge does."""
+    N, L, n = net.N, net.L, net.dim
+
+    def cell(a, b, delta):
+        mirrored = not net.directed and a != b
+        rows, cols = ([a, b], [b, a]) if mirrored else ([a], [b])
+        return np.array(rows), np.array(cols), np.full(len(rows), float(delta))
+
+    a, b, w = editable_arcs(net)
+    out = []
+    for p in rng.choice(a.size, size=min(3, a.size), replace=False):
+        out += [("drop", cell(a[p], b[p], -w[p])),
+                ("halve", cell(a[p], b[p], -w[p] / 2)),
+                ("halves", _joined(cell(a[p], b[p], -w[p] / 2),
+                                   cell(a[p], b[p], -w[p] / 2))),
+                ("over-drop", cell(a[p], b[p], -1.5 * w[p]))]
+    for u, v in rng.integers(0, n, size=(2, 2)):
+        if net.multiplex:  # an intra-layer cell
+            v = u - u % N + v % N
+        out.append(("add", cell(u, v, 0.5)))
+        if a.size:
+            p = rng.integers(a.size)
+            out.append(("drop-add", _joined(cell(a[p], b[p], -w[p]),
+                                            cell(u, v, 0.5))))
+    if net.multiplex and L > 1:
+        i = rng.integers(N)
+        k, l = rng.choice(L, size=2, replace=False)
+        for delta in (-net.gamma, -net.gamma / 2, 0.5):
+            out.append(("coupling", cell(k * N + i, l * N + i, delta)))
+    return out
+
+
+def test_connectivity_of_an_update_is_the_updated_networks_own(monkeypatch):
+    # every update gets the answer, or the InputError, of the network
+    # apply_update makes; a pure lowering of a strongly connected base is
+    # decided by the removal scan, without building that network
+    applied = []
+    apply = model.apply_update
+    monkeypatch.setattr(model, "apply_update",
+                        lambda *a: applied.append(a) or apply(*a))
+    seen = set()
+    for seed in range(16):
+        rng = np.random.default_rng([25, seed])
+        for kind, directed, split in product(("general", 0.0, 0.5),
+                                             (True, False), (False, True)):
+            net = _seeded_base(rng, kind, directed, split)
+            base = is_strongly_connected(net)
+            for name, update in _seeded_updates(rng, net):
+                applied.clear()
+                try:
+                    want = is_strongly_connected(apply(net, update))
+                except InputError as exc:
+                    with pytest.raises(InputError) as checked:
+                        is_strongly_connected(net, update)
+                    assert str(checked.value) == str(exc)
+                    seen.add((name, "raises"))
+                    continue
+                assert is_strongly_connected(net, update) == want, (
+                    seed, kind, directed, split, name)
+                if base and name in ("drop", "halve", "halves"):
+                    assert applied == []
+                seen.add((name, want))
+    assert {("drop", True), ("drop", False), ("halve", True),
+            ("halves", False), ("over-drop", "raises"), ("add", True),
+            ("add", False), ("drop-add", True), ("drop-add", False),
+            ("coupling", "raises")} <= seen
 
 
 # ---------------------------------------------------------------------------
