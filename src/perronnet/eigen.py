@@ -93,7 +93,8 @@ BLOCK_MAX_STEPS = 60
 # check a column whose bracket width (in perron()'s power iteration, its
 # residual), shrinking at the rate it did since its previous check, would
 # not reach its bound by BLOCK_MAX_STEPS is handed to perron() at once,
-# so a periodic or small-gap column costs a few steps, not the whole cap.
+# so a block of periodic or small-gap columns stops after a few steps,
+# not at the cap.
 _STALL_STEPS = 5
 
 
@@ -494,8 +495,8 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     columns.  A column is checked only at its own check steps: step 1,
     then the step at which its contraction since its last check predicts
     it passes, at most ``_STALL_STEPS`` later.  There its x is rescaled to
-    unit norm before the step's product, and it is accepted, and frozen,
-    when x >= 0 and the ratios r_i = ((B + E_j) x)_i / x_i on the support
+    unit norm before the step's product, and it is accepted when x >= 0
+    and the ratios r_i = ((B + E_j) x)_i / x_i on the support
     of x span at most tol * max(1, rho); an x_i = 0 whose image is not 0
     blocks it.  Their least and largest bracket the Perron root of any
     nonnegative B + E_j, reducible or not (the Collatz-Wielandt bounds;
@@ -512,7 +513,9 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     since its last check, would still exceed 1 at that cap, or whose
     iterate vanishes or stops being finite, is returned as None, for
     :func:`perron` to solve alone: a periodic, reducible or small-gap
-    operator goes that way.
+    operator goes that way.  A resolved column, accepted or handed over,
+    has no check left: it stays in the block, unread, until no column has
+    one, and the block stops there.
     """
     _check_budget(tol)
     op = aslinearoperator(op)
@@ -538,21 +541,24 @@ def _power_columns(matmat, X, entries, tol, v=None):
     a column is accepted by :func:`perron`'s right residual test, on the
     Rayleigh quotient x^T (B + E_j) x with x of unit norm, and returned as
     that x and its image, for :func:`_power`.  A column not accepted is
-    None.
+    None.  A resolved column stays in X, unread: its next check is set
+    past :data:`BLOCK_MAX_STEPS`.  It may vanish or overflow there, which
+    must not warn.
     """
     rows, cols, deltas, col = entries
     k = X.shape[1]
     out: list = [None] * k
-    active = np.arange(k)
-    # each column's next check step, its last one (0: none yet) and its
-    # bracket width or residual over its bound there
+    # each column's next check step (past BLOCK_MAX_STEPS once it has
+    # resolved), its last one (0: none yet) and its bracket width or
+    # residual over its bound there
     due = np.ones(k, dtype=np.int64)
     seen = np.zeros(k, dtype=np.int64)
     seen_excess = np.ones(k)
     next_check = 1  # the least of due
     scale = 1.0
-    # a column that vanishes or overflows is handed to perron(), which
-    # reports why; it must not warn here
+    # a column that vanishes or overflows while checked is handed to
+    # perron(), which reports why, and one that has resolved is not read;
+    # neither must warn here
     with np.errstate(all="ignore"):
         for step in range(1, BLOCK_MAX_STEPS + 1):
             checking = step == next_check
@@ -586,11 +592,8 @@ def _power_columns(matmat, X, entries, tol, v=None):
                 bound = tol * np.maximum(1.0, np.abs(rho))
                 done = (err <= bound) & signed
                 for i in np.flatnonzero(done):
-                    out[active[check[i]]] = (
-                        float(rho[i]) if v is not None
-                        else (xt[i].copy(), W[:, check[i]].copy()))
-                if check.size == active.size and done.all():
-                    break
+                    out[check[i]] = (float(rho[i]) if v is not None
+                                     else (xt[i].copy(), W[:, check[i]].copy()))
                 if step == 1:
                     top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
                     if top > 0:
@@ -606,22 +609,14 @@ def _power_columns(matmat, X, entries, tol, v=None):
                 wait = np.where(since, np.ceil(np.log(excess) / -np.log(rate)),
                                 _STALL_STEPS)
                 wait = np.fmax(np.fmin(wait, _STALL_STEPS), 1).astype(np.int64)
-                due[check] = np.minimum(step + wait, BLOCK_MAX_STEPS)
+                due[check] = np.where(keep, np.minimum(step + wait,
+                                                       BLOCK_MAX_STEPS),
+                                      BLOCK_MAX_STEPS + 1)
                 seen[check] = step
                 seen_excess[check] = excess
-                if not keep.all():
-                    stay = np.ones(active.size, dtype=bool)
-                    stay[check[~keep]] = False
-                    if not stay.any():
-                        break
-                    sel = stay[col]
-                    rows, cols, deltas = rows[sel], cols[sel], deltas[sel]
-                    col = (np.cumsum(stay) - 1)[col[sel]]
-                    active, due = active[stay], due[stay]
-                    seen, seen_excess = seen[stay], seen_excess[stay]
-                    # compress keeps the C order a mask index would not
-                    W = W.compress(stay, axis=1)
                 next_check = int(due.min())
+                if next_check > BLOCK_MAX_STEPS:
+                    break  # no column has a check left
             W *= scale
             X = W
     return out

@@ -92,11 +92,12 @@ class Network:
     ``arcs`` of its stored, editable arcs, indexed by :func:`flat_index`.
 
     A general network (``gamma`` None) stores every arc.  A multiplex
-    stores its intra-layer arcs only, all in the diagonal blocks; its
-    uniform diagonal inter-layer coupling of finite weight gamma >= 0 is
-    fixed by the model: :attr:`supra` stores it, the operator applies it
-    implicitly.  All stored weights are strictly positive and finite, and
-    an undirected network's arcs are symmetric.  The network keeps a
+    stores its intra-layer arcs only, all in the diagonal blocks and none
+    of them a self-loop; its uniform diagonal inter-layer coupling of
+    finite weight gamma >= 0 is fixed by the model: :attr:`supra` stores
+    it, the operator applies it implicitly.  All stored weights are
+    strictly positive and finite, and an undirected network's arcs are
+    symmetric.  The network keeps a
     checked canonical copy of the ``arcs`` it is given; a loader's own
     matrix, built from checked rows, is adopted as it is.
     """
@@ -134,6 +135,8 @@ class Network:
             if ((arcs.indices[arcs.indptr[r]] < lo).any()
                     or (arcs.indices[arcs.indptr[r + 1] - 1] >= lo + self.N).any()):
                 raise InputError("a multiplex stores intra-layer arcs only")
+            if arcs.diagonal().any():
+                raise InputError("self-loops are not allowed in multiplex layers")
         # undirected edge semantics (one candidate per pair, mirrored edits)
         # hold only for a symmetric matrix
         if not (self.directed or _same_csr(arcs, arcs.T.tocsr())):
@@ -626,9 +629,11 @@ def is_strongly_connected(net: Network, update=None) -> bool:
     distinct u decides it, without building that network.  Any other
     update (an arc added or raised, a weight made negative, a multiplex's
     coupling edited), or a reducible base, gets the answer, or the
-    InputError, of the network :func:`apply_update` makes."""
+    InputError, of the network :func:`apply_update` makes; a cell outside
+    0..NL-1 raises its InputError before any lookup."""
     if update is None:
         return net._strongly_connected
+    _check_cells(net, update)
     B, N = net.supra, net.N
     # the update's entries, repeats summed as a sparse sum does
     sums = {}
@@ -698,11 +703,23 @@ def edge_update(net: Network, e: EdgeKey, delta: float):
     return np.array(rows), np.array(cols), np.full(len(rows), float(delta))
 
 
+def _check_cells(net: Network, update) -> None:
+    """Raise InputError naming the first cell of the supra update
+    ``(rows, cols, deltas)`` that lies outside 0..NL-1."""
+    rows, cols = np.asarray(update[0]), np.asarray(update[1])
+    out = (rows < 0) | (rows >= net.dim) | (cols < 0) | (cols >= net.dim)
+    if out.any():
+        p = int(np.argmax(out))
+        raise InputError(f"supra entry ({int(rows[p])},{int(cols[p])}) is "
+                         f"outside 0..{net.dim - 1}")
+
+
 def apply_update(net: Network, update) -> Network:
     """Return a new network whose stored arcs are ``net.arcs + E`` for the
     supra update E = ``(rows, cols, deltas)``; an entry that becomes
-    exactly 0 is removed.  Raises InputError when an entry would become
-    negative."""
+    exactly 0 is removed.  Raises InputError for a cell outside 0..NL-1
+    and when an entry would become negative."""
+    _check_cells(net, update)
     rows, cols, deltas = update
     E = sp.csr_matrix((deltas, (rows, cols)), shape=net.arcs.shape)
     arcs = net.arcs + E
@@ -729,7 +746,7 @@ def apply_edge_delta(net: Network, e: EdgeKey, delta: float) -> Network:
     updated identically.  Multiplex edits must stay intra-layer; the
     gamma coupling is fixed by the model and cannot be edited.
     """
-    e.validate(net.N, net.L)
+    update = edge_update(net, e, delta)  # checks e by the edit rules
     if delta == 0:
         return net
-    return apply_update(net, edge_update(net, e, delta))
+    return apply_update(net, update)

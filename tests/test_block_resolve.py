@@ -135,15 +135,38 @@ def test_block_accepts_most_columns_of_the_equivalence_networks():
     assert accepted >= 0.9 * total
 
 
+def counted(net):
+    """The supra operator of ``net`` and the list of the widths of its
+    ``matmat`` blocks, one entry per product."""
+    base, widths = supra_operator(net), []
+
+    def matmat(X):
+        widths.append(X.shape[1])
+        return base.matmat(X)
+
+    return LinearOperator(base.shape, matvec=base.matvec, matmat=matmat,
+                          dtype=float), widths
+
+
 def test_accepted_columns_do_not_depend_on_the_block():
-    net = NETWORKS["general-directed"]()
-    t = perron(supra_operator(net), tol=1e-12)
-    requests = requests_for(net, "remove", mirror=False)
-    together = block_solve(net, t, requests)
-    for update, got in zip(requests, together):
-        alone, = block_solve(net, t, [update])
-        assert (got is None) == (alone is None)
-        assert got == alone  # bit for bit
+    # a resolved column stays in the block, unread, until the last one
+    # resolves; on the two-sink network two columns are handed over at
+    # step 11 and ride along while the others are accepted at steps 46-53
+    for net in (NETWORKS["general-directed"](), sink_network(301, sinks=2)):
+        t = perron(supra_operator(net), tol=1e-12)
+        x0, y0 = _warm_start(t)
+        requests = requests_for(net, "remove", mirror=False)
+        op, widths = counted(net)
+        together = perron_block(op, requests, tol=TOL, x0=x0, y0=y0)
+        steps = []
+        for update, got in zip(requests, together):
+            del widths[:]
+            alone, = perron_block(op, [update], tol=TOL, x0=x0, y0=y0)
+            steps.append(len(widths))
+            assert (got is None) == (alone is None)
+            assert got == alone  # bit for bit
+    # the two-sink block, the last one, resolves at four different steps
+    assert None in together and len(set(steps)) > 2
 
 
 def test_empty_block_makes_no_products():
@@ -286,7 +309,7 @@ def test_block_products_take_c_order_blocks(name):
     assert not (blocks["rmatmat"] or blocks["rmatvec"] or blocks["matvec"])
     for V in blocks["matmat"]:
         assert V.ndim == 2 and V.shape[0] == net.dim
-        assert 1 <= V.shape[1] <= len(requests)
+        assert V.shape[1] == len(requests)  # the block stays whole
         assert V.flags.c_contiguous
 
 
@@ -329,22 +352,15 @@ def test_fallback_returns_certified_roots(make, eps):
 def test_demo_columns_leave_the_block_after_a_few_steps():
     # the demo's power iteration contracts too slowly to reach the bound
     # within the cap: each column is handed to perron() as soon as its
-    # measured contraction says so, not after BLOCK_MAX_STEPS steps
+    # measured contraction says so, and the block stops once none has a
+    # check left, not after BLOCK_MAX_STEPS steps
     net = load_demo_network()
     t = perron(supra_operator(net))
     requests = ([_edits(net, r.edge, "increase", 0.3, mirror=True)
                  for r in rank_insertions(t, net, top_k=5)]
                 + [_edits(net, r.edge, "remove")
                    for r in rank_removals(t, net, top_k=5)])
-    base = supra_operator(net)
-    steps = []
-
-    def matmat(X):
-        steps.append(X.shape[1])
-        return base.matmat(X)
-
-    op = LinearOperator(base.shape, matvec=base.matvec, rmatvec=base.rmatvec,
-                        matmat=matmat, rmatmat=base.rmatmat, dtype=float)
+    op, steps = counted(net)
     x0, y0 = _warm_start(t)
     assert perron_block(op, requests, x0=x0, y0=y0) == [None] * 10
     # 8 steps when written
@@ -443,15 +459,7 @@ def test_removal_resolves_of_a_large_directed_network_need_no_fallback():
     t = perron(supra_operator(net))
     requests = [_edits(net, r.edge, "remove")
                 for r in rank_removals(t, net, top_k=10)]
-    base = supra_operator(net)
-    steps = []
-
-    def matmat(X):
-        steps.append(X.shape[1])
-        return base.matmat(X)
-
-    op = LinearOperator(base.shape, matvec=base.matvec, matmat=matmat,
-                        dtype=float)
+    op, steps = counted(net)
     x0, y0 = _warm_start(t)
     got = perron_block(op, requests, x0=x0, y0=y0)
     assert all(g is not None for g in got)

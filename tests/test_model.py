@@ -1,5 +1,6 @@
 """Network construction, file loading, operators, mutation, connectivity."""
 
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -799,6 +800,22 @@ def test_connectivity_of_an_update_is_the_updated_networks_own(monkeypatch):
 # ---------------------------------------------------------------------------
 # mutation
 
+@pytest.mark.parametrize("update, cell", [
+    (([12], [0], [-1.0]), "(12,0)"),
+    (([-1], [0], [-1.0]), "(-1,0)"),
+    (([0], [12], [0.5]), "(0,12)"),
+    (([0, 1, 0], [1, 2, -3], [-1.0, 0.5, 0.5]), "(0,-3)"),
+])
+def test_update_cells_outside_the_supra_matrix_are_named(demo_net, update,
+                                                         cell):
+    # NL = 12: each call names the first cell outside 0..11, before any
+    # lookup reads past the CSR arrays or wraps a negative index
+    message = f"supra entry {cell} is outside 0..11"
+    for call in (apply_update, is_strongly_connected):
+        with pytest.raises(InputError, match=re.escape(message)):
+            call(demo_net, update)
+
+
 def test_apply_edge_delta_roundtrip_bitwise(demo_net):
     e = EdgeKey(2, 4, 3, 2)
     there = apply_edge_delta(demo_net, e, 0.3)
@@ -829,10 +846,11 @@ def test_apply_edge_delta_rejects_negative_result(demo_net):
 
 def test_apply_edge_delta_multiplex_rules():
     net = random_multiplex_net(8, N=4, L=2, gamma=1.0)
-    with pytest.raises(InputError, match="intra-layer"):
-        apply_edge_delta(net, EdgeKey(1, 1, 1, 2), 0.5)
-    with pytest.raises(InputError, match="self-loop"):
-        apply_edge_delta(net, EdgeKey(2, 2, 1, 1), 0.5)
+    for delta in (0.0, 0.5):  # a zero delta keeps the rules
+        with pytest.raises(InputError, match="intra-layer"):
+            apply_edge_delta(net, EdgeKey(1, 1, 1, 2), delta)
+        with pytest.raises(InputError, match="self-loop"):
+            apply_edge_delta(net, EdgeKey(2, 2, 1, 1), delta)
     m = apply_edge_delta(net, EdgeKey(1, 3, 2, 2), 0.5)
     assert m.weight(EdgeKey(1, 3, 2, 2)) == net.weight(EdgeKey(1, 3, 2, 2)) + 0.5
     # undirected multiplex mirrors
@@ -897,6 +915,21 @@ def test_multiplex_rejects_stored_inter_layer_arcs():
             Network(2, 2, arcs.tocsr(), directed, gamma=1.0)
         # the same arcs make a valid general network
         assert Network(2, 2, arcs.tocsr(), directed).edge_count() == arcs.nnz
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_multiplex_rejects_self_loops(directed):
+    net = random_multiplex_net(8, N=4, L=2, gamma=1.0, directed=directed)
+    loop = sp.csr_matrix(([0.5], ([5], [5])), shape=net.arcs.shape)
+    message = "self-loops are not allowed in multiplex layers"
+    with pytest.raises(InputError, match=message):
+        Network(net.N, net.L, net.arcs + loop, directed, gamma=1.0)
+    with pytest.raises(InputError, match=message):
+        apply_update(net, ([5], [5], [0.5]))
+    # the same arcs make a valid general network
+    general = Network(net.N, net.L, net.arcs, directed)
+    assert apply_update(general, ([5], [5], [0.5])).weight(
+        EdgeKey(2, 2, 2, 2)) == 0.5
 
 
 def test_undirected_network_needs_symmetric_weights():
