@@ -74,6 +74,8 @@ def versatility(e: Eigentensors, weights=None) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (L,):
         raise InputError(f"weights must have length {L}")
+    if not np.isfinite(weights).all():
+        raise InputError("weights must be finite")
     if (weights < 0).any():
         raise InputError("weights must be nonnegative")
     return e.Y @ weights

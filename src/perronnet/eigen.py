@@ -136,7 +136,7 @@ def _start_vector(v0, n: int) -> np.ndarray:
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (n,) or (v0 <= 0).any():
         raise InputError("start vector must be strictly positive of length n")
-    return v0 / np.linalg.norm(v0)
+    return v0 / _norm(v0)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -510,12 +510,12 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     start): a mean of the ratios with the weights v_i x_i, so it lies in
     the bracket.  A column not accepted within :data:`BLOCK_MAX_STEPS`
     steps, whose bracket width over its bound, shrinking at its rate
-    since its last check, would still exceed 1 at that cap, or whose
-    iterate vanishes or stops being finite, is returned as None, for
-    :func:`perron` to solve alone: a periodic, reducible or small-gap
-    operator goes that way.  A resolved column, accepted or handed over,
-    has no check left: it stays in the block, unread, until no column has
-    one, and the block stops there.
+    since its last check, would still exceed 1 at that cap, whose root is
+    not finite, or whose iterate vanishes or stops being finite, is
+    returned as None, for :func:`perron` to solve alone: a periodic,
+    reducible or small-gap operator goes that way.  A resolved column,
+    accepted or handed over, has no check left: it stays in the block,
+    unread, until no column has one, and the block stops there.
     """
     _check_budget(tol)
     op = aslinearoperator(op)
@@ -587,10 +587,10 @@ def _power_columns(matmat, X, entries, tol, v=None):
                     err = (np.fmax.reduce(wt, axis=1)
                            - np.fmin.reduce(wt, axis=1))
                 del wt
-                # a zero column's rho is NaN, which fails the bound
+                # a zero column's NaN rho, or an infinite one, is refused
                 signed = xt.min(axis=1) >= 0
                 bound = tol * np.maximum(1.0, np.abs(rho))
-                done = (err <= bound) & signed
+                done = (err <= bound) & signed & np.isfinite(rho)
                 for i in np.flatnonzero(done):
                     out[check[i]] = (float(rho[i]) if v is not None
                                      else (xt[i].copy(), W[:, check[i]].copy()))

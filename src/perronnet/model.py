@@ -245,10 +245,11 @@ def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Supra-indexed COO ``(rows, cols, weights)`` of the stored arcs, in
     supra row order: all arcs of a general network, the intra-layer arcs
     of a multiplex.  On undirected networks both arcs of each edge are
-    listed.
+    listed.  Positions are int64, the weights a copy.
     """
-    coo = net.arcs.tocoo()
-    return coo.row, coo.col, coo.data
+    arcs = net.arcs
+    rows = np.repeat(np.arange(net.dim, dtype=np.int64), np.diff(arcs.indptr))
+    return rows, arcs.indices.astype(np.int64), arcs.data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +304,9 @@ def _parse_header(lines, path):
         raise ParseError(f"bad header: {exc}", path, lineno) from None
     if N < 1 or L < 1:
         raise ParseError("N and L must be positive", path, lineno)
-    if N * L > np.iinfo(np.int64).max:  # supra positions are int64
-        raise ParseError(f"N*L must be at most 2**63 - 1, got {N * L}",
+    top = math.isqrt(np.iinfo(np.int64).max)  # every key is below (NL)**2
+    if N * L > top:
+        raise ParseError(f"N*L must be at most {top}, got {N * L}",
                          path, lineno)
     return N, L, lineno
 
@@ -475,13 +477,6 @@ def _repeats(keys, rows, count):
     return mask
 
 
-def key_ints(n: int, *positions) -> list[np.ndarray]:
-    """Supra ``positions`` below ``n`` as int64 if n**2 fits in it, else as
-    Python ints (object): an arc key below n**2, as a * n + b, is exact."""
-    dtype = np.int64 if n * n <= np.iinfo(np.int64).max else object
-    return [v.astype(dtype, copy=False) for v in positions]
-
-
 def _raise_first_fault(t: _EdgeRows, path, checks):
     """Raise the ParseError of the earliest row failing one of ``checks``,
     ``(mask, message(row))`` pairs in the order a line is checked, so a
@@ -513,7 +508,6 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
     """
     n, count = t.N * t.L, t.w.size
     rows = np.arange(count)
-    a, b = key_ints(n, a, b)
     keys = a * n + b
     if not directed:
         mirror = a != b
@@ -526,10 +520,9 @@ def _network(t: _EdgeRows, path, checks, a, b, duplicate, directed,
     _raise_first_fault(t, path, checks)
 
     tails = keys // n
-    heads = (keys - tails * n).astype(np.int64, copy=False)
+    heads = keys - tails * n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails.astype(np.int64, copy=False), minlength=n),
-              out=indptr[1:])
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
     arcs = sp.csr_matrix((t.w[rows], heads, indptr), shape=(n, n))
     arcs.has_canonical_format = True  # sorted by key, no repeat
     setattr(arcs, _LOADED, True)  # no copy, no second check

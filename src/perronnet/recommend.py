@@ -30,17 +30,19 @@ without copying the network.  Only the roots are needed, so it makes no
 product with B^T: a row is accepted only when the Collatz-Wielandt
 bracket of its own perturbed operator holds its root within tol.  A row
 the block pass does not accept is solved alone by ``perron()``, which
-reports why a row cannot be solved, on the network :func:`~perronnet.model.apply_update` makes of
-its update: an undirected one runs the Lanczos recurrence.  Both passes
-start from the base Perron pair when both of its vectors are strictly
-positive, and cold otherwise.  A
-removal that must keep the supra graph strongly connected is checked on
-the base supra matrix plus its update, once the base network is:
-removing arcs never makes a graph strongly connected.
+reports why a row cannot be solved, on the network
+:func:`~perronnet.model.apply_update` makes of its update: an undirected
+one runs the Lanczos recurrence.  Both passes start from the base Perron
+pair when both of its vectors are strictly positive, and cold otherwise.
+A removal that must keep the supra graph strongly connected is checked
+only on a strongly connected base, removing arcs never making a graph
+strongly connected: by one breadth-first search per tail of a dropped
+arc, on the base supra matrix with the dropped arcs made self-loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,7 +55,7 @@ from .errors import ConvergenceError, InfeasibleError, InputError
 # that tracer only, this module editing through apply_update
 from .model import (EdgeKey, Network, apply_edge_delta, apply_update,
                     edge_update, editable_arcs, is_strongly_connected,
-                    key_ints, supra_operator, unflatten_index)
+                    supra_operator, unflatten_index)
 from .sensitivity import arc_sensitivity, sensitivity_entry
 
 
@@ -94,9 +96,8 @@ def _edge_at(a, b, N: int) -> EdgeKey:
 
 def _tie_key(a: np.ndarray, b: np.ndarray, net: Network) -> np.ndarray:
     """The tie key (k, l, i, j) of each arc (a, b), packed into one
-    integer, unique per arc."""
+    integer, unique per arc: int64, being below (NL)**2."""
     N, L = net.N, net.L
-    a, b = key_ints(net.dim, a, b)  # the key is below (NL)**2
     return ((a // N * L + b // N) * N + a % N) * N + b % N
 
 
@@ -165,13 +166,15 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
     either direction.  m starts at top_k + 1 and doubles until the k-th
     score is strictly above every score outside the window, or the window
     is the whole layer (supra vector).  With ``recompute`` the root of the
-    network with the pair's weight raised by eps in both directions is
-    re-solved exactly.
+    network with the pair's weight raised by eps, finite and positive, in
+    both directions is re-solved exactly.
     """
     if top_k < 1:
         raise InputError("top_k must be >= 1")
     if candidate_set not in ("all", "absent", "existing"):
         raise InputError("candidate_set must be 'all', 'absent' or 'existing'")
+    if recompute and not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be finite and positive, got {eps}")
 
     if candidate_set == "existing":
         a, b, _w = editable_arcs(net)
@@ -200,7 +203,7 @@ def _strongest(t: PerronTriple, net: Network, a, b, top_k: int):
     flip = (a // net.N == b // net.N) & (a > b)
     da, db = np.where(flip, b, a), np.where(flip, a, b)
     order = _tie_order(da, db, net, -score)
-    lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     pair = (lo * net.dim + hi)[order]
     _, first = np.unique(pair, return_index=True)
     best = order[np.sort(first)[:top_k]]
@@ -222,7 +225,7 @@ def _strongest_in_window(t: PerronTriple, net: Network, top_k: int,
     size = net.dim // blocks
     base = np.arange(blocks)[:, None] * size
     if absent:  # the keys a * dim + b of the arcs either way
-        ea, eb = (v.astype(np.int64) for v in editable_arcs(net)[:2])
+        ea, eb, _w = editable_arcs(net)
         stored = np.concatenate([ea * net.dim + eb, eb * net.dim + ea])
     m = min(top_k + 1, size)
     while True:
@@ -395,15 +398,16 @@ def perturbation_experiment(net: Network, edges: list[EdgeKey], eps: float,
 
     mode 'increase' raises weights by eps (creating absent edges),
     'decrease' lowers existing weights by eps (eps must stay below the
-    weight), 'remove' zeroes them.  Each row carries the first-order
-    score and is paired with a seeded random baseline edge given the
-    same treatment.  Rows whose precondition fails, or whose re-solve
-    does not converge, are flagged, not dropped.  ``triple`` is the
-    Perron triple of ``net`` when the caller has already solved it;
-    otherwise it is solved here at ``tol``.
+    weight), 'remove' zeroes them; eps must be finite and positive in
+    every mode.  Each row carries the first-order score and is paired
+    with a seeded random baseline edge given the same treatment.  Rows
+    whose precondition fails, or whose re-solve does not converge, are
+    flagged, not dropped.  ``triple`` is the Perron triple of ``net``
+    when the caller has already solved it; otherwise it is solved here
+    at ``tol``.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be finite and positive, got {eps}")
     if mode not in ("increase", "decrease", "remove"):
         raise InputError("mode must be 'increase', 'decrease' or 'remove'")
     t = triple if triple is not None else perron(supra_operator(net), tol=tol)

@@ -46,8 +46,8 @@ class SensitivityMatrix(LinearOperator):
     M is block-diagonal with diagonal blocks of order ``block``.  With
     ``arcs`` None its blocks are all ones: ``block`` NL leaves y x^T whole,
     ``block`` N projects it onto the cone D of a multiplex.  Otherwise M
-    is one exactly at the supra positions ``arcs = (rows, cols)``, the
-    stored intra-layer arcs (cone S).  ``variant`` names the mask, ``N``
+    is one exactly at the int64 supra positions ``arcs = (rows, cols)``,
+    the stored intra-layer arcs (cone S).  ``variant`` names the mask, ``N``
     and ``L`` the network's shape, ``kappa`` the root's condition number.
     """
 
@@ -70,7 +70,7 @@ class SensitivityMatrix(LinearOperator):
         """M[a, b] for broadcastable arrays of supra positions."""
         if self.arcs is None:
             return a // self.block == b // self.block
-        n = np.int64(self.shape[0])
+        n = self.shape[0]
         rows, cols = self.arcs
         return np.isin(a * n + b, rows * n + cols)
 

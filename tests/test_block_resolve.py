@@ -29,6 +29,19 @@ TOL = 1e-10
 EPS = 0.1  # below every stored weight of the networks here (>= 0.2)
 
 
+def test_an_infinite_root_is_not_accepted():
+    # an infinite rho makes the bound tol * max(1, |rho|) infinite, which
+    # every bracket would pass; the column goes to perron(), whose network
+    # of the update refuses the infinite weight
+    net = load_demo_network()
+    update = (np.array([0]), np.array([1]), np.array([np.inf]))
+    assert perron_block(supra_operator(net), [update]) == [None]
+    t = perron(supra_operator(net))
+    [root] = _exact_roots(net, t, [update], TOL)
+    assert isinstance(root, InputError)
+    assert str(root) == "stored weights must be strictly positive and finite"
+
+
 def general_undirected(seed, N, L):
     rng = np.random.default_rng(seed)
     B = np.triu(random_general_dense(rng, N * L, density=0.3))

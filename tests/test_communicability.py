@@ -168,6 +168,18 @@ def test_versatility_rules(demo_net):
         versatility(e, [-1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, np.nan, 1.0], "weights must be finite"),
+    ([np.inf, 0.0, 1.0], "weights must be finite"),
+    ([1.0, -1.0, 1.0], "weights must be nonnegative")],
+    ids=["nan", "inf", "negative"])
+def test_versatility_refuses_non_finite_and_negative_weights(demo_net, weights,
+                                                             message):
+    e = eigentensors(triple_of(demo_net), demo_net.N, demo_net.L)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        versatility(e, weights)
+
+
 def test_versatility_monolayer_is_left_vector():
     net, _ = random_general_net(10, N=5, L=1)
     t = triple_of(net)

@@ -252,9 +252,10 @@ def lexsort_tie_order(a, b, N, score=None):
     return np.lexsort(keys if score is None else keys + (score,))
 
 
-@pytest.mark.parametrize("N, L", [(7, 3), (1, 5), (9, 1), (2 ** 31, 2)])
+@pytest.mark.parametrize("N, L", [(7, 3), (1, 5), (9, 1), (1518500249, 2)])
 def test_packed_tie_key_sorts_like_the_four_key_lexsort(N, L):
-    # N = 2^31, L = 2 packs past int64 and sorts Python ints
+    # N = 1518500249, L = 2 is the largest order a header allows: its tie
+    # keys reach just below 2^63 and are still int64
     rng = np.random.default_rng(N + L)
     net = SimpleNamespace(N=N, L=L, dim=N * L)
     for _ in range(20):
@@ -292,6 +293,20 @@ def test_editable_arcs_list_stored_arcs_without_coupling():
     B = gen.supra.toarray()
     assert np.array_equal(B[rows, cols], w)
     assert len(w) == np.count_nonzero(B)
+
+
+def test_editable_arcs_are_the_csr_arcs_as_int64_positions():
+    # the order and values of tocoo(), int64 whatever the CSR index dtype,
+    # and weights the network does not share
+    for net in (random_multiplex_net(107, N=5, L=3, gamma=1.0, directed=False),
+                random_general_net(108, N=4, L=2)[0]):
+        rows, cols, w = editable_arcs(net)
+        coo = net.arcs.tocoo()
+        assert rows.dtype == cols.dtype == np.int64
+        assert np.array_equal(rows, coo.row) and np.array_equal(cols, coo.col)
+        assert np.array_equal(w, coo.data)
+        w[:] = 0.0
+        assert net.arcs.data.min() > 0
 
 
 def test_undirected_increase_baselines_show_the_arc_with_a_below_b():

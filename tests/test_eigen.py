@@ -185,6 +185,24 @@ def test_warm_start_reaches_same_triple(demo_net):
     assert warm.iterations <= cold.iterations
 
 
+def test_warm_starts_are_normalized_without_blas(monkeypatch):
+    # np.linalg.norm is a BLAS sum, whose bits above about 10**4 entries
+    # depend on the thread count; a warm start is scaled by numpy's own loop
+    net = random_multiplex_net(31, N=8, L=3, gamma=0.5, directed=False)
+    op = supra_operator(net)
+    cold = perron(op)
+    update = (np.array([0]), np.array([1]), np.array([0.1]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    warm = perron(op, x0=2.0 * cold.x, y0=2.0 * cold.y)
+    assert warm.rho == pytest.approx(cold.rho, rel=1e-10)
+    [rho] = eigen.perron_block(op, [update], x0=2.0 * cold.x, y0=2.0 * cold.y)
+    assert rho > cold.rho
+
+
 def test_warm_start_rejects_bad_vectors(demo_net):
     from perronnet import InputError
     cold = perron(supra_operator(demo_net))

@@ -46,8 +46,8 @@ def _ref_header(lines, path):
         raise ParseError(f"bad header: {exc}", path, lineno) from None
     if N < 1 or L < 1:
         raise ParseError("N and L must be positive", path, lineno)
-    if N * L > 2**63 - 1:
-        raise ParseError(f"N*L must be at most 2**63 - 1, got {N * L}",
+    if N * L > 3037000499:  # isqrt(2**63 - 1)
+        raise ParseError(f"N*L must be at most 3037000499, got {N * L}",
                          path, lineno)
     return N, L
 
@@ -327,32 +327,37 @@ def test_numpy_reader_takes_plain_files(tmp_path, monkeypatch):
     assert load_multilayer(p, directed=False).edge_count() == 3
 
 
-@pytest.mark.parametrize("N", [2**40, 2**62 - 1, 2**62, 2**63 - 1, 10**30])
+@pytest.mark.parametrize("N", [1518500249, 1518500250, 2**40, 2**62 - 1, 2**62,
+                               2**63 - 1, 10**30])
 def test_huge_header_keeps_every_check(tmp_path, N):
-    # the duplicate keys of such a file do not fit in int64; from N = 2**62
-    # on, N*L = 2N does not either, and the header is refused
+    # at N = 1518500249, N*L = 2N is just below the header's limit
+    # isqrt(2**63 - 1) = 3037000499, and each body's own error is named at
+    # its line, a repeat found by its int64 arc key; from N = 1518500250 on
+    # the header is refused at line 1 first.  Every body is invalid, so no
+    # array of order N*L is sized
     p = tmp_path / "huge.edges"
     for body, kw in (("1 1 2 1\n1 5 6 1\n1 2 1 1\n", {"directed": False}),
                      (f"1 1 {N} 1\n1 {N} 1 1\n1 1 {N} 1\n", {"directed": True}),
                      (f"1 1 {N + 1} 1\n", {"directed": True})):
         p.write_text(f"{N} 2\n{body}", encoding="utf-8")
         want = _outcome(ref_load_multiplex, p, gamma=0.0, **kw)
-        assert want[0] == "error"
+        assert want[0] == "error" and (want[2] == 1) == (2 * N > 3037000499)
         assert _outcome(load_multiplex, p, gamma=0.0, **kw) == want
         p.write_text(f"{N} 2\n" + "".join(f"1 {line} 1" for line in body.splitlines(True)),
                      encoding="utf-8")
         want = _outcome(ref_load_multilayer, p, **kw)
-        assert want[0] == "error"
+        assert want[0] == "error" and (want[2] == 1) == (2 * N > 3037000499)
         assert _outcome(load_multilayer, p, **kw) == want
 
 
-@pytest.mark.parametrize("header", ["3000000000 4000000000", f"{2**62} 2",
-                                    f"{10**30} 1"])
+@pytest.mark.parametrize("header", ["3037000500 1", "3000000000 4000000000",
+                                    f"{2**62} 2", f"{10**30} 1"])
 def test_header_past_int64_is_refused(tmp_path, capsys, header):
-    # every line but the header is valid, so the header's error is the
-    # first, and no matrix of order N*L is ever sized
+    # past N*L = isqrt(2**63 - 1) an arc key a * NL + b may not fit in
+    # int64; every line but the header is valid, so the header's error is
+    # the first, and no matrix of order N*L is ever sized
     N, L = (int(v) for v in header.split())
-    want = f"N*L must be at most 2**63 - 1, got {N * L}"
+    want = f"N*L must be at most 3037000499, got {N * L}"
     for body, load, kw in (("1 1 2 1\n", load_multiplex, {"gamma": 1.0}),
                            ("1 1 1 2 1\n", load_multilayer, {})):
         p = tmp_path / "huge.edges"
@@ -471,9 +476,6 @@ def test_wide_keys_keep_the_packed_order(monkeypatch):
     assert order(keys, 40) == want and not lexsorts  # packed
     # keys below 2**62 take 2**68 and more once shifted by the 6 row bits
     assert order(keys, 2**62) == want and len(lexsorts) == 1
-    wide = keys.astype(object) << 70  # keys past int64 themselves
-    assert order(wide, 40 << 70) == [(k << 70, r) for k, r in want]
-    assert len(lexsorts) == 2
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["multiplex", "general"])

@@ -462,6 +462,23 @@ def test_experiment_validates_mode_and_eps(demo_net):
         perturbation_experiment(demo_net, [], eps=0.3, mode="sideways")
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -0.5])
+def test_both_re_solving_entry_points_refuse_a_bad_eps(demo_net, eps):
+    # a negative eps would put a negative entry into B + E_j, where the
+    # Collatz-Wielandt bracket does not hold; an infinite one an infinite
+    # root.  A ranking without re-solves does not read eps
+    from perronnet import InputError
+    t = triple_of(demo_net)
+    want = f"eps must be finite and positive, got {eps}"
+    with pytest.raises(InputError, match=f"^{want}$"):
+        rank_insertions(t, demo_net, 3, eps=eps, recompute=True)
+    with pytest.raises(InputError, match=f"^{want}$"):
+        perturbation_experiment(demo_net, [EdgeKey(1, 2, 1, 1)], eps,
+                                "increase", triple=t)
+    assert (rank_insertions(t, demo_net, 3, eps=eps)
+            == rank_insertions(t, demo_net, 3))
+
+
 def test_experiment_reuses_a_given_triple(demo_net):
     t = triple_of(demo_net, tol=1e-10)
     edges = [EdgeKey(1, 2, 1, 1), EdgeKey(2, 4, 3, 2)]
