@@ -343,7 +343,10 @@ def test_huge_header_keeps_every_check(tmp_path, N):
         want = _outcome(ref_load_multiplex, p, gamma=0.0, **kw)
         assert want[0] == "error" and (want[2] == 1) == (2 * N > 3037000499)
         assert _outcome(load_multiplex, p, gamma=0.0, **kw) == want
-        p.write_text(f"{N} 2\n" + "".join(f"1 {line} 1" for line in body.splitlines(True)),
+        # the same body as intra-layer lines 'l i l j w' of a general file
+        lines = (line.split() for line in body.splitlines())
+        p.write_text(f"{N} 2\n" + "".join(f"{l} {i} {l} {j} {w}\n"
+                                          for l, i, j, w in lines),
                      encoding="utf-8")
         want = _outcome(ref_load_multilayer, p, **kw)
         assert want[0] == "error" and (want[2] == 1) == (2 * N > 3037000499)
