@@ -369,8 +369,8 @@ _ARGS = {
     "--epsilon": dict(type=float, default=0.3),
     "--top-k": dict(type=int, default=5),
     "--structured": dict(action="store_true",
-                         help="restrict add-candidates to existing intra-layer "
-                              "edges"),
+                         help="restrict add-candidates to existing edges (on a "
+                              "multiplex, its intra-layer edges)"),
     "--total": dict(action="store_true",
                     help="also compute the total communicability "
                          "1'(exp(B) - I)1 for comparison"),

@@ -82,11 +82,12 @@ _POSITIVITY_SLACK = 1e-12
 
 # Steps after which perron_block hands a column to perron().  On the
 # benchmark's directed N=1000, L=4 networks (2-core machine) a warm ARPACK
-# re-solve makes about 28 products per side, at about 0.2 ms a product,
-# while a block step of ten columns costs a column about 0.045 ms: 60
-# steps cost about a quarter of what one warm re-solve does.  The cap
-# admits a column whose error must shrink by 1e-7 at a gap ratio
-# |lambda_2| / rho up to about 0.76; those rows need 20-33 steps.
+# re-solve takes about 4.8 ms for its 47 products, both sides and the
+# checks (a product alone takes about 0.036 ms), while a block step of
+# ten columns costs a column about 0.026 ms: 60 steps cost about a third
+# of what one warm re-solve does.  The cap admits a column whose error
+# must shrink by 1e-7 at a gap ratio |lambda_2| / rho up to about 0.76;
+# those rows need 20-33 steps.
 BLOCK_MAX_STEPS = 60
 
 # Most steps between two checks of a column in perron_block.  At each
@@ -294,13 +295,14 @@ def _lanczos(apply, start, image, tol):
     basis = [start]
     T = np.zeros((cap, cap))  # the tridiagonal matrix, upper half set
     w = image.copy()
+    tmp = np.empty_like(w)  # each axpy's product, without a new array
     due, seen, seen_excess = 1, 0, 1.0
     for step in range(1, cap + 1):
         q = basis[-1]
         if step > 1:
-            w -= T[step - 2, step - 1] * basis[-2]
+            w -= np.multiply(T[step - 2, step - 1], basis[-2], out=tmp)
         T[step - 1, step - 1] = alpha = _dot(q, w)
-        w -= alpha * q
+        w -= np.multiply(alpha, q, out=tmp)
         beta = _norm(w)
         if step == due or step == cap or beta <= tol:
             theta, s = np.linalg.eigh(T[:step, :step], UPLO="U")
@@ -309,7 +311,7 @@ def _lanczos(apply, start, image, tol):
             if excess <= 1.0:
                 x = np.zeros(start.size)
                 for c, v in zip(s[:, -1], basis):
-                    x += c * v
+                    x += np.multiply(c, v, out=tmp)
                 try:
                     x = _fix_sign(x, tol)
                 except ConvergenceError:
@@ -544,6 +546,13 @@ def _power_columns(matmat, X, entries, tol, v=None):
     None.  A resolved column stays in X, unread: its next check is set
     past :data:`BLOCK_MAX_STEPS`.  It may vanish or overflow there, which
     must not warn.
+
+    The products, the rescaling and the residuals or brackets run on the
+    block; each column's check schedule is kept in Python scalars.  Its
+    powers and logarithms, and its division by an excess that may be 0,
+    are numpy's ufuncs: their calls on a float round as their array
+    loops do, SIMD or not, and take 0, inf and NaN as those loops do,
+    which ``math.log``, ``**`` and ``/`` need not.
     """
     rows, cols, deltas, col = entries
     k = X.shape[1]
@@ -551,9 +560,9 @@ def _power_columns(matmat, X, entries, tol, v=None):
     # each column's next check step (past BLOCK_MAX_STEPS once it has
     # resolved), its last one (0: none yet) and its bracket width or
     # residual over its bound there
-    due = np.ones(k, dtype=np.int64)
-    seen = np.zeros(k, dtype=np.int64)
-    seen_excess = np.ones(k)
+    due = [1] * k
+    seen = [0] * k
+    seen_excess = [1.0] * k
     next_check = 1  # the least of due
     scale = 1.0
     # a column that vanishes or overflows while checked is handed to
@@ -563,7 +572,7 @@ def _power_columns(matmat, X, entries, tol, v=None):
         for step in range(1, BLOCK_MAX_STEPS + 1):
             checking = step == next_check
             if checking:
-                check = np.flatnonzero(due == step)
+                check = [c for c in range(k) if due[c] == step]
                 xt, norm_x = _unit_columns(X, check)
             W = np.asarray(matmat(X))  # (B + E_j) x_j
             if rows.size:
@@ -587,34 +596,45 @@ def _power_columns(matmat, X, entries, tol, v=None):
                     err = (np.fmax.reduce(wt, axis=1)
                            - np.fmin.reduce(wt, axis=1))
                 del wt
-                # a zero column's NaN rho, or an infinite one, is refused
-                signed = xt.min(axis=1) >= 0
-                bound = tol * np.maximum(1.0, np.abs(rho))
-                done = (err <= bound) & signed & np.isfinite(rho)
-                for i in np.flatnonzero(done):
-                    out[check[i]] = (float(rho[i]) if v is not None
-                                     else (xt[i].copy(), W[:, check[i]].copy()))
+                rho = rho.tolist()
                 if step == 1:
-                    top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
+                    top = max((abs(r) for r in rho if math.isfinite(r)),
+                              default=0.0)
                     if top > 0:
                         scale = math.ldexp(1.0, -math.frexp(top)[1])
-                excess = err / bound
-                last = seen[check]
-                since = last > 0
-                rate = (excess / seen_excess[check]) ** (1.0 / (step - last))
-                keep = (~done & (norm_x > 0) & np.isfinite(norm_x)
-                        & (~since | (excess * rate ** (BLOCK_MAX_STEPS - step)
-                                     <= 1.0)))
-                # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
-                wait = np.where(since, np.ceil(np.log(excess) / -np.log(rate)),
-                                _STALL_STEPS)
-                wait = np.fmax(np.fmin(wait, _STALL_STEPS), 1).astype(np.int64)
-                due[check] = np.where(keep, np.minimum(step + wait,
-                                                       BLOCK_MAX_STEPS),
-                                      BLOCK_MAX_STEPS + 1)
-                seen[check] = step
-                seen_excess[check] = excess
-                next_check = int(due.min())
+                for i, (c, r, e, low, norm) in enumerate(zip(
+                        check, rho, err.tolist(), xt.min(axis=1).tolist(),
+                        norm_x.tolist())):
+                    # tol * max(1, |rho|), NaN for a NaN rho; a zero
+                    # column's NaN rho, or an infinite one, is refused
+                    bound = tol * (1.0 if abs(r) <= 1.0 else abs(r))
+                    if e <= bound and low >= 0 and math.isfinite(r):
+                        out[c] = (r if v is not None
+                                  else (xt[i].copy(), W[:, c].copy()))
+                        due[c] = BLOCK_MAX_STEPS + 1
+                        continue
+                    excess = e / bound  # bound >= tol > 0
+                    keep = norm > 0 and math.isfinite(norm)
+                    wait = _STALL_STEPS
+                    if keep and seen[c]:
+                        # the exponent as an array: numpy takes a scalar
+                        # 0.5 as a square root, which rounds otherwise
+                        rate, = np.power(np.divide(excess, seen_excess[c]),
+                                         [1.0 / (step - seen[c])])
+                        keep = (excess * np.power(rate, BLOCK_MAX_STEPS - step)
+                                <= 1.0)
+                        # steps until excess * rate**m <= 1, within
+                        # [1, _STALL_STEPS]; NaN and +inf give the most,
+                        # -inf the least
+                        m = np.log(excess) / -np.log(rate)
+                        if m <= 1:
+                            wait = 1
+                        elif m < _STALL_STEPS:
+                            wait = math.ceil(m)
+                    due[c] = (min(step + wait, BLOCK_MAX_STEPS) if keep
+                              else BLOCK_MAX_STEPS + 1)
+                    seen[c], seen_excess[c] = step, excess
+                next_check = min(due)
                 if next_check > BLOCK_MAX_STEPS:
                     break  # no column has a check left
             W *= scale

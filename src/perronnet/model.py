@@ -590,7 +590,10 @@ def supra_operator(net: Network) -> LinearOperator:
         out = m @ V
         if g != 0.0:
             W = V.reshape((L, N) + V.shape[1:])
-            out += (g * (W.sum(axis=0) - W)).reshape(V.shape)
+            coupled = W.sum(axis=0) - W
+            if g != 1.0:  # 1.0 * z is z
+                coupled *= g
+            out += coupled.reshape(V.shape)
         return out
 
     B, B_t = partial(apply, arcs), partial(apply, arcs_t)

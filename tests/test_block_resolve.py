@@ -7,6 +7,8 @@ of its own mutated network; a column it does not accept is solved alone
 by ``perron()``, as before the block pass existed.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +18,9 @@ from perronnet import (ConvergenceError, EdgeKey, InputError, Network,
                        apply_edge_delta, assemble_dense, load_demo_network,
                        perron, perron_dense_oracle, rank_insertions,
                        rank_removals, supra_operator)
-from perronnet.eigen import _STALL_STEPS, perron_block
+from perronnet import eigen
+from perronnet.eigen import (BLOCK_MAX_STEPS, _STALL_STEPS, _row_norms,
+                             perron_block)
 from perronnet.model import apply_update, editable_arcs, unflatten_index
 from perronnet import recommend
 from perronnet.recommend import _edits, _exact_roots, _warm_start
@@ -484,3 +488,266 @@ def test_removal_resolves_of_a_large_directed_network_need_no_fallback():
     for update, rho in zip(requests, got):
         want = perron(supra_operator(apply_update(net, update)), tol=1e-13)
         assert abs(rho - want.rho) <= TOL * max(1.0, rho)
+
+
+# ---------------------------------------------------------------------------
+# the check schedule, against the array schedule it replaced
+
+def reference_power_columns(matmat, X, entries, tol, v=None):
+    """``eigen._power_columns`` as it was while each check step rebuilt
+    every column's schedule as numpy arrays, kept as the reference: the
+    schedule held in scalars must check, accept and hand over each
+    column at the same steps, so that every product keeps its bits."""
+    rows, cols, deltas, col = entries
+    k = X.shape[1]
+    out: list = [None] * k
+    # each column's next check step (past BLOCK_MAX_STEPS once it has
+    # resolved), its last one (0: none yet) and its bracket width or
+    # residual over its bound there
+    due = np.ones(k, dtype=np.int64)
+    seen = np.zeros(k, dtype=np.int64)
+    seen_excess = np.ones(k)
+    next_check = 1  # the least of due
+    scale = 1.0
+    # a column that vanishes or overflows while checked is handed to
+    # perron(), which reports why, and one that has resolved is not read;
+    # neither must warn here
+    with np.errstate(all="ignore"):
+        for step in range(1, BLOCK_MAX_STEPS + 1):
+            checking = step == next_check
+            if checking:
+                check = np.flatnonzero(due == step)
+                xt, norm_x = eigen._unit_columns(X, check)
+            W = np.asarray(matmat(X))  # (B + E_j) x_j
+            if rows.size:
+                np.add.at(W, (rows, col), deltas * X[cols, col])
+            # free the iterate, so that the check's row copies below do not
+            # raise the peak memory
+            del X
+            if checking:
+                wt = W.T[check]
+                if v is None:
+                    rho = (np.einsum("ij,ij->i", xt, wt)
+                           / np.einsum("ij,ij->i", xt, xt))
+                    wt -= rho[:, None] * xt  # the residuals
+                    err = _row_norms(wt)
+                else:
+                    rho = (np.einsum("ij,j->i", wt, v)
+                           / np.einsum("ij,j->i", xt, v))
+                    # the ratios; fmax and fmin skip the NaN of a 0/0, an
+                    # entry off the support of x whose image is 0 too
+                    wt /= xt
+                    err = (np.fmax.reduce(wt, axis=1)
+                           - np.fmin.reduce(wt, axis=1))
+                del wt
+                # a zero column's NaN rho, or an infinite one, is refused
+                signed = xt.min(axis=1) >= 0
+                bound = tol * np.maximum(1.0, np.abs(rho))
+                done = (err <= bound) & signed & np.isfinite(rho)
+                for i in np.flatnonzero(done):
+                    out[check[i]] = (float(rho[i]) if v is not None
+                                     else (xt[i].copy(), W[:, check[i]].copy()))
+                if step == 1:
+                    top = np.abs(rho[np.isfinite(rho)]).max(initial=0.0)
+                    if top > 0:
+                        scale = math.ldexp(1.0, -math.frexp(top)[1])
+                excess = err / bound
+                last = seen[check]
+                since = last > 0
+                rate = (excess / seen_excess[check]) ** (1.0 / (step - last))
+                keep = (~done & (norm_x > 0) & np.isfinite(norm_x)
+                        & (~since | (excess * rate ** (BLOCK_MAX_STEPS - step)
+                                     <= 1.0)))
+                # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
+                wait = np.where(since, np.ceil(np.log(excess) / -np.log(rate)),
+                                _STALL_STEPS)
+                wait = np.fmax(np.fmin(wait, _STALL_STEPS), 1).astype(np.int64)
+                due[check] = np.where(keep, np.minimum(step + wait,
+                                                       BLOCK_MAX_STEPS),
+                                      BLOCK_MAX_STEPS + 1)
+                seen[check] = step
+                seen_excess[check] = excess
+                next_check = int(due.min())
+                if next_check > BLOCK_MAX_STEPS:
+                    break  # no column has a check left
+            W *= scale
+            X = W
+    return out
+
+
+def traced(power_columns, product, X, entries, tol, v, monkeypatch):
+    """The result of ``power_columns`` from the block X, each column's
+    check steps, and the bits of every block it multiplies by
+    ``product()``, a fresh product."""
+    checks = [[] for _ in range(X.shape[1])]
+    blocks = []
+    unit, matmat = eigen._unit_columns, product()
+
+    def spy(V, j):
+        for c in np.asarray(j).tolist():
+            checks[c].append(len(blocks) + 1)
+        return unit(V, j)
+
+    def counted_matmat(V):
+        blocks.append(V.tobytes())
+        return matmat(V)
+
+    monkeypatch.setattr(eigen, "_unit_columns", spy)
+    out = power_columns(counted_matmat, X.copy(), entries, tol, v)
+    monkeypatch.setattr(eigen, "_unit_columns", unit)
+    return out, checks, blocks
+
+
+def assert_same_schedule(product, X, entries, tol, v, monkeypatch):
+    """The scalar schedule checks every column at the reference's steps,
+    so it accepts or hands it over at the same step, multiplies the same
+    bits and returns the same roots, or x and image, bit for bit."""
+    got, got_checks, got_blocks = traced(eigen._power_columns, product, X,
+                                         entries, tol, v, monkeypatch)
+    want, want_checks, want_blocks = traced(reference_power_columns, product,
+                                            X, entries, tol, v, monkeypatch)
+    assert got_checks == want_checks
+    assert got_blocks == want_blocks
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+        elif w is not None:
+            assert np.float64(g).tobytes() == np.float64(w).tobytes()
+
+
+NO_UPDATE = (np.empty(0, dtype=np.int64),) * 4
+
+SCHEDULE_NETWORKS = dict(
+    NETWORKS, sink=lambda: sink_network(301, sinks=2),
+    periodic=periodic_cycle, tiny_gap=tiny_gap_layers, demo=load_demo_network,
+    sparse=lambda: sparse_directed_general(11, N=200, L=4, arcs=4000))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_NETWORKS))
+def test_power_phase_keeps_the_array_schedule(name, monkeypatch):
+    # k = 1: perron()'s cold sides, on B and on B^T
+    net = SCHEDULE_NETWORKS[name]()
+    op = supra_operator(net)
+    u = np.full((net.dim, 1), 1.0 / np.sqrt(net.dim))
+    for matmat in (op.matmat, op.rmatmat):
+        assert_same_schedule(lambda: matmat, matmat(u), NO_UPDATE, TOL, None,
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_NETWORKS))
+def test_block_resolve_keeps_the_array_schedule(name, monkeypatch):
+    # k <= 10: the blocks perron_block starts for removals and increases
+    net = SCHEDULE_NETWORKS[name]()
+    op = supra_operator(net)
+    x0, y0 = _warm_start(perron(op))
+    calls = []
+    monkeypatch.setattr(eigen, "_power_columns",
+                        lambda *args: calls.append(args) or [])
+    for mode in ("remove", "increase"):
+        perron_block(op, requests_for(net, mode, mirror=False, count=10),
+                     x0=x0, y0=y0)
+    monkeypatch.undo()
+    assert calls
+    for matmat, *args in calls:
+        assert_same_schedule(lambda: matmat, *args, monkeypatch)
+
+
+def scripted_product(column=None):
+    """A product that moves each of ten columns of order 4 by its own
+    rule, for the schedule's edge cases; with ``column``, that column
+    alone, as a block of one:
+
+    0. a positive matrix: accepted;
+    1. a nilpotent one: the column vanishes, its rho and excess are NaN;
+    2. a first entry that grows by 1e200 a step: the column overflows
+       between two checks;
+    3. ratios that agree from the second product on, on a column with a
+       negative entry, which is never accepted: its excess falls to 0, so
+       its rate is 0 and its wait log(0) / -log(0) is NaN, then 0 / 0;
+    4. as 3, with ratios that spread again from the eighth product: an
+       excess over a seen excess of 0;
+    5. ratios 1/2 and 1 at every step, on a column with a negative entry:
+       rate 1, so its wait is log(excess) / -0.0, -inf or +inf;
+    6. ratios that spread twice as far each step: rate > 1;
+    7. a spread of 1e-9, then a ratio of 1e100 at an entry of 1e-50:
+       its excess grows by 1e59 in five steps, and rate**m overflows;
+    8. a positive matrix whose product is inf at its sixth call: a
+       finite x whose excess is NaN, after a finite one;
+    9. ratios 1 and 2 on a column with two negative entries, orthogonal
+       to the left start of ones, as its image is: its root is 0 / 0,
+       NaN, where its bracket width is finite.
+    """
+    rng = np.random.default_rng(17)
+    n, k = 4, 10
+    mats = [rng.uniform(0.1, 1.0, (n, n)) for _ in range(k)]
+    mats[1] = np.triu(mats[1], 1)
+    mats[2] = np.diag([1e200, 1.0, 1.0, 1.0])
+    mats[3] = mats[4] = mats[6] = mats[7] = np.eye(n)
+    mats[5] = np.diag([0.5, 0.5, 1.0, 1.0])
+    mats[9] = np.diag([1.0, 1.0, 2.0, 2.0])
+    spread = np.arange(1.0, n + 1)
+    calls = 0
+
+    def product(V):
+        nonlocal calls
+        calls += 1
+        if column is not None:
+            V = np.repeat(V, k, axis=1)
+        W = np.column_stack([m @ x for m, x in zip(mats, V.T)])
+        W[:, 3] *= 2.0 if calls > 1 else spread
+        W[:, 4] *= 2.0 if 1 < calls < 8 else spread
+        W[-1, 6] *= 1.0 + 2.0 ** (calls - 30)
+        W[-1, 7] *= 1.0 + 1e-9
+        if calls == 6:
+            W[0, 7] *= 1e100
+            W[:, 8] = np.inf
+        return W if column is None else W[:, [column]]
+
+    return product
+
+
+def scripted_start():
+    """The start block of :func:`scripted_product`, columns of unit norm;
+    columns 3, 4, 5 and 9 hold a negative entry, 2 and 7 a tiny one."""
+    X = np.random.default_rng(18).uniform(0.5, 1.5, (4, 10))
+    X[1, [3, 4]] = X[2, 5] = -1.0
+    X[:, 9] = [1.0, -1.0, 1.0, -1.0]
+    X[0, 2], X[0, 7] = 1e-300, 1e-50
+    return X / np.sqrt((X * X).sum(axis=0))
+
+
+@pytest.mark.parametrize("tol", [TOL, 1.0])
+@pytest.mark.parametrize("left", [False, True])
+def test_schedule_edge_cases_keep_the_array_schedule(left, tol, monkeypatch):
+    # k = 10 and each column alone; tol = 1 puts column 5's excess below 1,
+    # where rate 1 keeps it, and column 9's, whose NaN root makes a NaN
+    # bound, at 1 for a finite one
+    X = scripted_start()
+    v = np.ones(4) if left else None
+    assert_same_schedule(scripted_product, X, NO_UPDATE, tol, v, monkeypatch)
+    for j in range(X.shape[1]):
+        assert_same_schedule(lambda: scripted_product(j), X[:, [j]],
+                             NO_UPDATE, tol, v, monkeypatch)
+    X[0, 2] = np.inf  # overflowed already: an infinite norm at step 1
+    assert_same_schedule(scripted_product, X, NO_UPDATE, tol, v, monkeypatch)
+
+
+def test_scalar_ufunc_calls_round_as_the_array_loops():
+    # the schedule's powers and logarithms of Python floats round as the
+    # array loops do, dispatched to SIMD code or not; math.log, and a
+    # scalar exponent 0.5, which numpy takes as a square root, need not
+    rng = np.random.default_rng(5)
+    base = np.concatenate([rng.uniform(0.0, 3.0, 2000),
+                           np.exp(rng.uniform(-700.0, 700.0, 2000)),
+                           [0.0, 1.0, np.inf, np.nan, 5e-324]])
+    with np.errstate(all="ignore"):
+        for d in range(1, _STALL_STEPS + 1):
+            want = base ** (1.0 / np.full(base.size, d))
+            got = [np.power(b, [1.0 / d])[0] for b in base.tolist()]
+            np.testing.assert_array_equal(got, want)
+        for m in range(BLOCK_MAX_STEPS):
+            got = [np.power(b, m) for b in base.tolist()]
+            np.testing.assert_array_equal(got, base ** m)
+        np.testing.assert_array_equal([np.log(b) for b in base.tolist()],
+                                      np.log(base))

@@ -419,6 +419,19 @@ def test_structured_rank_add_on_multiplex(capsys, tmp_path):
         assert net.weight(EdgeKey(i, j, k, l)) > 0
 
 
+def test_structured_rank_add_on_general_input_lists_inter_layer_arcs(capsys):
+    # on general input every stored arc is an existing edge, inter-layer
+    # ones too; only a multiplex keeps to its intra-layer edges
+    code, out, err = run_cli(capsys, "rank", "add", DEMO, "--directed",
+                             "--structured", "--format", "json")
+    assert code == 0, err
+    net = load_multilayer(DEMO, directed=True)
+    edges = [EdgeKey(*(int(v) for v in r["edge"].split("-")))
+             for r in json.loads(out)["rows"]]
+    assert all(net.weight(e) > 0 for e in edges)
+    assert any(e.k != e.l for e in edges)
+
+
 def test_strengthening_skips_supra_self_loops(capsys, tmp_path):
     # a heavy stored self-loop on node 1 of layer 1, plus a 4-cycle
     p = tmp_path / "loop.edges"
