@@ -75,14 +75,16 @@ def _sniff_format(path: Path) -> str:
     4 columns -> multiplex, 5 -> general multilayer."""
     lines = _read_edge_lines(path)
     next(lines, None)  # the header
-    for _lineno, tokens in lines:
+    for lineno, tokens in lines:
         n = len(tokens)
         if n == 4:
             return "multiplex"
         if n == 5:
             return "multilayer"
-        raise InputError(f"cannot infer input format from {n}-column line")
-    raise InputError("file has no edge lines; pass --input-format explicitly")
+        raise ParseError(f"cannot infer input format from {n}-column line",
+                         path, lineno)
+    raise ParseError("file has no edge lines; pass --input-format explicitly",
+                     path)
 
 
 def load_network(ns: argparse.Namespace):
@@ -213,9 +215,8 @@ def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
         except ValueError:
             raise ParseError("edge lines must be integers", path,
                              lineno) from None
-        if net.multiplex and len(vals) == 3:
-            i, j, l = vals
-            e = EdgeKey(i, j, l, l)
+        if net.multiplex and len(vals) == 3:  # 'i j l' is (i, j, l, l)
+            e = EdgeKey(*vals, vals[2])
         elif len(vals) == 4:
             e = EdgeKey(*vals)
         else:
@@ -269,7 +270,7 @@ def cmd_convert(ns: argparse.Namespace):
     """Materialize a multiplex file (with its gamma coupling) as a general
     multilayer edge list."""
     if ns.input_format != "multiplex":
-        raise InputError("convert expects a multiplex input file")
+        raise ParseError("convert expects a multiplex input file", ns.input)
     net = load_network(ns)
     B = net.supra.tocoo()
     a, b, w = B.row, B.col, B.data

@@ -335,7 +335,6 @@ def _lanczos(apply, start, image, tol):
         T[step - 1, step] = beta
         basis.append(w / beta)
         w = apply(basis[-1])
-    return None
 
 
 def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,

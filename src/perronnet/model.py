@@ -22,6 +22,7 @@ one supra update ``(rows, cols, deltas)`` (:func:`edge_update`), which
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from collections.abc import Callable
@@ -68,6 +69,18 @@ class EdgeKey:
             raise InputError(f"node index out of range in {self}: N={N}")
         if not (1 <= self.k <= L and 1 <= self.l <= L):
             raise InputError(f"layer index out of range in {self}: L={L}")
+
+    def arc(self, N: int, L: int) -> tuple[int, int]:
+        """Supra positions (a, b) of this edge, its ids checked against N, L
+        (:meth:`validate`): the entry (N(k-1)+i, N(l-1)+j) of B, 0-based."""
+        self.validate(N, L)
+        return flat_index(self.i, self.k, N), flat_index(self.j, self.l, N)
+
+    @staticmethod
+    def at(a, b, N: int) -> "EdgeKey":
+        """The edge of the arc from supra position a to supra position b."""
+        (i, k), (j, l) = unflatten_index(a, N), unflatten_index(b, N)
+        return EdgeKey(i, j, k, l)
 
 
 def flat_index(i: int, k: int, N: int) -> int:
@@ -197,11 +210,10 @@ class Network:
     def weight(self, e: EdgeKey) -> float:
         """Weight of the arc ``e``: a stored arc, or a multiplex coupling
         (i == j, k != l), which is gamma."""
-        e.validate(self.N, self.L)
+        a, b = e.arc(self.N, self.L)
         if self.multiplex and e.i == e.j and e.k != e.l:
             return float(self.gamma)
-        p = _position(self.arcs, flat_index(e.i, e.k, self.N),
-                      flat_index(e.j, e.l, self.N))
+        p = _position(self.arcs, a, b)
         return float(self.arcs.data[p]) if p >= 0 else 0.0
 
     def edges(self):
@@ -210,11 +222,8 @@ class Network:
         A multiplex's coupling entries are structural, not data, and are
         not listed.
         """
-        rows, cols, w = editable_arcs(self)
-        for a, b, x in zip(rows, cols, w):
-            i, k = unflatten_index(a, self.N)
-            j, l = unflatten_index(b, self.N)
-            yield EdgeKey(i, j, k, l), float(x)
+        for a, b, x in zip(*editable_arcs(self)):
+            yield EdgeKey.at(a, b, self.N), float(x)
 
     def edge_count(self) -> int:
         return self.arcs.nnz
@@ -274,12 +283,26 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 def _read_edge_lines(path):
     """Yield (line_number, tokens) for data lines; '#' comments and blanks
-    skipped.  Bytes that are not UTF-8 raise a ParseError naming the file."""
+    skipped.  The text reader fails a whole chunk of about 8 KB on a byte
+    that is not UTF-8: the lines before that byte's line are then read
+    from the bytes, and a ParseError names the file and the byte's offset."""
+    given = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from _data_lines(fh)
+        with open(path, encoding="utf-8") as fh:
+            for given, tokens in _data_lines(fh):
+                yield given, tokens
+        return
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        end = max(data.rfind(b"\n", 0, exc.start),
+                  data.rfind(b"\r", 0, exc.start)) + 1
+        lines = io.StringIO(data[:end].decode("utf-8"), newline=None)
+        yield from ((n, t) for n, t in _data_lines(lines) if n > given)
         raise ParseError(f"not UTF-8 text ({exc})", path) from None
+    raise ParseError("changed while it was read", path)
 
 
 def _data_lines(lines):
@@ -689,12 +712,11 @@ def edge_update(net: Network, e: EdgeKey, delta: float):
     arc.  Raises InputError for an edge out of range, and on a multiplex
     for an inter-layer edge or a self-loop, the gamma coupling being fixed
     by the model."""
-    e.validate(net.N, net.L)
+    r, c = e.arc(net.N, net.L)
     if net.multiplex and e.k != e.l:
         raise InputError("multiplex edits must be intra-layer (k == l)")
     if net.multiplex and e.i == e.j:
         raise InputError("multiplex layers cannot carry self-loops")
-    r, c = flat_index(e.i, e.k, net.N), flat_index(e.j, e.l, net.N)
     rows, cols = ([r], [c]) if net.directed or r == c else ([r, c], [c, r])
     return np.array(rows), np.array(cols), np.full(len(rows), float(delta))
 

@@ -55,7 +55,7 @@ from .errors import ConvergenceError, InfeasibleError, InputError
 # that tracer only, this module editing through apply_update
 from .model import (EdgeKey, Network, apply_edge_delta, apply_update,
                     edge_update, editable_arcs, is_strongly_connected,
-                    supra_operator, unflatten_index)
+                    supra_operator)
 from .sensitivity import arc_sensitivity, sensitivity_entry
 
 
@@ -79,19 +79,12 @@ class ExperimentRow:
     baseline_error: str | None = None
 
 
-def _canonical_display(e: EdgeKey) -> EdgeKey:
-    """Intra-layer pairs are displayed with i < j; inter-layer pairs keep
-    their orientation."""
-    if e.k == e.l and e.i > e.j:
-        return EdgeKey(e.j, e.i, e.k, e.l)
-    return e
-
-
-def _edge_at(a, b, N: int) -> EdgeKey:
-    """EdgeKey of the arc from supra position a to supra position b."""
-    i, k = unflatten_index(a, N)
-    j, l = unflatten_index(b, N)
-    return EdgeKey(i, j, k, l)
+def _shown(a, b, net: Network):
+    """The arcs (a, b), arrays or scalars, as the arcs that show their
+    pairs: flipped when a > b and the arc lies in one layer (i < j) or
+    the input is undirected.  Directed inter-layer arcs keep their way."""
+    flip = (a > b) & ((a // net.N == b // net.N) | (not net.directed))
+    return np.where(flip, b, a), np.where(flip, a, b)
 
 
 def _tie_key(a: np.ndarray, b: np.ndarray, net: Network) -> np.ndarray:
@@ -177,12 +170,11 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
         raise InputError(f"eps must be finite and positive, got {eps}")
 
     if candidate_set == "existing":
-        a, b, _w = editable_arcs(net)
-        a, b, score = _strongest(t, net, a, b, top_k)
+        a, b, score = _strongest(t, net, *editable_arcs(net)[:2], top_k)
     else:
         a, b, score = _strongest_in_window(t, net, top_k,
                                            candidate_set == "absent")
-    out = [RankedEdge(edge=_edge_at(p, q, net.N), score=float(s),
+    out = [RankedEdge(edge=EdgeKey.at(p, q, net.N), score=float(s),
                       rho_before=t.rho) for p, q, s in zip(a, b, score)]
     if recompute:
         requests = [_edits(net, r.edge, "increase", eps, mirror=True)
@@ -193,18 +185,16 @@ def rank_insertions(t: PerronTriple, net: Network, top_k: int,
 
 def _strongest(t: PerronTriple, net: Network, a, b, top_k: int):
     """(a, b, score) arrays of the top_k unordered pairs among the arcs
-    (a, b), best first: each pair's best arc, ties going to the smaller tie
-    key of the displayed edge (intra-layer pairs display with i <= j).
-    Supra self-loops are dropped, and on undirected input every arc with
+    (a, b), best first: each pair's best arc, shown as :func:`_shown`
+    shows it, ties going to the smaller tie key of the shown arc.  Supra
+    self-loops are dropped, and on undirected input every arc with
     a > b."""
     keep = a != b if net.directed else a < b
     a, b = a[keep], b[keep]
     score = arc_sensitivity(t, a, b)
-    flip = (a // net.N == b // net.N) & (a > b)
-    da, db = np.where(flip, b, a), np.where(flip, a, b)
+    da, db = _shown(a, b, net)
     order = _tie_order(da, db, net, -score)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    pair = (lo * net.dim + hi)[order]
+    pair = (np.minimum(a, b) * net.dim + np.maximum(a, b))[order]
     _, first = np.unique(pair, return_index=True)
     best = order[np.sort(first)[:top_k]]
     return da[best], db[best], score[best]
@@ -280,7 +270,7 @@ def rank_removals(t: PerronTriple, net: Network, top_k: int,
         for p in order[scanned:]:
             if len(out) >= top_k:
                 break
-            e = _edge_at(a[p], b[p], net.N)
+            e = EdgeKey.at(a[p], b[p], net.N)
             update = (_edits(net, e, "remove") if require_connected or recompute
                       else None)
             connected = None
@@ -465,7 +455,7 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
         # unique keys fix without sorting them all
         picks = rng.choice(a.size, size=min(count, a.size), replace=False)
         arcs = np.argpartition(_tie_key(a, b, net), picks)[picks]
-        return [_edge_at(a[p], b[p], net.N) for p in arcs]
+        return [EdgeKey.at(a[p], b[p], net.N) for p in arcs]
 
     if net.dim < 2 or (net.multiplex and net.N < 2):
         return []
@@ -474,18 +464,15 @@ def _draw_baselines(t: PerronTriple, net: Network, mode: str, count: int,
     guard = 0
     while len(picked) < count and guard < 100 * count + 1000:
         guard += 1
-        if net.multiplex:
-            l = int(rng.integers(1, net.L + 1))
-            i, j = (int(v) + 1 for v in
-                    np.sort(rng.choice(net.N, size=2, replace=False)))
-            e = EdgeKey(i, j, l, l)
+        if net.multiplex:  # two distinct nodes of one layer
+            base = (int(rng.integers(1, net.L + 1)) - 1) * net.N
+            a, b = (base + int(v) for v in
+                    rng.choice(net.N, size=2, replace=False))
         else:
             a, b = (int(v) for v in rng.integers(0, net.dim, size=2))
             if a == b:
                 continue
-            if not net.directed:  # shown by its arc with a < b, as ranked
-                a, b = min(a, b), max(a, b)
-            e = _canonical_display(_edge_at(a, b, net.N))
+        e = EdgeKey.at(*_shown(a, b, net), net.N)  # as ranked
         pair = e.pair_key()
         if pair in seen:
             continue

@@ -26,18 +26,11 @@ from scipy.sparse.linalg import LinearOperator
 
 from .eigen import PerronTriple, _dot
 from .errors import DenseCapError, InfeasibleError, InputError
-from .model import (DEFAULT_DENSE_CAP, EdgeKey, Network, editable_arcs,
-                    flat_index, unflatten_index)
+from .model import DEFAULT_DENSE_CAP, EdgeKey, Network, editable_arcs
 
 
 # ---------------------------------------------------------------------------
 # the masked worst-case perturbation
-
-def _positions(e: EdgeKey, N: int, L: int) -> tuple[int, int]:
-    """Supra positions (a, b) of the arc ``e``, its ids checked against N, L."""
-    e.validate(N, L)
-    return flat_index(e.i, e.k, N), flat_index(e.j, e.l, N)
-
 
 class SensitivityMatrix(LinearOperator):
     """scale * diag(y) M diag(x): the worst-case perturbation y x^T of the
@@ -92,7 +85,7 @@ class SensitivityMatrix(LinearOperator):
 
     def entry(self, e: EdgeKey) -> float:
         """Entry of the arc ``e``, checked against the network's N and L."""
-        a, b = _positions(e, self.N, self.L)
+        a, b = e.arc(self.N, self.L)
         return (self.scale * float(self.y[a]) * float(self.x[b])
                 * float(self._mask_at(a, b)))
 
@@ -125,9 +118,7 @@ class SensitivityMatrix(LinearOperator):
             raise InfeasibleError("matrix has no off-diagonal entries")
         val = sy[a] * self.x[b]
         p = np.lexsort((b, a, -val))[0]
-        i, k = unflatten_index(a[p], self.N)
-        j, l = unflatten_index(b[p], self.N)
-        return EdgeKey(i, j, k, l), float(val[p])
+        return EdgeKey.at(a[p], b[p], self.N), float(val[p])
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +145,7 @@ def _cone(t: PerronTriple, cone: str, net: Network,
     if cone == "D":
         return SensitivityMatrix(t, scale, net.N, net.N, variant="D-structured")
     if cone == "S":
-        rows, cols, _w = editable_arcs(net)
-        return SensitivityMatrix(t, scale, net.N, net.N, (rows, cols),
+        return SensitivityMatrix(t, scale, net.N, net.N, editable_arcs(net)[:2],
                                  variant="S-structured")
     raise InputError(f"unknown cone {cone!r}; expected 'D' or 'S'")
 
@@ -197,7 +187,7 @@ def arc_sensitivity(t: PerronTriple, a, b):
 
 def sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int) -> float:
     """Sensitivity of the root to the single entry (i, j) of block (k, l)."""
-    a, b = _positions(e, N, t.x.size // N)
+    a, b = e.arc(N, t.x.size // N)
     return float(arc_sensitivity(t, a, b))
 
 
@@ -207,7 +197,7 @@ def symmetric_sensitivity_entry(t: PerronTriple, e: EdgeKey, N: int,
     undirected edge: 2 x_a x_b.  Only meaningful when x = y."""
     if directed:
         raise InputError("symmetric sensitivity requires an undirected network")
-    a, b = _positions(e, N, t.x.size // N)
+    a, b = e.arc(N, t.x.size // N)
     return 2.0 * float(t.x[a]) * float(t.x[b])
 
 

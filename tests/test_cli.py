@@ -22,7 +22,8 @@ from perronnet.errors import ConvergenceError
 from perronnet.model import apply_update
 
 from conftest import (airlines_shaped, brute_insertion_ranking,
-                      random_general_net, write_multiplex)
+                      random_general_net, random_multiplex_net,
+                      write_multiplex)
 
 
 DEMO = str(demo_network_path())
@@ -648,6 +649,92 @@ def test_undecodable_edges_file_is_input_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {ef}: not UTF-8 text")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pad", [10, 100000])
+@pytest.mark.parametrize("fmt", [(), ("--input-format", "multiplex")],
+                         ids=["sniffed", "given"])
+def test_a_fault_before_undecodable_bytes_comes_first(capsys, tmp_path, pad,
+                                                      fmt):
+    # at pad 10 the byte shares a decoder chunk with line 2; with line 2
+    # clean the error gives the byte's offset in the file
+    p = tmp_path / "bad.edges"
+    tail = b"#" * pad + b"\n1 2 \xff 1.0\n"
+    p.write_bytes(b"3 1\n1 1 9 1.0\n" + tail)
+    assert run_cli(capsys, "spectrum", str(p), *fmt) == (
+        1, "", f"error: {p}:2: node id 9 out of range 1..3\n")
+    p.write_bytes(b"3 1\n1 1 2 1.0\n" + tail)
+    assert run_cli(capsys, "spectrum", str(p), *fmt) == (
+        1, "", f"error: {p}: not UTF-8 text ('utf-8' codec can't decode byte "
+               f"0xff in position {pad + 19}: invalid start byte)\n")
+
+
+def test_the_format_sniffer_names_a_file_it_cannot_classify(capsys,
+                                                            tmp_path):
+    p = tmp_path / "net.edges"
+    p.write_text("3 1\n# c\n1 2 1.0\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(p)) == (
+        1, "", f"error: {p}:3: cannot infer input format from 3-column "
+               "line\n")
+    p.write_text("3 1\n# no edges\n", encoding="utf-8")
+    assert run_cli(capsys, "spectrum", str(p)) == (
+        1, "", f"error: {p}: file has no edge lines; pass --input-format "
+               "explicitly\n")
+
+
+def test_convert_refuses_a_general_file(capsys):
+    for fmt in ((), ("--input-format", "multilayer")):
+        assert run_cli(capsys, "convert", DEMO, *fmt) == (
+            1, "", f"error: {DEMO}: convert expects a multiplex input file\n")
+
+
+def test_experiment_needs_an_edges_file_or_auto(capsys):
+    assert run_cli(capsys, "experiment", DEMO, "--directed") == (
+        1, "", "error: experiment needs --edges-file or --auto\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("2 4 x 2", "edge lines must be integers"),
+    ("2 4 3 2 1", "expected 'i j k l' (or 'i j l' for multiplex input)"),
+    ("2 4 3", "expected 'i j k l' (or 'i j l' for multiplex input)"),
+])
+def test_experiment_edges_file_rejects_malformed_lines(capsys, tmp_path,
+                                                       line, message):
+    # the 'i j l' form is for multiplex input only
+    ef = tmp_path / "edges.txt"
+    ef.write_text(f"2 4 3 2\n{line}\n", encoding="utf-8")
+    assert run_cli(capsys, "experiment", DEMO, "--directed",
+                   "--edges-file", str(ef)) == (
+        1, "", f"error: {ef}:2: {message}\n")
+
+
+def test_multiplex_edges_file_reads_i_j_l_as_i_j_l_l(capsys, tmp_path):
+    p = write_multiplex(random_multiplex_net(23, N=8, L=3),
+                        tmp_path / "m.edges")
+    outs = []
+    for lines in ("1 3 2\n# c\n4 2 1\n", "1 3 2 2\n# c\n4 2 1 1\n"):
+        ef = tmp_path / "edges.txt"
+        ef.write_text(lines, encoding="utf-8")
+        code, out, err = run_cli(capsys, "experiment", str(p), "--edges-file",
+                                 str(ef), "--format", "json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert [r["edge"] for r in json.loads(outs[0])["rows"]] == ["1-3-2-2",
+                                                                "4-2-1-1"]
+
+
+def test_multiplex_auto_increase_experiment_json_is_deterministic(capsys,
+                                                                  tmp_path):
+    # its baselines are drawn by the multiplex branch of the draw
+    p = write_multiplex(random_multiplex_net(23, N=8, L=3),
+                        tmp_path / "m.edges")
+    args = ("experiment", str(p), "--auto", "--mode", "increase",
+            "--format", "json")
+    first = run_cli(capsys, *args)
+    assert first[0] == 0 and first[2] == ""
+    assert all(r["random_edge"] for r in json.loads(first[1])["rows"])
+    assert run_cli(capsys, *args) == first
 
 
 @pytest.mark.parametrize("args, message", [

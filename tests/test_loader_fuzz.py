@@ -311,6 +311,83 @@ def test_fault_before_undecodable_chunk_is_reported(tmp_path):
     assert str(ei.value).startswith(f"{p}: not UTF-8 text (")
 
 
+@pytest.mark.parametrize("pad", [10, 100000])
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"],
+                         ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("bad", [b"1 2 \xff 1.0", b"\xff 2 3 1.0"],
+                         ids=["mid-line", "line-start"])
+def test_lines_before_an_undecodable_byte_are_checked(tmp_path, pad, newline,
+                                                      bad):
+    # the text reader decodes the file in chunks of about 8 KB and fails a
+    # chunk whole: at pad 10 the byte shares a chunk with the lines before
+    # it.  Line 3's fault comes first either way; with line 3 clean, the
+    # error gives the byte's offset in the file
+    lines = [b"3 1", b"#" * pad, b"1 1 9 1.0", bad, b""]
+    p = tmp_path / "bad.edges"
+    p.write_bytes(newline.join(lines))
+    for directed in (False, True):
+        with pytest.raises(ParseError) as ei:
+            load_multiplex(p, gamma=1.0, directed=directed)
+        assert str(ei.value) == f"{p}:3: node id 9 out of range 1..3"
+    lines[2] = b"1 1 2 1.0"
+    raw = newline.join(lines)
+    p.write_bytes(raw)
+    at = raw.index(b"\xff")
+    with pytest.raises(ParseError) as ei:
+        load_multiplex(p, gamma=1.0)
+    assert str(ei.value) == (
+        f"{p}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in "
+        f"position {at}: invalid start byte)")
+
+
+def test_a_file_changed_to_utf8_between_reads_is_refused(tmp_path,
+                                                         monkeypatch):
+    # the second read, as bytes, finds every byte UTF-8
+    p = tmp_path / "net.edges"
+    p.write_bytes(b"3 1\n1 1 2 1.0\n1 2 \xff 1.0\n")
+    read_bytes = Path.read_bytes
+
+    def changed(path):
+        p.write_bytes(b"3 1\n1 1 2 1.0\n1 2 3 1.0\n")
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", changed)
+    with pytest.raises(ParseError) as ei:
+        load_multiplex(p, gamma=1.0)
+    assert str(ei.value) == f"{p}: changed while it was read"
+
+
+@pytest.mark.parametrize("header, line, message", [
+    (None, None, "empty file"),
+    ("5", 2, "header must be 'N L'"),
+    ("3 x", 2, "bad header: invalid literal for int() with base 10: 'x'"),
+    ("0 2", 2, "N and L must be positive"),
+])
+def test_header_faults_are_named(tmp_path, capsys, header, line, message):
+    # each through both loaders and the CLI, in a file the numpy reader
+    # would take, one with a compressed suffix and one whose body is not
+    # UTF-8, which the line-by-line reader takes from its start
+    cases = []
+    for fmt, body in (("multiplex", "1 1 2 1.0\n"),
+                      ("multilayer", "1 1 1 2 1.0\n")):
+        text = "# c\n\n" if header is None else f"# c\n{header}\n{body}"
+        cases += [(fmt, "net.edges", text.encode()),
+                  (fmt, "net.edges.gz", text.encode())]
+        if header is not None:
+            cases.append((fmt, "net.edges", text.encode() + b"2 \xff\n"))
+    for fmt, name, raw in cases:
+        p = tmp_path / name
+        p.write_bytes(raw)
+        want = f"{p}:{line}: {message}" if line else f"{p}: {message}"
+        for load, kw in ((load_multiplex, {"gamma": 1.0}),
+                         (load_multilayer, {})):
+            with pytest.raises(ParseError) as ei:
+                load(p, **kw)
+            assert str(ei.value) == want and ei.value.line == line
+        assert cli.main(["spectrum", str(p), "--input-format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 def test_numpy_reader_takes_plain_files(tmp_path, monkeypatch):
     # a file of decimal ids and plain weights, with whole-line comments,
     # never reaches the per-line parser

@@ -218,6 +218,29 @@ def test_weight_reads_every_entry_of_the_supra_matrix():
         assert (net.arcs_t != net.arcs.T).nnz == 0
 
 
+def test_edge_keys_and_supra_arcs_convert_both_ways():
+    # the edge (i, j, k, l) is the entry (N(k-1)+i, N(l-1)+j) of B, 1-based
+    N, L = 3, 2
+    for a, b in product(range(N * L), repeat=2):
+        e = EdgeKey.at(a, b, N)
+        assert e == EdgeKey(a % N + 1, b % N + 1, a // N + 1, b // N + 1)
+        assert e.arc(N, L) == (a, b)
+    e = EdgeKey.at(np.int64(4), np.int64(2), N)
+    assert e == EdgeKey(2, 3, 2, 1) and type(e.i) is int
+    for e, message in ((EdgeKey(4, 1, 1, 1), "node index out of range"),
+                       (EdgeKey(1, 1, 1, 3), "layer index out of range")):
+        with pytest.raises(InputError, match=message):
+            e.arc(N, L)
+    # each edge has the shape of a coupling entry, whose weight is gamma
+    # and which no edit may touch, but an id out of range is named first
+    mpx = multiplex_from_layers([[[0, 1], [1, 0]]] * 2, gamma=0.5)
+    for e in (EdgeKey(1, 1, 1, 3), EdgeKey(3, 3, 1, 2)):
+        for call in (mpx.weight, lambda e: edge_update(mpx, e, 1.0)):
+            with pytest.raises(InputError, match="index out of range"):
+                call(e)
+    assert mpx.weight(EdgeKey(2, 2, 2, 1)) == 0.5
+
+
 def test_supra_operator_trivial_coupling():
     net = multiplex_from_layers([np.zeros((1, 1)), np.zeros((1, 1))], gamma=1.0)
     op = supra_operator(net)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from perronnet import (EdgeKey, InfeasibleError, PerronTriple, perron,
+from perronnet import (ConvergenceError, EdgeKey, InfeasibleError,
+                       InputError, PerronTriple, apply_edge_delta,
+                       assemble_dense, perron, perron_dense_oracle,
                        perturbation_experiment, rank_insertions,
                        rank_removals, recommend, supra_operator)
+from perronnet.eigen import DEFAULT_TOL
 
 from conftest import (brute_insertion_ranking, brute_removal_ranking,
                       condition_of, dense_perron_pair, multilayer_from_dense,
@@ -325,7 +328,7 @@ def full_removal_scan(t, net, top_k, require_connected):
     for p in recommend._tie_order(a, b, net, score):
         if len(rows) == top_k:
             break
-        e = recommend._edge_at(a[p], b[p], net.N)
+        e = EdgeKey.at(a[p], b[p], net.N)
         connected = None
         if require_connected:
             update = recommend._edits(net, e, "remove")
@@ -506,3 +509,38 @@ def test_experiment_baseline_count_zero(demo_net):
                                    mode="increase", baseline_count=0)
     assert rows[0].baseline_edge is None
     assert rows[0].baseline_rho_new is None
+
+
+def test_multiplex_increase_baselines_are_seeded_intra_layer_pairs():
+    net = random_multiplex_net(23, N=8, L=3, gamma=1.0)
+    t = triple_of(net)
+    edges = [r.edge for r in rank_insertions(t, net, 6)]
+    rows = perturbation_experiment(net, edges, 0.3, "increase", seed=42)
+    drawn = [r.baseline_edge for r in rows]
+    assert len(drawn) == len(edges)
+    assert all(e.k == e.l and e.i < e.j for e in drawn), drawn
+    assert len({e.pair_key() for e in drawn}) == len(drawn)
+    assert perturbation_experiment(net, edges, 0.3, "increase",
+                                   seed=42) == rows
+    for r in rows:
+        assert r.baseline_error is None and r.baseline_rho_new >= t.rho
+        raised = assemble_dense(apply_edge_delta(net, r.baseline_edge, 0.3))
+        oracle = perron_dense_oracle(raised).rho
+        assert abs(r.baseline_rho_new - oracle) <= DEFAULT_TOL * oracle
+
+
+def test_a_failed_re_solve_of_a_ranked_row_raises():
+    # removing an arc of a directed cycle leaves a nilpotent operator, whose
+    # Perron vectors are orthogonal
+    ring = multilayer_from_dense(np.roll(np.eye(4), 1, axis=1), 4, 1)
+    with pytest.raises(ConvergenceError, match="orthogonal"):
+        rank_removals(triple_of(ring), ring, 1, recompute=True)
+
+
+def test_rankings_refuse_a_bad_request(demo_net):
+    t = triple_of(demo_net)
+    for rank in (rank_insertions, rank_removals):
+        with pytest.raises(InputError, match="top_k must be >= 1"):
+            rank(t, demo_net, 0)
+    with pytest.raises(InputError, match="candidate_set must be"):
+        rank_insertions(t, demo_net, 3, candidate_set="x")
