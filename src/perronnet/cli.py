@@ -25,6 +25,8 @@ $PERRON_DATA_DIR.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -231,6 +233,10 @@ def _parse_edges_file(path: Path, net) -> list[EdgeKey]:
 
 
 def cmd_experiment(ns: argparse.Namespace):
+    # usage first: a missing edges file is named before any load or solve
+    if not ns.auto and ns.edges_file is None:
+        raise InputError("experiment needs --edges-file or --auto")
+    edges_path = None if ns.auto else _resolve_path(ns.edges_file)
     net, t = _solve(ns)
     if ns.auto:
         if ns.mode == "increase":
@@ -239,10 +245,8 @@ def cmd_experiment(ns: argparse.Namespace):
         else:
             picked = rank_removals(t, net, ns.top_k)
         edges = [r.edge for r in picked]
-    elif ns.edges_file is not None:
-        edges = _parse_edges_file(_resolve_path(ns.edges_file), net)
     else:
-        raise InputError("experiment needs --edges-file or --auto")
+        edges = _parse_edges_file(edges_path, net)
     rows_out = perturbation_experiment(
         net, edges, eps=ns.epsilon, mode=ns.mode, seed=ns.seed,
         mirror=not ns.no_mirror, tol=ns.tol, triple=t)
@@ -322,16 +326,19 @@ def emit(report, cols, rows, output: str) -> str:
             doc["rows"] = [{k: _fmt6(v) for k, v in row.items()} for row in rows]
         return json.dumps(doc, indent=2) + "\n"
     if output == "csv":
-        out = []
+        # minimal quoting: only a cell holding a comma, a quote or a
+        # newline, such as a note, is quoted
+        out = io.StringIO()
+        write = csv.writer(out, lineterminator="\n").writerow
         if report is not None:
-            out.append("key,value")
+            write(["key", "value"])
             for k, v in report.items():
-                out.append(f"{k},{_csv_cell(v)}")
+                write([k, _csv_cell(v)])
         if rows is not None and cols:
-            out.append(",".join(cols))
+            write(cols)
             for row in rows:
-                out.append(",".join(_csv_cell(row.get(c, "")) for c in cols))
-        return "\n".join(out) + "\n"
+                write([_csv_cell(row.get(c, "")) for c in cols])
+        return out.getvalue()
     # human table
     out = []
     if report is not None:

@@ -22,8 +22,8 @@ one supra update ``(rows, cols, deltas)`` (:func:`edge_update`), which
 
 from __future__ import annotations
 
-import io
 import math
+import re
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -111,7 +111,7 @@ class Network:
     it, the operator applies it implicitly.  All stored weights are
     strictly positive and finite, and an undirected network's arcs are
     symmetric.  The network keeps a
-    checked canonical copy of the ``arcs`` it is given; a loader's own
+    checked canonical copy of the ``arcs`` it is passed; a loader's own
     matrix, built from checked rows, is adopted as it is.
     """
 
@@ -272,9 +272,10 @@ def editable_arcs(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # which name the first offending line in file order.  numpy reads the
 # path itself: handed a text stream, its reader goes line by line in
 # Python, about a third slower.  The header and the line numbers come from
-# one read of the text, the rows from numpy's; every row's ids are checked
-# against the header's N and L, so a file that changes between the two
-# reads still gives a network of the order the header sets, or an error.
+# one read of the text, and so do the rows when numpy's reader refuses the
+# file; every row's ids are checked against the header's N and L, so a file
+# that changes between the two reads still gives a network of the order
+# the header sets, or an error.
 
 # suffixes numpy's reader decompresses by; such a file is read line by line,
 # as the text it holds
@@ -283,35 +284,36 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 def _read_edge_lines(path):
     """Yield (line_number, tokens) for data lines; '#' comments and blanks
-    skipped.  The text reader fails a whole chunk of about 8 KB on a byte
-    that is not UTF-8: the lines before that byte's line are then read
-    from the bytes, and a ParseError names the file and the byte's offset."""
-    given = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for given, tokens in _data_lines(fh):
-                yield given, tokens
-        return
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        end = max(data.rfind(b"\n", 0, exc.start),
-                  data.rfind(b"\r", 0, exc.start)) + 1
-        lines = io.StringIO(data[:end].decode("utf-8"), newline=None)
-        yield from ((n, t) for n, t in _data_lines(lines) if n > given)
-        raise ParseError(f"not UTF-8 text ({exc})", path) from None
-    raise ParseError("changed while it was read", path)
+    skipped.  The line that holds the first byte that is not UTF-8 raises
+    an error giving that byte's offset in the file (:func:`_data_lines`)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        yield from _data_lines(fh, path)
 
 
-def _data_lines(lines):
-    """(line_number, tokens) of the data lines of an iterable of lines."""
+def _data_lines(lines, path):
+    """(line_number, tokens) of the data lines of text decoded with
+    ``errors="surrogateescape"``, which escapes each byte that is not UTF-8
+    as a lone surrogate.  The line, comment or blank, that holds the first
+    one raises :func:`_undecodable`'s error, once the lines before it are
+    yielded."""
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii() and re.search("[\udc80-\udcff]", raw):
+            raise _undecodable(path)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         yield lineno, line.split()
+
+
+def _undecodable(path):
+    """The ParseError of a file read with a byte that is not UTF-8: the
+    strict decoder's error, with the first such byte's offset in the file,
+    or, when the bytes now decode, that the file changed."""
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(f"not UTF-8 text ({exc})", path)
+    return ParseError("changed while it was read", path)
 
 
 def _parse_header(lines, path):
@@ -358,13 +360,11 @@ class _EdgeRows:
 def _read_edge_rows(path, nids, usage) -> _EdgeRows:
     """Header and rows of an edge file whose data lines hold ``nids`` ids
     and a weight; ``usage`` is the error for a wrong token count."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        return _read_per_line(path, nids, usage)
-    N, L, header_line = _parse_header(_data_lines(_text_lines(text)), path)
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    lines = _data_lines(_text_lines(text), path)
+    N, L, header_line = _parse_header(lines, path)
     if _has_inline_comment(text) or path.suffix in _COMPRESSED:
-        return _read_per_line(path, nids, usage)
+        return _read_per_line(lines, N, L, path, nids, usage)
     try:
         with warnings.catch_warnings():
             # "input contained no data" on a header-only file
@@ -373,11 +373,11 @@ def _read_edge_rows(path, nids, usage) -> _EdgeRows:
                               skiprows=header_line, ndmin=1,
                               dtype=[("ids", np.int64, (nids,)),
                                      ("w", np.float64)])
-    except (ValueError, UserWarning):
-        return _read_per_line(path, nids, usage)
+    except (ValueError, UserWarning):  # also on a byte that is not UTF-8
+        return _read_per_line(lines, N, L, path, nids, usage)
 
     def lineno(r):
-        data = islice(_data_lines(_text_lines(text)), r + 1, None)
+        data = islice(_data_lines(_text_lines(text), path), r + 1, None)
         return next(data)[0]
 
     return _EdgeRows(N, L, rows["ids"], rows["w"], lineno)
@@ -406,9 +406,8 @@ def _has_inline_comment(text):
     return False
 
 
-def _read_per_line(path, nids, usage) -> _EdgeRows:
-    lines = _read_edge_lines(path)
-    N, L, _ = _parse_header(lines, path)
+def _read_per_line(lines, N, L, path, nids, usage) -> _EdgeRows:
+    """The rows of the data lines ``lines`` gives after the header."""
     ids, w, linenos = [], [], []
     error = weight_error = None
     try:

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, formats, determinism, exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -656,7 +658,7 @@ def test_undecodable_edges_file_is_input_error(capsys, tmp_path):
                          ids=["sniffed", "given"])
 def test_a_fault_before_undecodable_bytes_comes_first(capsys, tmp_path, pad,
                                                       fmt):
-    # at pad 10 the byte shares a decoder chunk with line 2; with line 2
+    # at pad 10 the byte lies in the same 8 KB as line 2; with line 2
     # clean the error gives the byte's offset in the file
     p = tmp_path / "bad.edges"
     tail = b"#" * pad + b"\n1 2 \xff 1.0\n"
@@ -691,6 +693,50 @@ def test_convert_refuses_a_general_file(capsys):
 def test_experiment_needs_an_edges_file_or_auto(capsys):
     assert run_cli(capsys, "experiment", DEMO, "--directed") == (
         1, "", "error: experiment needs --edges-file or --auto\n")
+
+
+@pytest.mark.parametrize("edges_file, message", [
+    (None, "experiment needs --edges-file or --auto"),
+    ("absent.txt", "input file not found: {}"),
+], ids=["no-edges", "missing-edges-file"])
+def test_experiment_checks_its_usage_before_it_solves(capsys, tmp_path,
+                                                      monkeypatch, edges_file,
+                                                      message):
+    # either fault is named without a Perron solve, and before a fault in
+    # INPUT, which a load would meet first
+    def not_reached(*args, **kwargs):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr(cli, "perron", not_reached)
+    bad = tmp_path / "bad.edges"
+    bad.write_text("4 3\n1 1 1 9 1.0\n", encoding="utf-8")
+    args = () if edges_file is None else ("--edges-file",
+                                          str(tmp_path / edges_file))
+    want = message.format(tmp_path / "absent.txt")
+    for net in (DEMO, str(bad)):
+        assert run_cli(capsys, "experiment", net, "--directed", *args) == (
+            1, "", f"error: {want}\n")
+
+
+def test_csv_quotes_a_note_that_holds_commas(capsys, tmp_path):
+    # the note of an absent edge names its EdgeKey, commas and all: each
+    # row still has the header's fields, and an unquoted row keeps its bytes
+    ef = tmp_path / "edges.txt"
+    ef.write_text("1 2 1 3\n2 4 3 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "experiment", DEMO, "--directed",
+                             "--mode", "remove", "--edges-file", str(ef),
+                             "--format", "csv")
+    assert (code, err) == (0, "")
+    table = list(csv.reader(io.StringIO(out)))
+    header = table.index(["edge", "score", "rho_new", "random_edge",
+                          "random_rho_new", "note"])
+    assert all(len(r) == 2 for r in table[:header])  # key,value
+    rows = table[header + 1:]
+    assert [len(r) for r in rows] == [6, 6]
+    assert [r[0] for r in rows] == ["1-2-1-3", "2-4-3-2"]
+    assert rows[0][5] == "edge EdgeKey(i=1, j=2, k=1, l=3) does not exist"
+    assert out.splitlines()[header + 1].endswith(f',"{rows[0][5]}"')
+    assert out.splitlines()[header + 2] == ",".join(rows[1])
 
 
 @pytest.mark.parametrize("line, message", [

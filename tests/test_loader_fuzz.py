@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 import perronnet.model as model
-from perronnet import cli
+from perronnet import cli, demo_network_path
 from perronnet.errors import ParseError
 from perronnet.model import Network, load_multilayer, load_multiplex
 
@@ -318,10 +318,9 @@ def test_fault_before_undecodable_chunk_is_reported(tmp_path):
                          ids=["mid-line", "line-start"])
 def test_lines_before_an_undecodable_byte_are_checked(tmp_path, pad, newline,
                                                       bad):
-    # the text reader decodes the file in chunks of about 8 KB and fails a
-    # chunk whole: at pad 10 the byte shares a chunk with the lines before
-    # it.  Line 3's fault comes first either way; with line 3 clean, the
-    # error gives the byte's offset in the file
+    # at pad 10 the byte lies in the same 8 KB as the lines before it, at
+    # pad 100 000 far after them.  Line 3's fault comes first either way;
+    # with line 3 clean, the error gives the byte's offset in the file
     lines = [b"3 1", b"#" * pad, b"1 1 9 1.0", bad, b""]
     p = tmp_path / "bad.edges"
     p.write_bytes(newline.join(lines))
@@ -355,6 +354,86 @@ def test_a_file_changed_to_utf8_between_reads_is_refused(tmp_path,
     with pytest.raises(ParseError) as ei:
         load_multiplex(p, gamma=1.0)
     assert str(ei.value) == f"{p}: changed while it was read"
+
+
+# where the file's first byte that is not UTF-8 lies, as the lines of a
+# file around it: H stands for the header (the first line of an edges
+# file), D for a valid data line, A for one whose ids are Arabic-Indic
+# digits, which Python's int() reads and numpy's reader does not
+_UNDECODABLE = {
+    "comment-before-header": (".edges", [b"# \xff", b"H", b"D"]),
+    "comment-before-data": (".edges", [b"H", b"# c \xe2", b"D"]),
+    "comment-after-data": (".edges", [b"H", b"D", b"#\x80", b"D"]),
+    "header": (".edges", [b"H\xc3", b"D"]),
+    "encoded-surrogate": (".edges", [b"H", b"D", b"1 \xed\xb2\x80 1.0"]),
+    "gz-name": (".edges.gz", [b"H", b"D", b"1 2 \xff 1.0"]),
+    "arabic-indic-ids": (".edges", [b"H", b"A", b"# ok", b"1 2 \xff 1.0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+def test_the_line_of_the_first_undecodable_byte_raises(tmp_path, capsys,
+                                                       case):
+    # the lines before that line are valid, so every reader gives the
+    # strict decoder's error, with the byte's offset in the whole file: both
+    # loaders, the CLI's format sniff and an --edges-file
+    suffix, template = _UNDECODABLE[case]
+    arabic = "\u0662".encode()  # Arabic-Indic 2
+    forms = {
+        "multiplex": {b"H": b"3 1", b"D": b"1 1 2 1.0",
+                      b"A": b"1 1 " + arabic + b" 1.0"},
+        "multilayer": {b"H": b"3 1", b"D": b"1 1 1 2 1.0",
+                       b"A": b"1 1 1 " + arabic + b" 1.0"},
+        "edges": {b"H": b"2 4 3 2", b"D": b"2 4 3 2",
+                  b"A": b" ".join([arabic] * 4)},
+    }
+    demo = str(demo_network_path())
+    for form, parts in forms.items():
+        raw = b"".join(parts.get(line[:1], line[:1]) + line[1:] + b"\n"
+                       for line in template)
+        p = tmp_path / f"{form}{suffix}"
+        p.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as strict:
+            raw.decode("utf-8")
+        want = f"{p}: not UTF-8 text ({strict.value})"
+        if form == "edges":
+            assert cli.main(["experiment", demo, "--directed",
+                             "--edges-file", str(p)]) == 1
+            assert capsys.readouterr() == ("", f"error: {want}\n")
+            continue
+        load, kw = ((load_multiplex, {"gamma": 1.0}) if form == "multiplex"
+                    else (load_multilayer, {}))
+        for directed in (False, True):
+            with pytest.raises(ParseError) as ei:
+                load(p, directed=directed, **kw)
+            assert str(ei.value) == want and ei.value.line is None
+        assert cli.main(["spectrum", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+def test_the_line_by_line_reader_takes_the_loaders_text(tmp_path,
+                                                        monkeypatch):
+    # a file numpy's reader does not take, for an inline '#', a compressed
+    # suffix, an id it cannot parse or a byte that is not UTF-8, is read
+    # once: its rows come from the text its header came from
+    def refuse(*args):
+        raise AssertionError("the file was read again")
+
+    monkeypatch.setattr(model, "_read_edge_lines", refuse)
+    p = tmp_path / "net.edges"
+    p.write_text("3 1\n1 1 2 1.0 # x\n", encoding="utf-8")
+    with pytest.raises(ParseError) as ei:
+        load_multiplex(p, gamma=1.0)
+    assert str(ei.value) == f"{p}:2: expected 'layer i j weight'"
+    p.write_text("3 1\n1 1 2 1.0\n1 2 \u0663 1.0\n", encoding="utf-8")
+    assert load_multiplex(p, gamma=1.0).edge_count() == 4
+    gz = tmp_path / "net.edges.gz"
+    gz.write_text("3 2\n1 1 2 2 1.0\n", encoding="utf-8")
+    assert load_multilayer(gz).edge_count() == 2
+    p.write_bytes(b"3 1\n1 1 2 1.0\n1 2 3 \xff\n")
+    with pytest.raises(ParseError) as ei:
+        load_multiplex(p, gamma=1.0)
+    assert str(ei.value).startswith(f"{p}: not UTF-8 text (")
 
 
 @pytest.mark.parametrize("header, line, message", [
