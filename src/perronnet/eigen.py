@@ -25,9 +25,8 @@ operator) is taken as y.  Which solver runs when:
   accepts each side in 30-55 products, where ARPACK spends most of its
   time in its own bookkeeping and its Python reverse-communication loop
   around products of a few tens of microseconds.  A side it hands over
-  (a periodic, reducible or small-gap operator) costs its first check
-  step and at least one stall interval of products more than ARPACK
-  alone;
+  (a periodic, reducible or small-gap operator) costs the products it
+  made until then on top of ARPACK's;
 - ARPACK's implicitly restarted Arnoldi method (Lehoucq, Sorensen and
   Yang, 1998), through ``scipy.sparse.linalg.eigs``, solves a side that
   either hands over, a warm start on an unmarked operator and the
@@ -90,12 +89,7 @@ _POSITIVITY_SLACK = 1e-12
 # those rows need 20-33 steps.
 BLOCK_MAX_STEPS = 60
 
-# Most steps between two checks of a column in perron_block.  At each
-# check a column whose bracket width (in perron()'s power iteration, its
-# residual), shrinking at the rate it did since its previous check, would
-# not reach its bound by BLOCK_MAX_STEPS is handed to perron() at once,
-# so a block of periodic or small-gap columns stops after a few steps,
-# not at the cap.
+# Most steps between two checks of a column (see _next_check).
 _STALL_STEPS = 5
 
 
@@ -172,21 +166,39 @@ def _fix_sign(v: np.ndarray, slack: float = _POSITIVITY_SLACK) -> np.ndarray:
     return v / n
 
 
+_OWN_PRODUCTS = "perron's start and check products"
+
+
 class _Products:
     """Operator products, counted against a budget of ``max_iter``; a
-    non-finite product fails at once, naming its number."""
+    product past it fails naming the solver that made it and the last
+    residuals :func:`perron` measured, and a non-finite one fails at once,
+    naming its number."""
 
     def __init__(self, op: LinearOperator, max_iter: int):
         self.op = op
         self.max_iter = max_iter
         self.count = 0
         self.residuals = (math.inf, math.inf)
+        self.solver = _OWN_PRODUCTS
+
+    def run(self, solver: str, f, *args, **kwargs):
+        """f(*args, **kwargs), with ``solver`` named as the maker of its
+        products should the budget run out there."""
+        self.solver = solver
+        out = f(*args, **kwargs)
+        self.solver = _OWN_PRODUCTS
+        return out
 
     def _apply(self, f, v: np.ndarray) -> np.ndarray:
         if self.count >= self.max_iter:
+            measured = ("no residual measured"
+                        if self.residuals == (math.inf, math.inf) else
+                        f"residuals {self.residuals[0]:.3e}/"
+                        f"{self.residuals[1]:.3e}")
             raise ConvergenceError(
-                f"no convergence after {self.max_iter} operator products "
-                f"(residuals {self.residuals[0]:.3e}/{self.residuals[1]:.3e})",
+                f"no convergence after {self.max_iter} operator products: "
+                f"the budget ran out in {self.solver}, with {measured}",
                 iterations=self.max_iter, residuals=self.residuals)
         self.count += 1
         out = f(v)
@@ -262,6 +274,40 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def _next_check(step, excess, seen, seen_excess):
+    """The check schedule of the Lanczos recurrence and of the power
+    iteration: the step of a column's next check, and its rate.
+
+    A column is checked at step 1, and then at the steps this returns.
+    ``excess`` is its residual over its bound at this check (the Lanczos
+    estimate, the power iteration's residual or bracket width), ``seen``
+    the step of its previous check (0: none) and ``seen_excess`` its excess
+    there.  Its rate, the factor its excess shrank by per step since then,
+    is (excess / seen_excess) ** (1 / (step - seen)), NaN without a
+    previous check.  The next check is at the step at which
+    excess * rate**m <= 1 predicts a pass, 1 to ``_STALL_STEPS`` steps
+    away, or ``_STALL_STEPS`` steps away when there was no previous check
+    or the rate is not below 1 (NaN included).  The power iteration also
+    hands a column over at once when excess * rate**m would still exceed
+    1 at :data:`BLOCK_MAX_STEPS`, so periodic and small-gap columns stop
+    after a few steps, not at the cap.
+
+    The powers and logarithms, and the division by an excess that may be
+    0, are numpy's ufuncs: their calls on a float round as their array
+    loops do, SIMD or not, and take 0, inf and NaN as those loops do,
+    which ``math.log``, ``**`` and ``/`` need not.
+    """
+    if not seen:
+        return step + _STALL_STEPS, math.nan
+    # the exponent as an array: numpy takes a scalar 0.5 as a square root,
+    # which rounds otherwise
+    rate, = np.power(np.divide(excess, seen_excess), [1.0 / (step - seen)])
+    # steps until excess * rate**m <= 1; NaN (0 / 0 included) waits longest
+    m = np.log(excess) / -np.log(rate) if rate < 1.0 else math.nan
+    wait = 1 if m <= 1 else math.ceil(m) if m < _STALL_STEPS else _STALL_STEPS
+    return step + wait, rate
+
+
 def _power(apply, start, image, tol):
     """The power iteration of :func:`perron_block` (one column, no
     update) from the image of ``start``: its vector and image once its
@@ -278,16 +324,15 @@ def _lanczos(apply, start, image, tol):
     is given (Lanczos, 1950; in finite precision, Paige, 1976), or None.
 
     The basis holds at most :data:`BLOCK_MAX_STEPS` vectors, grown as
-    needed.  The top Ritz pair of the tridiagonal matrix is checked at
-    step 1 and then at the step its estimated residual, shrinking at its
-    rate since the last check, predicts it passes, at most
-    ``_STALL_STEPS`` later.  When that estimate is within
-    tol * max(1, theta), the Ritz vector, with its sign fixed, is
-    returned with a fresh product, for :func:`perron` to certify.  A
-    recurrence that breaks down, its next vector below tol in norm, has
-    found an invariant subspace and is checked at once, where its
-    estimate passes.  A Ritz vector that fails the sign test is handed to
-    :func:`_power`; no pass within the cap returns None."""
+    needed.  The top Ritz pair of the tridiagonal matrix is checked on
+    the schedule of :func:`_next_check`, its excess being its estimated
+    residual over tol * max(1, theta).  When that estimate is within the
+    bound, the Ritz vector, with its sign fixed, is returned with a fresh
+    product, for :func:`perron` to certify.  A recurrence that breaks
+    down, its next vector below tol in norm, has found an invariant
+    subspace and is checked at once, where its estimate passes.  A Ritz
+    vector that fails the sign test returns False, for :func:`_power`; no
+    pass within the cap returns None."""
     cap = min(BLOCK_MAX_STEPS, start.size)
     # one array per vector: they fit memory the heap already holds, where
     # one growing block maps fresh pages (on the benchmark's multiplexes
@@ -315,23 +360,12 @@ def _lanczos(apply, start, image, tol):
                 try:
                     x = _fix_sign(x, tol)
                 except ConvergenceError:
-                    # entries that are 0 in a reducible operator's Perron
-                    # vector (gamma = 0) can come out negative beyond tol
-                    # here; the power iteration keeps every iterate
-                    # nonnegative
-                    del basis
-                    return _power(apply, start, image, tol)
+                    return False
                 return x, apply(x)
             if step == cap:
                 return None
-            # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
-            wait = _STALL_STEPS
-            if seen:
-                rate = (excess / seen_excess) ** (1.0 / (step - seen))
-                if rate < 1.0:
-                    wait = min(wait, math.ceil(math.log(excess)
-                                               / -math.log(rate)))
-            due, seen, seen_excess = step + max(wait, 1), step, excess
+            due, _ = _next_check(step, excess, seen, seen_excess)
+            seen, seen_excess = step, excess
         T[step - 1, step] = beta
         basis.append(w / beta)
         w = apply(basis[-1])
@@ -343,8 +377,9 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
     B or B^T) and its image apply(v).  The unit start vector is returned
     as it is when its residual is already within tol * max(1, rho).
     Otherwise ``first``, :func:`_power` or :func:`_lanczos` when given,
-    runs on from its image, and its vector is returned when it finds one.
-    When it does not, or without it, ARPACK
+    runs on from its image (a Lanczos vector that fails the sign test
+    goes on to :func:`_power`), and its vector is returned when it finds
+    one.  When it does not, or without it, ARPACK
     starts from ``start``, with relative tolerance ``tol`` (0: machine
     precision).  The explicit ``v0`` and the fixed ``rng`` (drawn from
     only when a Krylov space closes early) keep every run deterministic.
@@ -356,20 +391,31 @@ def _dominant(apply, start: np.ndarray, tol: float, prod: _Products,
     if _norm(image - rho * start) <= tol * max(1.0, abs(rho)):
         return start, image
     if first is not None:
-        found = first(apply, start, image, tol)
+        found = prod.run("the Lanczos recurrence" if first is _lanczos
+                         else "the power iteration",
+                         first, apply, start, image, tol)
+        if found is False:
+            # the Ritz vector failed the sign test, as entries that are 0
+            # in a reducible operator's Perron vector (gamma = 0) can
+            # beyond tol; the power iteration keeps every iterate
+            # nonnegative
+            found = prod.run("the power iteration",
+                             _power, apply, start, image, tol)
         if found is not None:
             return found
     n = start.size
     if n < 3:
-        vals, vecs = np.linalg.eig(np.column_stack([apply(e)
-                                                    for e in np.eye(n)]))
+        vals, vecs = np.linalg.eig(prod.run(
+            "the dense solve",
+            lambda: np.column_stack([apply(e) for e in np.eye(n)])))
         vec = vecs[:, np.argmax(vals.real)]
     else:
         A = LinearOperator((n, n), matvec=apply, dtype=float)
         try:
             with _one_blas_thread:
-                _, vecs = eigs(A, k=1, which="LR", v0=start, tol=tol,
-                               maxiter=prod.max_iter, rng=0)
+                _, vecs = prod.run("ARPACK", eigs, A, k=1, which="LR",
+                                   v0=start, tol=tol, maxiter=prod.max_iter,
+                                   rng=0)
         except ArpackError as exc:
             raise prod.fail(f"ARPACK failed after {prod.count} operator "
                             f"products: {exc}") from exc
@@ -452,10 +498,15 @@ def perron(op, tol: float = DEFAULT_TOL,
         # too optimistic: solve both again from the current vectors, to
         # machine precision, by ARPACK alone
         u, v, first = x, y, None
+    # the rounding error of a product's entries, n eps max(1, rho)
+    rounding = n * np.finfo(float).eps * max(1.0, abs(rho))
     raise prod.fail(
         f"residuals {res_r:.3e}/{res_l:.3e} above {bound:.3e} at machine "
-        f"precision (rho ~ {rho:.6g}, kappa ~ {1.0 / yx:.3g}): the root is "
-        "ill-conditioned or not simple, or the operator is reducible")
+        f"precision (rho ~ {rho:.6g}, kappa ~ {1.0 / yx:.3g}): "
+        + ("tol is below the rounding error of the products, "
+           f"n * eps * max(1, rho) ~ {rounding:.3e}" if bound < rounding else
+           "the root is ill-conditioned or not simple, or the operator is "
+           "reducible"))
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -493,9 +544,8 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     copy.  Each step makes one product B X, adds each column's entries of
     E_j to its own column and multiplies the block by one power of two
     near 1/rho, which is exact, so no column's bits depend on the other
-    columns.  A column is checked only at its own check steps: step 1,
-    then the step at which its contraction since its last check predicts
-    it passes, at most ``_STALL_STEPS`` later.  There its x is rescaled to
+    columns.  A column is checked only at its own check steps, on the
+    schedule of :func:`_next_check`.  There its x is rescaled to
     unit norm before the step's product, and it is accepted when x >= 0
     and the ratios r_i = ((B + E_j) x)_i / x_i on the support
     of x span at most tol * max(1, rho); an x_i = 0 whose image is not 0
@@ -510,8 +560,7 @@ def perron_block(op, updates, tol: float = DEFAULT_TOL,
     rho = v^T (B + E_j) x / (v^T x), v being y0 (x's start on a cold
     start): a mean of the ratios with the weights v_i x_i, so it lies in
     the bracket.  A column not accepted within :data:`BLOCK_MAX_STEPS`
-    steps, whose bracket width over its bound, shrinking at its rate
-    since its last check, would still exceed 1 at that cap, whose root is
+    steps, handed over by the schedule, whose root is
     not finite, or whose iterate vanishes or stops being finite, is
     returned as None, for :func:`perron` to solve alone: a periodic,
     reducible or small-gap operator goes that way.  A resolved column,
@@ -547,11 +596,8 @@ def _power_columns(matmat, X, entries, tol, v=None):
     must not warn.
 
     The products, the rescaling and the residuals or brackets run on the
-    block; each column's check schedule is kept in Python scalars.  Its
-    powers and logarithms, and its division by an excess that may be 0,
-    are numpy's ufuncs: their calls on a float round as their array
-    loops do, SIMD or not, and take 0, inf and NaN as those loops do,
-    which ``math.log``, ``**`` and ``/`` need not.
+    block; each column's check schedule, that of :func:`_next_check`, is
+    kept in Python scalars.
     """
     rows, cols, deltas, col = entries
     k = X.shape[1]
@@ -613,24 +659,14 @@ def _power_columns(matmat, X, entries, tol, v=None):
                         due[c] = BLOCK_MAX_STEPS + 1
                         continue
                     excess = e / bound  # bound >= tol > 0
-                    keep = norm > 0 and math.isfinite(norm)
-                    wait = _STALL_STEPS
-                    if keep and seen[c]:
-                        # the exponent as an array: numpy takes a scalar
-                        # 0.5 as a square root, which rounds otherwise
-                        rate, = np.power(np.divide(excess, seen_excess[c]),
-                                         [1.0 / (step - seen[c])])
-                        keep = (excess * np.power(rate, BLOCK_MAX_STEPS - step)
-                                <= 1.0)
-                        # steps until excess * rate**m <= 1, within
-                        # [1, _STALL_STEPS]; NaN and +inf give the most,
-                        # -inf the least
-                        m = np.log(excess) / -np.log(rate)
-                        if m <= 1:
-                            wait = 1
-                        elif m < _STALL_STEPS:
-                            wait = math.ceil(m)
-                    due[c] = (min(step + wait, BLOCK_MAX_STEPS) if keep
+                    then, rate = _next_check(step, excess, seen[c],
+                                             seen_excess[c])
+                    # hand the column over when its rate since its last
+                    # check would leave it above its bound at the cap
+                    keep = (norm > 0 and math.isfinite(norm)
+                            and (not seen[c] or excess * np.power(
+                                rate, BLOCK_MAX_STEPS - step) <= 1.0))
+                    due[c] = (min(then, BLOCK_MAX_STEPS) if keep
                               else BLOCK_MAX_STEPS + 1)
                     seen[c], seen_excess[c] = step, excess
                 next_check = min(due)

@@ -1,6 +1,7 @@
 """Perron solver vs dense oracle, triple invariants, edge cases."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -807,6 +808,259 @@ def test_symmetric_solve_keeps_the_budget_and_non_finite_errors():
     with pytest.raises(ConvergenceError, match="iteration 5 ") as ei:
         perron(op)
     assert ei.value.iterations == 5 == len(calls)
+
+
+def acyclic_directed_multiplex(seed=3, N=30, L=3, gamma=0.5):
+    """A directed multiplex whose layers are acyclic, as a multiplex's
+    edge list read as directed: each node's layer copies form a strong
+    component of root gamma (L - 1), so that root is defective."""
+    rng = np.random.default_rng(seed)
+    layers = [np.triu((rng.random((N, N)) < 0.2)
+                      * rng.uniform(0.5, 1.5, (N, N)), 1) for _ in range(L)]
+    return multiplex_from_layers(layers, gamma, directed=True)
+
+
+def spent_budget(op, max_iter, **kwargs):
+    with pytest.raises(ConvergenceError) as ei:
+        perron(op, max_iter=max_iter, **kwargs)
+    assert ei.value.iterations == max_iter
+    return str(ei.value)
+
+
+def test_a_spent_budget_names_its_solver(monkeypatch):
+    prefix = ("no convergence after {} operator products: the budget ran "
+              "out in ")
+    # ARPACK, on the defective root of an acyclic directed multiplex
+    t0 = time.perf_counter()
+    message = spent_budget(supra_operator(acyclic_directed_multiplex()), 300)
+    assert time.perf_counter() - t0 < 5.0
+    assert message == (prefix.format(300)
+                       + "ARPACK, with no residual measured")
+    net = random_multiplex_net(13, N=150, L=3, gamma=1.0, density=0.04)
+    assert spent_budget(supra_operator(net), 7) == (
+        prefix.format(7) + "the Lanczos recurrence, with no residual measured")
+    # a directed cold side
+    directed, _ = random_general_net(5, N=20, L=3)
+    assert spent_budget(supra_operator(directed), 10) == (
+        prefix.format(10) + "the power iteration, with no residual measured")
+    # the left check of a symmetric solve, its last product
+    t = perron(supra_operator(net))
+    assert spent_budget(supra_operator(net), t.iterations - 1) == (
+        prefix.format(t.iterations - 1)
+        + "perron's start and check products, with no residual measured")
+    # the power iteration after a Lanczos vector failed the sign test
+    uncoupled = uncoupled_connected_layers(seed=1, scales=(0.02, 0.006))
+    op, calls = counted(supra_operator(uncoupled))
+    before, power = [], eigen._power
+    with monkeypatch.context() as m:
+        m.setattr(eigen, "_power",
+                  lambda *a: before.append(len(calls)) or power(*a))
+        perron(op)
+        assert spent_budget(op, before[0]) == (
+            prefix.format(before[0])
+            + "the power iteration, with no residual measured")
+    # the machine-precision retry, after perron measured the residuals
+    with pytest.raises(ConvergenceError) as ei:
+        perron(supra_operator(net), tol=1e-300)
+    message = spent_budget(supra_operator(net), ei.value.iterations - 1,
+                           tol=1e-300)
+    assert re.fullmatch(re.escape(prefix.format(ei.value.iterations - 1))
+                        + r"[a-zA-Z' ]+, with residuals "
+                          r"\d\.\d{3}e-\d\d/\d\.\d{3}e-\d\d", message)
+
+
+def test_a_tolerance_below_rounding_is_named(demo_net):
+    rho = perron(supra_operator(demo_net)).rho
+    with pytest.raises(ConvergenceError) as ei:
+        perron(supra_operator(demo_net), tol=1e-300)
+    rounding = demo_net.dim * np.finfo(float).eps * rho
+    assert str(ei.value).endswith(
+        "at machine precision (rho ~ 2.34711, kappa ~ 1.02): tol is below "
+        "the rounding error of the products, n * eps * max(1, rho) ~ "
+        f"{rounding:.3e}")
+    # a failure at the default tol keeps its cause: the nilpotent path
+    with pytest.raises(ConvergenceError, match=r"at machine precision \(rho ~ "
+                       r"[^)]+\): the root is ill-conditioned or not simple, "
+                       r"or the operator is reducible$"):
+        perron(op_from_dense(directed_path()))
+
+
+# ---------------------------------------------------------------------------
+# one check schedule for the Lanczos recurrence and the power iteration
+
+def reference_lanczos(apply, start, image, tol):
+    """``eigen._lanczos`` as it was while it kept its own check schedule,
+    in ``math.log``, ``**`` and ``max(wait, 1)`` on Python floats, kept as
+    the reference: on the schedule of ``eigen._next_check`` the recurrence
+    must check its Ritz pair at the same steps, so that every product
+    and the triple keep their bits."""
+    cap = min(eigen.BLOCK_MAX_STEPS, start.size)
+    basis = [start]
+    T = np.zeros((cap, cap))
+    w = image.copy()
+    tmp = np.empty_like(w)
+    due, seen, seen_excess = 1, 0, 1.0
+    for step in range(1, cap + 1):
+        q = basis[-1]
+        if step > 1:
+            w -= np.multiply(T[step - 2, step - 1], basis[-2], out=tmp)
+        T[step - 1, step - 1] = alpha = eigen._dot(q, w)
+        w -= np.multiply(alpha, q, out=tmp)
+        beta = eigen._norm(w)
+        if step == due or step == cap or beta <= tol:
+            theta, s = np.linalg.eigh(T[:step, :step], UPLO="U")
+            bound = tol * max(1.0, abs(theta[-1]))
+            excess = beta * abs(s[-1, -1]) / bound
+            if excess <= 1.0:
+                x = np.zeros(start.size)
+                for c, v in zip(s[:, -1], basis):
+                    x += np.multiply(c, v, out=tmp)
+                try:
+                    x = eigen._fix_sign(x, tol)
+                except ConvergenceError:
+                    del basis
+                    return eigen._power(apply, start, image, tol)
+                return x, apply(x)
+            if step == cap:
+                return None
+            due = lanczos_rule(step, excess, seen, seen_excess)
+            seen, seen_excess = step, excess
+        T[step - 1, step] = beta
+        basis.append(w / beta)
+        w = apply(basis[-1])
+
+
+def lanczos_rule(step, excess, seen, seen_excess):
+    """The next check step of ``reference_lanczos``."""
+    # steps until excess * rate**m <= 1, within [1, _STALL_STEPS]
+    wait = eigen._STALL_STEPS
+    if seen:
+        rate = (excess / seen_excess) ** (1.0 / (step - seen))
+        if rate < 1.0:
+            wait = min(wait, math.ceil(math.log(excess) / -math.log(rate)))
+    return step + max(wait, 1)
+
+
+def power_rule(step, excess, seen, seen_excess):
+    """Whether ``eigen._power_columns`` kept a column of finite nonzero
+    norm whose excess is above 1, and its next check step, as it was while
+    it kept its own check schedule."""
+    keep, wait = True, eigen._STALL_STEPS
+    if seen:
+        rate, = np.power(np.divide(excess, seen_excess),
+                         [1.0 / (step - seen)])
+        keep = (excess * np.power(rate, eigen.BLOCK_MAX_STEPS - step)
+                <= 1.0)
+        m = np.log(excess) / -np.log(rate)
+        if m <= 1:
+            wait = 1
+        elif m < eigen._STALL_STEPS:
+            wait = math.ceil(m)
+    return keep, min(step + wait, eigen.BLOCK_MAX_STEPS)
+
+
+def lanczos_solve(net, lanczos, monkeypatch, **starts):
+    """The triple of ``perron`` on ``net``'s marked operator with
+    ``lanczos`` as its recurrence, and the step of each of its checks."""
+    steps, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        steps.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", spy)
+        m.setattr(eigen, "_lanczos", lanczos)
+        t = perron(supra_operator(net), **starts)
+    return t, steps
+
+
+def assert_same_lanczos_checks(net, monkeypatch):
+    """The recurrence checks at the reference's steps and returns the
+    reference's triple bit for bit, from a cold and from a warm start;
+    returns the check steps."""
+    rng = np.random.default_rng(net.dim)
+    warm = rng.uniform(0.5, 1.5, net.dim)
+    checks = []
+    for starts in ({}, {"x0": warm, "y0": warm}):
+        got, got_steps = lanczos_solve(net, eigen._lanczos, monkeypatch,
+                                       **starts)
+        want, want_steps = lanczos_solve(net, reference_lanczos,
+                                         monkeypatch, **starts)
+        assert want_steps and got_steps == want_steps
+        assert np.float64(got.rho).tobytes() == np.float64(want.rho).tobytes()
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+        assert got.iterations == want.iterations
+        checks.append(got_steps)
+    return checks
+
+
+@pytest.mark.parametrize("make", [
+    airlines_shaped,
+    lambda: uncoupled_connected_layers(seed=1, scales=(0.02, 0.006)),
+    lambda: bipartite_multiplex()[1],
+    lambda: random_multiplex_net(14, N=20, L=3, gamma=0.5, density=0.2),
+    lambda: random_multiplex_net(15, N=30, L=2, gamma=1.0, density=0.1),
+    lambda: random_multiplex_net(12, N=2000, L=4, gamma=1.0, density=0.003)],
+    ids=["airlines-shaped", "uncoupled-layers", "bipartite-multiplex",
+         "multiplex-0.5", "multiplex-1", "benchmark-shaped"])
+def test_lanczos_keeps_its_own_check_steps(make, monkeypatch):
+    assert_same_lanczos_checks(make(), monkeypatch)
+
+
+def test_lanczos_keeps_its_own_check_steps_on_seeded_networks(monkeypatch):
+    # 60 undirected networks, general and multiplex, at gamma 0.5 and 1
+    gaps = set()
+    for seed in range(30):
+        nets = [undirected_general_net(seed, N=10 + seed % 7,
+                                       L=2 + seed % 3)[0],
+                random_multiplex_net(seed, N=15 + seed, L=2 + seed % 4,
+                                     gamma=(0.5, 1.0)[seed % 2],
+                                     density=0.1 + 0.01 * (seed % 5))]
+        for net in nets:
+            for steps in assert_same_lanczos_checks(net, monkeypatch):
+                gaps.update(np.diff(steps).tolist())
+    # the rate set some waits below the stall interval
+    assert len(gaps) >= 3
+
+
+EXCESSES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 + 2 ** -52, 2.0, 7.5, 100.0,
+            1e10, 1e20, 1e30, 1e40, 1e50, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("step", [2, 6, 30, 57, 59, 60])
+def test_next_check_follows_both_old_rules(step):
+    # every pair of excesses, a rate of 0, below 1, 1 and above, and
+    # excesses at most 1, as on a column refused for a negative entry
+    waits = set()
+    with np.errstate(all="ignore"):
+        for seen in sorted({0, 1, *(max(step - d, 1) for d in range(1, 6))}):
+            for excess in EXCESSES:
+                for seen_excess in EXCESSES:
+                    due, rate = eigen._next_check(step, excess, seen,
+                                                  seen_excess)
+                    assert step + 1 <= due <= step + eigen._STALL_STEPS
+                    waits.add(due - step)
+                    # the power iteration: the same hand-over, and where
+                    # the column stays, the same next check
+                    keep, want = power_rule(step, excess, seen, seen_excess)
+                    assert keep == (not seen or excess * np.power(
+                        rate, eigen.BLOCK_MAX_STEPS - step) <= 1.0)
+                    if keep:
+                        assert min(due, eigen.BLOCK_MAX_STEPS) == want
+                    # the Lanczos recurrence sees only excesses above 1
+                    # or NaN; its rule raised at a rate of 0, after an
+                    # infinite excess, where the check is one step on
+                    if not all(e > 1.0 or math.isnan(e)
+                               for e in (excess, seen_excess)):
+                        continue
+                    if rate == 0.0:
+                        assert due == step + 1
+                        continue
+                    assert due == lanczos_rule(step, excess, seen,
+                                               seen_excess)
+    assert waits == set(range(1, eigen._STALL_STEPS + 1))
 
 
 # ---------------------------------------------------------------------------
